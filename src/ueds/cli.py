@@ -2,7 +2,8 @@
 
 Exit codes: 0 = yes (or success for non-decision commands), 1 = no (or
 selfcheck failures), 2 = usage or input-format error, 3 = a resource cap was
-exceeded (decomposition width or oracle instance size).
+exceeded (decomposition width or oracle instance size) or memory ran out,
+4 = internal error (an unexpected exception, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .bench import bench
@@ -292,6 +294,13 @@ def main(argv: list[str] | None = None) -> int:
     except UedsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a fault, not an answer: never exit 1 ("no")
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

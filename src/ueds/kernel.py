@@ -8,8 +8,8 @@ Vertices of a graph without isolated vertices split into four classes:
     red     not blue or purple, every neighbor purple
     green   everything else (each green vertex keeps a green neighbor)
 
-Seven reduction rules fire in fixed priority, the coloring recomputed from
-scratch after every change so each rule's precondition stays honest:
+Seven reduction rules fire in fixed priority, each rule's precondition
+judged on the coloring of the current graph:
 
     1  drop an isolated vertex
     2  an isolated edge is forced into any solution: drop it, k -= 1
@@ -22,13 +22,26 @@ scratch after every change so each rule's precondition stays honest:
     7  an irreducible instance on more than 4k^2 - 2 vertices is a
        yes-instance
 
-Every application strictly shrinks |V| + k or decides, so the loop
-terminates; an undecided loop leaves an instance within the size bound.
+Every application strictly shrinks |V| + k or decides, so the rules reach a
+fixpoint; an undecided fixpoint is an instance within the size bound.
+
+The rule functions below each take a Graph and build a new one.
+``kernelize`` instead edits one mutable copy of the adjacency in place and
+builds a Graph once, at the end.  Rules 1-3 draw their next vertex or edge
+from worklists that the deletions feed.  The coloring is computed once and
+then repaired locally: a deletion changes degrees only at the deleted
+vertex's neighbors, and a vertex's class depends only on degrees within
+distance 2 of it, so only vertices that close to a changed degree are
+recolored.  The rules fire in the same order, and the trace reads line for
+line the same, as chaining the rule functions and recoloring from scratch
+after every application.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import compress
 
 from .errors import IsolatedVertexPresent, PreconditionViolated
 from .graph import Graph, induced_subgraph
@@ -135,6 +148,28 @@ def _line(rule: int, action: str, n: int, k: int) -> str:
     return f"rule={rule} action={action} n={n} k={k}"
 
 
+def _big_green_yes(label: int, degree: int, k: int) -> DecidedYes:
+    return DecidedYes(
+        rule=4, hint=f"green vertex {label} has degree {degree} >= 2k={2 * k}"
+    )
+
+
+def _many_blue_yes(blue_count: int, k: int) -> DecidedYes:
+    return DecidedYes(
+        rule=5, hint=f"{blue_count} blue vertices >= k={k} give a matching that size"
+    )
+
+
+def _size_bound_yes(n: int, k: int) -> DecidedYes | None:
+    """Rule 7's test, for an instance none of rules 1-6 touches."""
+    bound = 4 * k * k - 2
+    if n > bound:
+        return DecidedYes(
+            rule=7, hint=f"irreducible instance has {n} > 4k^2-2 = {bound} vertices"
+        )
+    return None
+
+
 def rule1_isolated_vertex(g: Graph, k: int) -> tuple[Graph, int, list[str]] | None:
     """Remove the lowest-indexed isolated vertex."""
     for v in range(g.n):
@@ -183,12 +218,7 @@ def rule4_big_green(
     coloring = coloring or color_vertices(g)
     for v in coloring.green:
         if g.degree(v) >= 2 * k:
-            return DecidedYes(
-                rule=4,
-                hint=(
-                    f"green vertex {v + 1} has degree {g.degree(v)} >= 2k={2 * k}"
-                ),
-            )
+            return _big_green_yes(v + 1, g.degree(v), k)
     return None
 
 
@@ -201,10 +231,7 @@ def rule5_many_blue(
     coloring = coloring or color_vertices(g)
     blues = coloring.blue
     if len(blues) >= k:
-        return DecidedYes(
-            rule=5,
-            hint=f"{len(blues)} blue vertices >= k={k} give a matching that size",
-        )
+        return _many_blue_yes(len(blues), k)
     return None
 
 
@@ -241,57 +268,220 @@ def rule7_size_bound(g: Graph, k: int) -> DecidedYes | None:
         or rule6_remove_red(g, k, coloring)
     ):
         raise PreconditionViolated("rules 3-6 still apply")
-    bound = 4 * k * k - 2
-    if g.n > bound:
-        return DecidedYes(
-            rule=7, hint=f"irreducible instance has {g.n} > 4k^2-2 = {bound} vertices"
-        )
-    return None
+    return _size_bound_yes(g.n, k)
+
+
+class _Worklist:
+    """A graph under vertex deletion: per-vertex neighbor maps, alive flags
+    with a rank tree for current labels, the coloring, and the worklists the
+    rules draw from.  Worklists are lazy heaps: an entry is pushed when its
+    item may have started to qualify and checked again when popped."""
+
+    def __init__(self, g: Graph):
+        n = g.n
+        adj = [dict(a) for a in g.adj]  # neighbor -> edge id
+        self.g = g
+        self.n = n  # live vertices
+        self.adj = adj
+        self.alive = [True] * n
+        # Fenwick tree over the alive flags, all set: node i covers i & -i flags.
+        self._rank_tree = [i & -i for i in range(n + 1)]
+        self.colors: list[str | None] = [None] * n
+        self.by_color: dict[str, set[int]] = {c: set() for c in (BLUE, PURPLE, RED, GREEN)}
+        # vertices whose degree changed since the last coloring; at first, all
+        self.changed = set(range(n))
+        # ascending lists are already heaps
+        self.isolated = [v for v in range(n) if not adj[v]]
+        self.isolated_edges = [
+            e for e, (u, v) in enumerate(g.edges) if len(adj[u]) == 1 and len(adj[v]) == 1
+        ]
+        self.twin_hosts: list[int] = []  # purple vertices seen with >= 2 blue neighbors
+
+    def label(self, v: int) -> int:
+        """The 1-based label of live vertex v in the current graph, which
+        numbers the live vertices in original order: its rank among them."""
+        tree = self._rank_tree
+        rank = 0
+        i = v + 1
+        while i:
+            rank += tree[i]
+            i &= i - 1
+        return rank
+
+    def delete(self, v: int) -> None:
+        self.alive[v] = False
+        self.n -= 1
+        tree = self._rank_tree
+        i = v + 1
+        while i < len(tree):
+            tree[i] -= 1
+            i += i & -i
+        self._set_color(v, None)
+        adj = self.adj
+        for u in adj[v]:
+            nbrs = adj[u]
+            del nbrs[v]
+            self.changed.add(u)
+            if not nbrs:
+                heappush(self.isolated, u)
+            elif len(nbrs) == 1:
+                ((w, e),) = nbrs.items()
+                if len(adj[w]) == 1:
+                    heappush(self.isolated_edges, e)
+        adj[v] = {}
+
+    def delete_batch(self, rule: int, doomed: list[int], k: int) -> list[str]:
+        """Delete the vertices, given in ascending order, with one trace line
+        each that names the vertex by its label from before the batch."""
+        labels = [self.label(v) for v in doomed]
+        n = self.n
+        for v in doomed:
+            self.delete(v)
+        return [
+            _line(rule, f"delete-vertex {label}", n - i, k)
+            for i, label in enumerate(labels, start=1)
+        ]
+
+    def next_isolated(self) -> int | None:
+        """The lowest isolated vertex (rule 1).  A degree never rises, so a
+        pushed vertex stays isolated while it lives."""
+        while self.isolated:
+            v = heappop(self.isolated)
+            if self.alive[v]:
+                return v
+        return None
+
+    def next_isolated_edge(self) -> int | None:
+        """The lowest-id edge whose endpoints both have degree 1 (rule 2).  It
+        is pushed when the second endpoint drops to degree 1 and qualifies
+        until one endpoint is deleted."""
+        edges, alive = self.g.edges, self.alive
+        while self.isolated_edges:
+            e = heappop(self.isolated_edges)
+            u, v = edges[e]
+            if alive[u] and alive[v]:
+                return e
+        return None
+
+    def recolor(self) -> None:
+        """Bring the coloring up to date; the graph must have no isolated
+        vertex.  Blue depends on a vertex's own degree, purple also on its
+        neighbors' degrees, red on its neighbors being purple.  So with D the
+        changed degrees, blue can change only in D, purple only in N[D], and
+        red or green only in N[N[D]]."""
+        adj, colors = self.adj, self.colors
+        changed = [v for v in self.changed if self.alive[v]]
+        self.changed = set()
+        near = set(changed)
+        for v in changed:
+            near.update(adj[v])
+        far = set(near)
+        for v in near:
+            far.update(adj[v])
+        for v in near:
+            nbrs = adj[v]
+            if len(nbrs) == 1:
+                self._set_color(v, BLUE)
+                continue
+            blues = sum(len(adj[u]) == 1 for u in nbrs)
+            if blues > 1:
+                heappush(self.twin_hosts, v)
+            self._set_color(v, PURPLE if blues else None)
+        for v in far:
+            if colors[v] != BLUE and colors[v] != PURPLE:
+                red = all(colors[u] == PURPLE for u in adj[v])
+                self._set_color(v, RED if red else GREEN)
+
+    def _set_color(self, v: int, color: str | None) -> None:
+        old = self.colors[v]
+        if old == color:
+            return
+        if old is not None:
+            self.by_color[old].discard(v)
+        if color is not None:
+            self.by_color[color].add(v)
+        self.colors[v] = color
+
+    def next_blue_twins(self) -> list[int] | None:
+        """The blue neighbors, ascending, of the lowest purple vertex with
+        more than one (rule 3).  A vertex can start to qualify only where the
+        coloring was repaired, and recolor pushes it there."""
+        adj, colors = self.adj, self.colors
+        while self.twin_hosts:
+            p = heappop(self.twin_hosts)
+            if colors[p] == PURPLE:
+                blues = sorted(u for u in adj[p] if colors[u] == BLUE)
+                if len(blues) > 1:
+                    return blues
+        return None
+
+    def big_green(self, k: int) -> int | None:
+        """The lowest green vertex of degree >= 2k (rule 4)."""
+        adj = self.adj
+        return min((v for v in self.by_color[GREEN] if len(adj[v]) >= 2 * k), default=None)
+
+    def graph(self) -> Graph:
+        """The current graph; g itself when nothing was deleted."""
+        if self.n == self.g.n:
+            return self.g
+        return induced_subgraph(self.g, compress(range(self.g.n), self.alive))
 
 
 def kernelize(g: Graph, k: int) -> KernelOutcome:
-    """Apply the lowest-numbered applicable rule, recompute the coloring, and
-    repeat to a fixpoint.  k <= 0 at any point decides yes immediately.  An
-    undecided fixpoint is an equivalent instance on at most 4k^2 - 2 vertices
-    with no isolated vertices or edges and k >= 1.
+    """Apply the lowest-numbered applicable rule and repeat to a fixpoint.
+    k <= 0 at any point decides yes immediately.  An undecided fixpoint is an
+    equivalent instance on at most 4k^2 - 2 vertices with no isolated
+    vertices or edges and k >= 1.
+
+    Each trace line names a vertex by its 1-based label in the graph of that
+    moment, which numbers the surviving vertices in their original order.
+    The reduction runs on worklists with local recoloring (see the module
+    docstring); its outcome and trace equal those of applying the rule
+    functions one at a time and recoloring from scratch after each.  The
+    reduced graph is g itself when no vertex was deleted.
     """
+    w = _Worklist(g)
     trace: list[str] = []
     while True:
         if k <= 0:
-            trace.append(_line(0, "decide-yes", g.n, k))
-            return DecidedYes(
-                rule=0,
-                hint="k <= 0: the empty edge set is a minimal solution of size >= k",
-                trace=tuple(trace),
+            decision = DecidedYes(
+                rule=0, hint="k <= 0: the empty edge set is a minimal solution of size >= k"
             )
-        applied = rule1_isolated_vertex(g, k) or rule2_isolated_edge(g, k)
-        if applied:
-            g, k, lines = applied
-            trace.extend(lines)
+            break
+        v = w.next_isolated()
+        if v is not None:
+            trace += w.delete_batch(1, [v], k)
             continue
-        if g.n == 0:
-            return Reduced(graph=g, k=k, trace=tuple(trace))
-        coloring = color_vertices(g)
-        applied = rule3_prune_blue_twins(g, k, coloring)
-        if applied:
-            g, k, lines = applied
-            trace.extend(lines)
+        e = w.next_isolated_edge()
+        if e is not None:
+            u, v = g.edges[e]
+            action = f"delete-edge ({w.label(u)},{w.label(v)})"
+            w.delete(u)
+            w.delete(v)
+            k -= 1
+            trace.append(_line(2, action, w.n, k))
             continue
-        decided = rule4_big_green(g, k, coloring) or rule5_many_blue(g, k, coloring)
-        if decided:
-            trace.append(_line(decided.rule, "decide-yes", g.n, k))
-            return DecidedYes(rule=decided.rule, hint=decided.hint, trace=tuple(trace))
-        applied = rule6_remove_red(g, k, coloring)
-        if applied:
-            g, k, lines = applied
-            trace.extend(lines)
+        if w.n == 0:
+            return Reduced(graph=w.graph(), k=k, trace=tuple(trace))
+        w.recolor()
+        blues = w.next_blue_twins()
+        if blues:
+            trace += w.delete_batch(3, blues[1:], k)
             continue
-        bound = 4 * k * k - 2
-        if g.n > bound:
-            trace.append(_line(7, "decide-yes", g.n, k))
-            return DecidedYes(
-                rule=7,
-                hint=f"irreducible instance has {g.n} > 4k^2-2 = {bound} vertices",
-                trace=tuple(trace),
-            )
-        return Reduced(graph=g, k=k, trace=tuple(trace))
+        v = w.big_green(k)
+        if v is not None:
+            decision = _big_green_yes(w.label(v), len(w.adj[v]), k)
+            break
+        blue_count = len(w.by_color[BLUE])
+        if blue_count >= k:
+            decision = _many_blue_yes(blue_count, k)
+            break
+        if w.by_color[RED]:
+            trace += w.delete_batch(6, sorted(w.by_color[RED]), k)
+            continue
+        decision = _size_bound_yes(w.n, k)
+        if decision is None:
+            return Reduced(graph=w.graph(), k=k, trace=tuple(trace))
+        break
+    trace.append(_line(decision.rule, "decide-yes", w.n, k))
+    return DecidedYes(rule=decision.rule, hint=decision.hint, trace=tuple(trace))

@@ -51,6 +51,22 @@ class TestSolveCommand:
         dense.write_text(emit_graph(gen(GenSpec("gnp", 16, 0.9, 5))))
         assert main(["solve", str(dense), "-k", "50", "--max-width", "4"]) == 3
 
+    def test_memory_error_exits_three(self, p4_file, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("ueds.cli.solve", exhausted)
+        assert main(["solve", p4_file, "-k", "3"]) == 3
+        assert "error: out of memory" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_four(self, p4_file, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("ueds.cli.solve", broken)
+        assert main(["solve", p4_file, "-k", "3"]) == 4
+        assert "error: internal: RuntimeError: boom" in capsys.readouterr().err
+
     def test_usage_error_exits_two(self, p4_file):
         with pytest.raises(SystemExit) as err:
             main(["solve", p4_file])  # -k missing

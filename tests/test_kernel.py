@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from ueds.errors import IsolatedVertexPresent, PreconditionViolated
-from ueds.graph import Graph
+from ueds.generate import GenSpec, gen
+from ueds.graph import Graph, greedy_maximal_matching
 from ueds.kernel import (
     BLUE,
     GREEN,
@@ -23,6 +24,14 @@ from ueds.kernel import (
 from ueds.oracle import upper_eds_exact
 
 from conftest import graph_from_pairs, graphs
+from kernel_reference import kernelize_reference
+
+
+def _outcome(out):
+    """Everything a kernel outcome reports, comparable with ==."""
+    if isinstance(out, DecidedYes):
+        return ("decided", out.rule, out.hint, out.trace)
+    return ("reduced", out.graph.n, out.graph.edges, out.k, out.trace)
 
 
 class TestColoring:
@@ -215,3 +224,54 @@ class TestKernelize:
                     1 for line in out.trace if line.startswith("rule=2")
                 )
                 assert out.k == k - drops
+
+
+class TestWorklistKernel:
+    """kernelize must equal the reference driver, which rebuilds the graph
+    and recolors from scratch after every rule application."""
+
+    @given(graphs(max_n=9))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_small_graphs(self, g):
+        for k in range(0, g.m + 2):
+            assert _outcome(kernelize(g, k)) == _outcome(kernelize_reference(g, k)), (
+                g.edges,
+                k,
+            )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec("tree", 300, None, 4),
+            GenSpec("path", 300),
+            GenSpec("star", 300),
+            GenSpec("gnp", 300, 0.005, 2),
+            GenSpec("gnp", 300, 0.01, 3),
+        ],
+        ids=lambda spec: spec.instance_id,
+    )
+    def test_matches_reference_on_sparse_families(self, spec):
+        g = gen(spec)
+        matching = greedy_maximal_matching(g).size
+        for k in (1, 5, matching + 1, 1000):
+            assert _outcome(kernelize(g, k)) == _outcome(kernelize_reference(g, k)), k
+
+    def test_builds_one_graph(self, monkeypatch):
+        g = gen(GenSpec("tree", 3000, None, 11))
+        k = greedy_maximal_matching(g).size + 1
+        built = []
+        init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        out = kernelize(g, k)
+        assert len(out.trace) > 100  # many rules fired, and one Graph was built
+        assert len(built) <= 1
+
+    def test_returns_input_graph_when_no_rule_fires(self, c4):
+        out = kernelize(c4, 3)
+        assert isinstance(out, Reduced) and out.trace == ()
+        assert out.graph is c4
