@@ -28,13 +28,11 @@ fixpoint; an undecided fixpoint is an instance within the size bound.
 The rule functions below each take a Graph and build a new one.
 ``kernelize`` instead edits one mutable copy of the adjacency in place and
 builds a Graph once, at the end.  Rules 1-3 draw their next vertex or edge
-from worklists that the deletions feed.  The coloring is computed once and
-then repaired locally: a deletion changes degrees only at the deleted
-vertex's neighbors, and a vertex's class depends only on degrees within
-distance 2 of it, so only vertices that close to a changed degree are
-recolored.  The rules fire in the same order, and the trace reads line for
-line the same, as chaining the rule functions and recoloring from scratch
-after every application.
+from worklists that the deletions feed.  The coloring is computed once,
+when rules 1 and 2 are first exhausted, and never changes for a surviving
+vertex afterwards (see ``_Worklist.color``).  The rules fire in the same
+order, and the trace reads line for line the same, as chaining the rule
+functions and recoloring from scratch after every application.
 """
 
 from __future__ import annotations
@@ -288,8 +286,7 @@ class _Worklist:
         self._rank_tree = [i & -i for i in range(n + 1)]
         self.colors: list[str | None] = [None] * n
         self.by_color: dict[str, set[int]] = {c: set() for c in (BLUE, PURPLE, RED, GREEN)}
-        # vertices whose degree changed since the last coloring; at first, all
-        self.changed = set(range(n))
+        self.colored = False
         # ascending lists are already heaps
         self.isolated = [v for v in range(n) if not adj[v]]
         self.isolated_edges = [
@@ -321,7 +318,6 @@ class _Worklist:
         for u in adj[v]:
             nbrs = adj[u]
             del nbrs[v]
-            self.changed.add(u)
             if not nbrs:
                 heappush(self.isolated, u)
             elif len(nbrs) == 1:
@@ -363,22 +359,29 @@ class _Worklist:
                 return e
         return None
 
-    def recolor(self) -> None:
-        """Bring the coloring up to date; the graph must have no isolated
-        vertex.  Blue depends on a vertex's own degree, purple also on its
-        neighbors' degrees, red on its neighbors being purple.  So with D the
-        changed degrees, blue can change only in D, purple only in N[D], and
-        red or green only in N[N[D]]."""
+    def color(self) -> None:
+        """Color the live vertices once; the graph must have no isolated
+        vertex, so the first call comes after rules 1 and 2 are exhausted.
+
+        Later calls do nothing, because no surviving vertex changes color.
+        Afterwards vertices leave by rules 2, 3 and 6 only.  Rule 3 deletes
+        blue vertices and rule 6 red ones, and every neighbor of those is
+        purple.  Such a purple neighbor keeps a blue neighbor (rule 3 keeps
+        one, rule 6 deletes no blue), so it stays purple, or it drops to
+        degree 1 and leaves with that blue neighbor as an isolated edge
+        under rule 2 before the coloring is read again.  Rule 2 deletes an
+        isolated edge, which has no other neighbor.  So the only survivors
+        that lose neighbors are purple, and they stay purple; every other
+        survivor keeps its neighbors, and these keep their colors.  Hence no
+        vertex becomes isolated, no red vertex appears once rule 6 has
+        removed them all, and no purple vertex gains a blue neighbor, so the
+        rule-3 hosts found here are all there ever are."""
+        if self.colored:
+            return
+        self.colored = True
         adj, colors = self.adj, self.colors
-        changed = [v for v in self.changed if self.alive[v]]
-        self.changed = set()
-        near = set(changed)
-        for v in changed:
-            near.update(adj[v])
-        far = set(near)
-        for v in near:
-            far.update(adj[v])
-        for v in near:
+        live = [v for v in range(self.g.n) if self.alive[v]]
+        for v in live:
             nbrs = adj[v]
             if len(nbrs) == 1:
                 self._set_color(v, BLUE)
@@ -386,9 +389,10 @@ class _Worklist:
             blues = sum(len(adj[u]) == 1 for u in nbrs)
             if blues > 1:
                 heappush(self.twin_hosts, v)
-            self._set_color(v, PURPLE if blues else None)
-        for v in far:
-            if colors[v] != BLUE and colors[v] != PURPLE:
+            if blues:
+                self._set_color(v, PURPLE)
+        for v in live:
+            if colors[v] is None:
                 red = all(colors[u] == PURPLE for u in adj[v])
                 self._set_color(v, RED if red else GREEN)
 
@@ -404,8 +408,7 @@ class _Worklist:
 
     def next_blue_twins(self) -> list[int] | None:
         """The blue neighbors, ascending, of the lowest purple vertex with
-        more than one (rule 3).  A vertex can start to qualify only where the
-        coloring was repaired, and recolor pushes it there."""
+        more than one (rule 3), from the hosts that color pushed."""
         adj, colors = self.adj, self.colors
         while self.twin_hosts:
             p = heappop(self.twin_hosts)
@@ -435,7 +438,7 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
 
     Each trace line names a vertex by its 1-based label in the graph of that
     moment, which numbers the surviving vertices in their original order.
-    The reduction runs on worklists with local recoloring (see the module
+    The reduction runs on worklists with a single coloring (see the module
     docstring); its outcome and trace equal those of applying the rule
     functions one at a time and recoloring from scratch after each.  The
     reduced graph is g itself when no vertex was deleted.
@@ -463,7 +466,7 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
             continue
         if w.n == 0:
             return Reduced(graph=w.graph(), k=k, trace=tuple(trace))
-        w.recolor()
+        w.color()
         blues = w.next_blue_twins()
         if blues:
             trace += w.delete_batch(3, blues[1:], k)

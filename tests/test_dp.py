@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from ueds import _fast_dp
 from ueds.decomposition import TreeDecomposition, make_nice, td_from_vertex_cover
 from ueds.dp import (
     BLACK,
@@ -19,8 +20,16 @@ from ueds.dp import (
     state_space_bound,
 )
 from ueds.errors import BagMismatch
-from ueds.graph import Graph, is_minimal_eds, star_decomposition
+from ueds.generate import GenSpec, gen
+from ueds.graph import (
+    Graph,
+    greedy_maximal_matching,
+    is_minimal_eds,
+    star_decomposition,
+    vertex_cover_from_matching,
+)
 from ueds.oracle import upper_eds_exact
+from ueds.pipeline import gamma_prime
 
 from conftest import all_graphs_on, graphs, minimum_vertex_cover
 
@@ -241,6 +250,79 @@ class TestRunDp:
         want = upper_eds_exact(g).gamma_prime
         assert run_dp(g, nd, engine="fast").gamma_prime == want
         assert run_dp(g, nd, engine="tuple").gamma_prime == want
+
+
+class TestPackingBoundary:
+    """At n = MAX_N the top vertex's field reaches bit 59, and the dedupe
+    key (key << 4) | (15 - alpha) then fills all 64 bits of a uint64."""
+
+    def _kept_tables(self, g):
+        """Check the fast engine against the oracle on a minimum cover and on
+        the pipeline's matching cover, both edge placements, with and without
+        kept tables; return the kept tables of every run."""
+        want = upper_eds_exact(g).gamma_prime
+        # the packing leaves 4 bits for alpha; a solution is a star forest,
+        # so alpha <= n - 1 must fit them
+        assert g.n - 1 < 16 and want <= g.n - 1
+        tables = []
+        for cover in (
+            minimum_vertex_cover(g),
+            vertex_cover_from_matching(g, greedy_maximal_matching(g)),
+        ):
+            for placement in ("early", "late"):
+                nd = nice_for(g, placement, cover)
+                for keep in (False, True):
+                    result = run_dp(g, nd, engine="fast", keep_tables=keep)
+                    assert result.gamma_prime == want
+                    if keep:
+                        witness = extract_witness(g, nd, result)
+                        assert witness.size == want and is_minimal_eds(g, witness)
+                        tables += result.fast_tables
+        return tables
+
+    def test_star_centered_on_the_highest_vertex(self):
+        n = _fast_dp.MAX_N
+        g = Graph(n, [(leaf, n - 1) for leaf in range(n - 1)])
+        tables = self._kept_tables(g)
+        # some state holds the center green with incidence 2 in the top field
+        top = 5 * (n - 1)
+        code = _fast_dp._GREEN | 2 << 3
+        assert any(((t.keys >> top) == code).any() for t in tables)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_gnp_at_max_n(self, seed):
+        self._kept_tables(gen(GenSpec("gnp", _fast_dp.MAX_N, 0.2, seed)))
+
+
+class TestPinnedOutput:
+    """Table sizes and witnesses of the DP on fixed graphs.  Pruning or
+    tie-breaking changes show up here even when gamma' does not move."""
+
+    @pytest.mark.parametrize(
+        "spec,m,gamma,nodes,rows_sum,rows_max,witness",
+        [
+            (GenSpec("cycle", 9), 9, 4, 28, 3041, 756,
+             [(1, 2), (2, 3), (5, 6), (7, 8)]),
+            (GenSpec("tree", 11, seed=5), 10, 4, 33, 8076, 1520,
+             [(6, 1), (10, 2), (9, 8), (5, 11)]),
+            (GenSpec("gnp", 12, 0.3, 24), 20, 6, 45, 747697, 120740,
+             [(3, 9), (4, 7), (4, 10), (5, 9), (6, 9), (8, 9)]),
+        ],
+    )
+    def test_sizes_and_witness(
+        self, spec, m, gamma, nodes, rows_sum, rows_max, witness
+    ):
+        g = gen(spec)
+        assert g.m == m
+        report = gamma_prime(g, method="dp", diagnostics=True)
+        sizes = [
+            int(line.rsplit("tuples=", 1)[1])
+            for line in report.dp["diagnostics"]
+            if "tuples=" in line
+        ]
+        assert report.gamma_prime == gamma
+        assert (len(sizes), sum(sizes), max(sizes)) == (nodes, rows_sum, rows_max)
+        assert report.witness == witness
 
 
 class TestWitness:

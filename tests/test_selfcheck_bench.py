@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import ueds._fast_dp
@@ -30,33 +31,15 @@ class TestSelfcheck:
     def test_injected_fault_is_caught_with_reproducer(self, monkeypatch):
         # break the certification step: an excluded red-black edge no longer
         # upgrades the red endpoint, so nothing red ever certifies
-        def no_upgrade(child, u, v, rem, keep):
-            import numpy as np
+        build = ueds._fast_dp._edge_rules
 
-            keys = child.keys
-            cu, yu = ueds._fast_dp._fields(keys, u)
-            cv, yv = ueds._fast_dp._fields(keys, v)
-            not_bb = (cu != 0) | (cv != 0)
-            ex_keys = keys[not_bb]
-            ex_deficit = child.deficit[not_bb]
-            ex_alpha = child.alpha[not_bb]
-            red_u = cu >= 3
-            red_v = cv >= 3
-            allowed = ((cu == 1) & (cv == 1)) | ((cu == 2) & red_v) | ((cv == 2) & red_u)
-            allowed &= ~((cu != 2) & (yu >= 1)) & ~((cv != 2) & (yv >= 1))
-            su, sv = np.int64(5 * u), np.int64(5 * v)
-            bump = ((yu < 2).astype(np.int64) << (su + 3)) + (
-                (yv < 2).astype(np.int64) << (sv + 3)
+        def no_upgrade(rem_u, rem_v):
+            rules = build(rem_u, rem_v)
+            return rules._replace(
+                ex_du=np.zeros_like(rules.ex_du), ex_dv=np.zeros_like(rules.ex_dv)
             )
-            in_keys = (keys + bump)[allowed]
-            in_deficit = child.deficit[allowed]
-            in_alpha = child.alpha[allowed] + 1
-            keys2 = np.concatenate([ex_keys, in_keys])
-            deficit2 = np.concatenate([ex_deficit, in_deficit])
-            alpha2 = np.concatenate([ex_alpha, in_alpha])
-            return ueds._fast_dp._dedupe(keys2, deficit2, alpha2, {})
 
-        monkeypatch.setattr(ueds._fast_dp, "_introduce_edge", no_upgrade)
+        monkeypatch.setattr(ueds._fast_dp, "_edge_rules", no_upgrade)
         report = selfcheck(count=25, nmax=7, seed=1)
         assert not report.passed
         failed_checks = {f.check for f in report.failures}
