@@ -12,18 +12,18 @@ largest solution size among them.
 
 import time
 
-from ueds import extract_witness, is_minimal_eds, make_nice, run_dp, star_decomposition, td_from_vertex_cover, upper_eds_exact
+from ueds import extract_witness, is_minimal_eds, make_nice, run_dp, star_decomposition, td_min_fill, upper_eds_exact
 from ueds.generate import GenSpec, gen
-from ueds.graph import greedy_maximal_matching, vertex_cover_from_matching
 
 g = gen(GenSpec("gnp", 9, 0.4, seed=3))
 print(f"instance: n={g.n} m={g.m}")
 
-cover = vertex_cover_from_matching(g, greedy_maximal_matching(g))
-nd = make_nice(g, td_from_vertex_cover(g, cover))
+# The decomposition the solver uses: min-fill elimination.
+td = td_min_fill(g)
+nd = make_nice(g, td)
 result = run_dp(g, nd, keep_tables=True)
 
-print(f"gamma' via DP = {result.gamma_prime}  (width {result.width}, "
+print(f"gamma' via DP = {result.gamma_prime}  (min-fill decomposition, width {result.width}, "
       f"{len(nd.nodes)} nodes, peak table {result.max_table_size})")
 
 # Per-node table sizes, the real footprint of the run.

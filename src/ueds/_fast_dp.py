@@ -97,9 +97,9 @@ class FastTable:
     (key << 4) | (15 - alpha) that dedupe sorts.  Optional parallel
     back-reference arrays serve witness walks.
 
-    extras, per node kind: "back" = row into the (left) child table;
-    "took" = included-edge flag (introduce-edge nodes); "back2" = row into
-    the right child (join nodes).
+    extras, per node kind: "back" = int32 row into the (left) child table;
+    "took" = included-edge flag (introduce-edge nodes); "back2" = int32 row
+    into the right child (join nodes).
     """
 
     keys: np.ndarray
@@ -142,11 +142,6 @@ def _dedupe(packed: np.ndarray, extras: dict) -> FastTable:
         sel = order[first]
         extras = {name: arr[sel] for name, arr in extras.items()}
     return FastTable((kept >> _SHIFT).view(np.int64), alpha, extras)
-
-
-def _fields(keys: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
-    slot = keys >> np.int64(5 * v)
-    return slot & 7, (slot >> 3) & 3
 
 
 def _alive(color: np.ndarray, y: np.ndarray, remaining: int) -> np.ndarray:
@@ -266,7 +261,7 @@ def _remaining_above(g: Graph, nd: NiceDecomposition) -> list[dict[int, int]]:
 
 
 def _leaf(keep: bool) -> FastTable:
-    extras = {"back": np.zeros(1, dtype=np.int64)} if keep else {}
+    extras = {"back": np.zeros(1, dtype=np.int32)} if keep else {}
     return FastTable(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.uint8), extras)
 
 
@@ -281,7 +276,7 @@ def _introduce(child: FastTable, v: int, rem_v: int, keep: bool) -> FastTable:
     extras = {}
     if keep:
         extras["back"] = np.tile(
-            np.arange(len(child.keys), dtype=np.int64), len(colors)
+            np.arange(len(child.keys), dtype=np.int32), len(colors)
         )
     return FastTable(keys, alpha, extras)
 
@@ -313,7 +308,9 @@ def _introduce_edge(
     rows = np.concatenate([ex_rows, in_rows])
     extras: dict[str, np.ndarray] = {}
     if keep:
-        extras["back"] = np.concatenate([np.flatnonzero(ex), np.flatnonzero(inc)])
+        extras["back"] = np.concatenate(
+            [np.flatnonzero(ex), np.flatnonzero(inc)]
+        ).astype(np.int32)
         extras["took"] = np.arange(len(rows)) >= len(ex_rows)
     return _dedupe(rows, extras)
 
@@ -323,7 +320,7 @@ def _forget(child: FastTable, v: int, keep: bool) -> FastTable:
     keys = child.keys[satisfied] & ~(np.int64(31) << np.int64(5 * v))
     extras = {}
     if keep:
-        extras["back"] = np.flatnonzero(satisfied)
+        extras["back"] = np.flatnonzero(satisfied).astype(np.int32)
     return _dedupe(_pack(keys, child.alpha[satisfied]), extras)
 
 
@@ -332,76 +329,62 @@ def _join(
 ) -> FastTable:
     """Pair states whose base colors agree on every bag vertex (red flavors
     collapse for matching; the merged flavor is the maximum of the two).
-    Incidences add with saturation and alphas add."""
+    Incidences add with saturation and alphas add.
+
+    Pairs come out grouped by base ascending, then by left row, then by
+    right row.  Every field is handled at once through masks over the bag
+    fields: r1 (4) is the only color with bit 2, so the base turns it into
+    r0 (3) by subtracting that bit, and an incidence sum (at most 4) fits
+    the three low bits of a field without carrying into the next one."""
+    ones = np.int64(sum(1 << 5 * v for v in bag))
+    colors = ones * 7
 
     def base(keys: np.ndarray) -> np.ndarray:
-        b = np.zeros_like(keys)
-        for v in bag:
-            c, _ = _fields(keys, v)
-            b |= np.minimum(c, _RED0) << np.int64(5 * v)
-        return b
+        c = keys & colors
+        return c - ((c >> 2) & ones)
 
     lbase = base(left.keys)
     rbase = base(right.keys)
     lorder = np.argsort(lbase, kind="stable")
     rorder = np.argsort(rbase, kind="stable")
-    lb = lbase[lorder]
     rb = rbase[rorder]
-
-    li_parts: list[np.ndarray] = []
-    ri_parts: list[np.ndarray] = []
-    i = j = 0
-    while i < len(lb) and j < len(rb):
-        if lb[i] < rb[j]:
-            i += 1
-        elif lb[i] > rb[j]:
-            j += 1
-        else:
-            val = lb[i]
-            i2 = i
-            while i2 < len(lb) and lb[i2] == val:
-                i2 += 1
-            j2 = j
-            while j2 < len(rb) and rb[j2] == val:
-                j2 += 1
-            li_parts.append(np.repeat(lorder[i:i2], j2 - j))
-            ri_parts.append(np.tile(rorder[j:j2], i2 - i))
-            i, j = i2, j2
-    if li_parts:
-        li = np.concatenate(li_parts)
-        ri = np.concatenate(ri_parts)
-    else:
-        li = np.zeros(0, dtype=np.int64)
-        ri = np.zeros(0, dtype=np.int64)
+    lb = lbase[lorder]
+    # each left row meets the run rb[lo:hi] of equal right bases
+    lo = np.searchsorted(rb, lb, "left")
+    run = np.searchsorted(rb, lb, "right") - lo
+    li = np.repeat(lorder, run)
+    starts = np.cumsum(run) - run
+    ri = rorder[np.arange(len(li)) + np.repeat(lo - starts, run)]
 
     lk = left.keys[li]
     rk = right.keys[ri]
-    merged = np.zeros_like(lk)
-    for v in bag:
-        c1, y1 = _fields(lk, v)
-        c2, y2 = _fields(rk, v)
-        color = np.maximum(c1, c2)
-        y = np.minimum(y1 + y2, 2)
-        merged |= (color | (y << 3)) << np.int64(5 * v)
+    red1 = ((lk | rk) >> 2) & ones
+    y = ((lk >> 3) & (ones * 3)) + ((rk >> 3) & (ones * 3))
+    over = ((y >> 2) | ((y >> 1) & y)) & ones  # incidence sum above 2
+    y = (y & ~(over * 7)) | (over << 1)
+    merged = (base(lk) + red1) | (y << 3)
     alpha = left.alpha[li] + right.alpha[ri]
-    extras = {"back": li, "back2": ri} if keep else {}
+    extras = {}
+    if keep:
+        extras = {"back": li.astype(np.int32), "back2": ri.astype(np.int32)}
     return _dedupe(_pack(merged, alpha), extras)
 
 
 def run_fast_dp(
     g: Graph, nd: NiceDecomposition, keep_tables: bool = False
-) -> tuple[int, list[int], list[FastTable] | None, int]:
-    """Evaluate all nodes; returns (gamma_prime, per-node table sizes, tables
-    or None, accepting root row)."""
+) -> tuple[int, list[int], list[dict[str, np.ndarray]] | None, int]:
+    """Evaluate all nodes; returns (gamma_prime, per-node table sizes,
+    per-node back-references or None, accepting root row).
+
+    A node's keys and alpha are freed as soon as its parent is built.  With
+    keep_tables its back-references (the extras) are kept for the witness
+    walk, which reads nothing else."""
     if g.n > MAX_N:
         raise ValueError(f"fast engine supports n <= {MAX_N}")
     remaining = _remaining_above(g, nd)
     tables: list[FastTable | None] = []
+    backrefs: list[dict[str, np.ndarray]] = []
     sizes: list[int] = []
-    last_use = [0] * len(nd.nodes)
-    for idx, node in enumerate(nd.nodes):
-        for c in node.children:
-            last_use[c] = idx
     for idx, node in enumerate(nd.nodes):
         if node.kind == LEAF:
             table = _leaf(keep_tables)
@@ -430,11 +413,11 @@ def run_fast_dp(
             raise UedsError(f"unknown node kind {node.kind!r}")
         tables.append(table)
         sizes.append(len(table))
-        if not keep_tables:
-            # free children no longer needed
-            for c in node.children:
-                if last_use[c] <= idx:
-                    tables[c] = None
+        if keep_tables:
+            backrefs.append(table.extras)
+        # every node has one parent, so a child is done once it is built
+        for c in node.children:
+            tables[c] = None
 
     root = tables[-1]
     # no r0 field left means no uncertified red (see the module docstring)
@@ -446,11 +429,14 @@ def run_fast_dp(
         )
     row = int(accept[0])
     gamma = int(root.alpha[row])
-    return gamma, sizes, tables if keep_tables else None, row
+    return gamma, sizes, backrefs if keep_tables else None, row
 
 
 def fast_witness(
-    g: Graph, nd: NiceDecomposition, tables: list[FastTable], root_row: int
+    g: Graph,
+    nd: NiceDecomposition,
+    backrefs: list[dict[str, np.ndarray]],
+    root_row: int,
 ) -> EdgeSet:
     """Walk back-references from the accepting root row, collecting the edges
     taken on included introduce-edge branches."""
@@ -459,14 +445,14 @@ def fast_witness(
     while stack:
         idx, row = stack.pop()
         node = nd.nodes[idx]
-        table = tables[idx]
+        extras = backrefs[idx]
         if node.kind == LEAF:
             continue
         if node.kind == JOIN:
-            stack.append((node.children[0], int(table.extras["back"][row])))
-            stack.append((node.children[1], int(table.extras["back2"][row])))
+            stack.append((node.children[0], int(extras["back"][row])))
+            stack.append((node.children[1], int(extras["back2"][row])))
             continue
-        if node.kind == INTRODUCE_EDGE and bool(table.extras["took"][row]):
+        if node.kind == INTRODUCE_EDGE and bool(extras["took"][row]):
             mask |= 1 << node.edge_id
-        stack.append((node.children[0], int(table.extras["back"][row])))
+        stack.append((node.children[0], int(extras["back"][row])))
     return EdgeSet(mask)

@@ -8,11 +8,10 @@ import time
 from pathlib import Path
 from typing import Any
 
-from .decomposition import make_nice, td_from_vertex_cover
+from .decomposition import make_nice
 from .dp import run_dp
-from .errors import UedsError
-from .graph import greedy_maximal_matching, parse_graph, vertex_cover_from_matching
-from .pipeline import DEFAULT_WIDTH_CAP
+from .graph import parse_graph
+from .pipeline import DEFAULT_WIDTH_CAP, decompose
 
 __all__ = ["FIELDS", "bench_file", "bench", "rows_to_csv"]
 
@@ -45,13 +44,7 @@ def bench_file(path: Path, max_width: int = DEFAULT_WIDTH_CAP) -> dict[str, Any]
         row["n"], row["m"] = g.n, g.m
 
         t0 = time.perf_counter()
-        cover = vertex_cover_from_matching(g, greedy_maximal_matching(g))
-        td = td_from_vertex_cover(g, cover)
-        if td.width + 1 > max_width:
-            raise UedsError(
-                f"width+1 = {td.width + 1} above the cap {max_width}"
-            )
-        nd = make_nice(g, td)
+        nd = make_nice(g, decompose(g, max_width))
         row["decomp_ms"] = round((time.perf_counter() - t0) * 1000, 3)
         row["width"] = nd.width
 

@@ -15,7 +15,7 @@ import traceback
 from pathlib import Path
 
 from .bench import bench
-from .decomposition import emit_td, make_nice, td_from_vertex_cover, validate_nice, validate_td
+from .decomposition import emit_td, make_nice, parse_td, validate_nice, validate_td
 from .errors import (
     DecompositionFormatError,
     GenSpecError,
@@ -25,10 +25,10 @@ from .errors import (
     WidthCapExceeded,
 )
 from .generate import FAMILIES, GenSpec, gen
-from .graph import Graph, emit_graph, greedy_maximal_matching, parse_graph, vertex_cover_from_matching
+from .graph import Graph, emit_graph, parse_graph
 from .kernel import DecidedYes, kernelize
 from .oracle import DEFAULT_EDGE_LIMIT, upper_eds_exact
-from .pipeline import DEFAULT_WIDTH_CAP, gamma_prime, solve
+from .pipeline import DEFAULT_WIDTH_CAP, decompose, gamma_prime, solve
 from .selfcheck import selfcheck
 
 __all__ = ["main", "build_parser"]
@@ -62,6 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "dp", "oracle"), default="auto")
     p.add_argument("--max-width", type=int, default=DEFAULT_WIDTH_CAP)
     p.add_argument("--oracle-limit", type=int, default=DEFAULT_EDGE_LIMIT)
+    p.add_argument(
+        "--td", default=None, help="run the DP over this PACE .td decomposition"
+    )
     p.add_argument("--json", action="store_true")
     p.add_argument("--verbose", action="store_true", help="print per-node DP diagnostics")
 
@@ -82,9 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write here instead of stdout")
 
-    p = sub.add_parser("decomp", help="build and validate a tree decomposition")
+    p = sub.add_parser(
+        "decomp", help="build and validate the tree decomposition the DP would use"
+    )
     p.add_argument("graph")
     p.add_argument("--emit-td", default=None, help="write the .td file here")
+    p.add_argument("--max-width", type=int, default=DEFAULT_WIDTH_CAP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("selfcheck", help="randomized cross-validation suite")
@@ -140,6 +146,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
+    td = None
+    if args.td:
+        if args.method == "oracle":
+            print("error: --td needs --method dp or auto", file=sys.stderr)
+            return 2
+        td = parse_td(Path(args.td).read_text())
     report = gamma_prime(
         g,
         method=args.method,
@@ -147,6 +159,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
         oracle_limit=args.oracle_limit,
         instance=Path(args.graph).name,
         diagnostics=args.verbose,
+        td=td,
     )
     if args.json:
         print(report.to_json())
@@ -225,8 +238,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_decomp(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    cover = vertex_cover_from_matching(g, greedy_maximal_matching(g))
-    td = td_from_vertex_cover(g, cover)
+    td = decompose(g, args.max_width)
     nd = make_nice(g, td)
     td_ok = validate_td(g, td) == []
     nice_ok = validate_nice(g, nd) == []
@@ -235,7 +247,6 @@ def _cmd_decomp(args: argparse.Namespace) -> int:
     payload = {
         "n": g.n,
         "m": g.m,
-        "cover_size": len(cover),
         "bags": len(td.bags),
         "width": td.width,
         "nice_nodes": len(nd.nodes),
@@ -244,7 +255,7 @@ def _cmd_decomp(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for key in ("n", "m", "cover_size", "bags", "width", "nice_nodes", "valid"):
+        for key in ("n", "m", "bags", "width", "nice_nodes", "valid"):
             print(f"{key}: {payload[key]}")
     return 0
 

@@ -1,8 +1,16 @@
 """Tree decompositions and their nice form.
 
-A tree decomposition built from a vertex cover C places the bags C + {v} for
-every vertex v outside C on a path, which gives width |C| at worst.  The nice
-form rewrites any valid decomposition into a rooted tree of leaf,
+Two builders give a decomposition of a graph.  The cover path places the
+bags C + {v} for every vertex v outside a vertex cover C on a path, which
+gives width |C| at worst.  The min-fill elimination decomposition eliminates
+vertices one by one, always the one whose neighborhood misses the fewest
+edges, and gives width close to the treewidth on sparse graphs (Bodlaender &
+Koster, "Treewidth computations I. Upper bounds", 2010).  Every solver path
+runs on min-fill: on the graphs sampled so far it was never wider than the
+path over the greedy-matching cover, and where the two tie its DP tables were
+no larger.
+
+The nice form rewrites any valid decomposition into a rooted tree of leaf,
 introduce-vertex, introduce-edge, forget and join nodes with empty root and
 leaf bags, introducing every edge of the graph exactly once.
 
@@ -12,6 +20,8 @@ children have smaller indices, the root is the last node.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -32,6 +42,7 @@ __all__ = [
     "FORGET",
     "JOIN",
     "td_from_vertex_cover",
+    "td_min_fill",
     "validate_td",
     "make_nice",
     "validate_nice",
@@ -129,6 +140,107 @@ def td_from_vertex_cover(g: Graph, cover: Iterable[int]) -> TreeDecomposition:
     bags = tuple(tuple(sorted(cov + [v])) for v in rest)
     tree_edges = tuple((i, i + 1) for i in range(len(bags) - 1))
     return TreeDecomposition(n=g.n, bags=bags, tree_edges=tree_edges)
+
+
+def td_min_fill(g: Graph, max_bag: int | None = None) -> TreeDecomposition | None:
+    """Elimination decomposition by the min-fill heuristic.
+
+    Each step eliminates the vertex whose neighborhood misses the fewest
+    edges (ties to the lower degree, then to the lower vertex id), turns its
+    neighborhood into a clique and records the bag {v} + N(v).  Each bag
+    hangs below the bag of the first of those neighbors to be eliminated,
+    and the last bags of the connected components are chained.  Finally a
+    bag that is a subset of a neighboring bag is dropped, its tree neighbors
+    passing to that bag.  Bags keep their elimination order, so bag 0 (the
+    root in make_nice) belongs to the first eliminated vertex that survives
+    the pruning.
+
+    Given max_bag, the elimination stops at its first bag of more than
+    max_bag vertices and returns None, so a caller that refuses such bags
+    does not pay for the whole elimination on a graph of high treewidth.
+    Without max_bag the result is never None.
+    """
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def fill_of(v: int) -> int:
+        # each present pair in the neighborhood is seen from both ends
+        nb = adj[v]
+        present = sum(map(len, map(nb.intersection, map(adj.__getitem__, nb))))
+        return (len(nb) * (len(nb) - 1) - present) // 2
+
+    fill = [fill_of(v) for v in range(g.n)]
+    heap = [(fill[v], len(adj[v]), v) for v in range(g.n)]
+    heapq.heapify(heap)
+    position = [-1] * g.n
+    bags: list[set[int]] = []
+    later: list[set[int]] = []  # the remaining neighbors at elimination
+    while heap:
+        f, degree, v = heapq.heappop(heap)
+        if position[v] >= 0 or f != fill[v] or degree != len(adj[v]):
+            continue  # eliminated, or a stale entry
+        nb = adj[v]
+        if max_bag is not None and len(nb) >= max_bag:
+            return None
+        position[v] = len(bags)
+        bags.append(nb | {v})
+        later.append(nb)
+        for a in nb:
+            adj[a].discard(v)
+        # a fill edge ab completes one more pair in the neighborhood of each
+        # common neighbor of a and b; the neighborhoods of v's neighbors
+        # change outright, so their fill is recounted
+        changed = set()
+        for a, b in itertools.combinations(sorted(nb), 2):
+            if b not in adj[a]:
+                for w in adj[a] & adj[b]:
+                    fill[w] -= 1
+                    changed.add(w)
+                adj[a].add(b)
+                adj[b].add(a)
+        for a in nb:
+            fill[a] = fill_of(a)
+        for w in changed | nb:
+            heapq.heappush(heap, (fill[w], len(adj[w]), w))
+
+    tree: list[set[int]] = [set() for _ in bags]
+    last = -1
+    for i, nb in enumerate(later):
+        j = min((position[a] for a in nb), default=-1)
+        if j < 0:  # the last bag of a component
+            j, last = last, i
+        if j >= 0:
+            tree[i].add(j)
+            tree[j].add(i)
+
+    alive = [True] * len(bags)
+    work = list(range(len(bags)))
+    while work:
+        i = work.pop()
+        if not alive[i]:
+            continue
+        into = next((j for j in sorted(tree[i]) if bags[i] <= bags[j]), -1)
+        if into < 0:
+            continue
+        alive[i] = False
+        for k in tree[i]:
+            tree[k].discard(i)
+            if k != into:
+                tree[k].add(into)
+                tree[into].add(k)
+        work.append(into)
+    keep = [i for i in range(len(bags)) if alive[i]]
+    index = {old: new for new, old in enumerate(keep)}
+    tree_edges = sorted(
+        (index[i], index[j]) for i in keep for j in tree[i] if i < j
+    )
+    return TreeDecomposition(
+        n=g.n,
+        bags=tuple(tuple(sorted(bags[i])) for i in keep),
+        tree_edges=tuple(tree_edges),
+    )
 
 
 def validate_td(g: Graph, td: TreeDecomposition) -> list[str]:

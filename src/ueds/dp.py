@@ -290,7 +290,7 @@ class DPResult:
     engine: str = "tuple"
     accepting_state: State | None = None
     tables: list[NodeTable] | None = field(default=None, repr=False)
-    fast_tables: list | None = field(default=None, repr=False)
+    fast_backrefs: list | None = field(default=None, repr=False)
     fast_root_row: int | None = None
 
     def diagnostics_lines(self) -> list[str]:
@@ -340,7 +340,7 @@ def run_dp(
             raise ValueError("the fast engine always prunes; use engine='tuple'")
         if g.n > _fast.MAX_N:
             raise ValueError(f"fast engine requires n <= {_fast.MAX_N}")
-        gamma, sizes, fast_tables, root_row = _fast.run_fast_dp(
+        gamma, sizes, backrefs, root_row = _fast.run_fast_dp(
             g, nd, keep_tables=keep_tables
         )
         node_stats = [
@@ -352,7 +352,7 @@ def run_dp(
             node_stats=node_stats,
             max_table_size=max(sizes),
             engine="fast",
-            fast_tables=fast_tables,
+            fast_backrefs=backrefs,
             fast_root_row=root_row,
         )
     tables: list[NodeTable] = []
@@ -406,9 +406,9 @@ def extract_witness(g: Graph, nd: NiceDecomposition, result: DPResult) -> EdgeSe
     collect the edges taken on included introduce-edge branches.  Requires a
     run with keep_tables=True."""
     if result.engine == "fast":
-        if result.fast_tables is None:
+        if result.fast_backrefs is None:
             raise ValueError("witness extraction needs a run with keep_tables=True")
-        return _fast.fast_witness(g, nd, result.fast_tables, result.fast_root_row)
+        return _fast.fast_witness(g, nd, result.fast_backrefs, result.fast_root_row)
     if result.tables is None:
         raise ValueError("witness extraction needs a run with keep_tables=True")
     if result.accepting_state is None:

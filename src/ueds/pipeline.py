@@ -1,6 +1,9 @@
 """End-to-end solving: greedy-matching early exit, optional kernelization,
-then the decomposition dynamic program; plus the exact-value entry point that
-picks between the enumeration oracle and the DP."""
+then the dynamic program over a tree decomposition; plus the exact-value
+entry point that picks between the enumeration oracle and the DP.
+
+The DP runs over the min-fill elimination decomposition (decompose), the
+same one `ueds decomp` reports."""
 
 from __future__ import annotations
 
@@ -9,19 +12,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .decomposition import make_nice, td_from_vertex_cover
+from .decomposition import TreeDecomposition, make_nice, td_min_fill
 from .dp import extract_witness, run_dp
 from .errors import WidthCapExceeded
 from .graph import (
     EdgeSet,
     Graph,
     greedy_maximal_matching,
-    vertex_cover_from_matching,
 )
 from .kernel import DecidedYes, kernelize
 from .oracle import DEFAULT_EDGE_LIMIT, upper_eds_exact
 
-__all__ = ["DEFAULT_WIDTH_CAP", "SolveReport", "solve", "gamma_prime"]
+__all__ = ["DEFAULT_WIDTH_CAP", "SolveReport", "decompose", "solve", "gamma_prime"]
 
 DEFAULT_WIDTH_CAP = 14  # reject decompositions with width + 1 above this
 
@@ -77,21 +79,42 @@ def _witness_pairs(g: Graph, solution: EdgeSet) -> list[tuple[int, int]]:
     return [(u + 1, v + 1) for u, v in (g.edges[e] for e in solution)]
 
 
-def _dp_stage(
-    work: Graph, *, max_width: int, want_witness: bool, diagnostics: bool = False
-) -> tuple[int, EdgeSet | None, dict[str, Any]]:
-    matching = greedy_maximal_matching(work)
-    cover = vertex_cover_from_matching(work, matching)
-    td = td_from_vertex_cover(work, cover)
-    if td.width + 1 > max_width:
+def decompose(g: Graph, max_width: int = DEFAULT_WIDTH_CAP) -> TreeDecomposition:
+    """The decomposition the DP runs on: min-fill, refused with
+    WidthCapExceeded when it needs a bag of more than max_width vertices."""
+    td = td_min_fill(g, max_bag=max_width)
+    if td is None:
         raise WidthCapExceeded(
-            f"decomposition needs bags of size {td.width + 1}, above the cap "
-            f"{max_width}; raise --max-width to proceed"
+            f"the min-fill decomposition needs bags above the cap {max_width}; "
+            "raise --max-width to proceed"
         )
-    nd = make_nice(work, td)
+    return td
+
+
+def _dp_stage(
+    work: Graph,
+    *,
+    max_width: int,
+    want_witness: bool,
+    diagnostics: bool = False,
+    td: TreeDecomposition | None = None,
+) -> tuple[int, EdgeSet | None, dict[str, Any]]:
+    """Run the DP over td, or over decompose(work) when td is None."""
+    if td is None:
+        source = "min-fill"
+        nd = make_nice(work, decompose(work, max_width))
+    else:
+        source = "given"
+        nd = make_nice(work, td)  # an invalid td is an input error, checked first
+        if td.width + 1 > max_width:
+            raise WidthCapExceeded(
+                f"the given decomposition needs bags of size {td.width + 1}, "
+                f"above the cap {max_width}; raise --max-width to proceed"
+            )
     result = run_dp(work, nd, keep_tables=want_witness)
     witness = extract_witness(work, nd, result) if want_witness else None
     stats = {
+        "source": source,
         "width": nd.width,
         "nodes": len(nd.nodes),
         "max_table_size": result.max_table_size,
@@ -190,18 +213,22 @@ def gamma_prime(
     oracle_limit: int = DEFAULT_EDGE_LIMIT,
     instance: str = "<graph>",
     diagnostics: bool = False,
+    td: TreeDecomposition | None = None,
 ) -> SolveReport:
     """Exact upper edge domination number.
 
-    method "oracle" enumerates (m <= oracle_limit), "dp" runs the
-    decomposition program over a greedy-matching cover, "auto" picks the
-    oracle for small edge counts and the DP otherwise.  Both methods agree
-    wherever both apply; the test suite enforces that.
+    method "oracle" enumerates (m <= oracle_limit), "dp" runs the dynamic
+    program over the min-fill elimination decomposition, or over td when one
+    is given, "auto" picks the oracle for small edge counts and the DP
+    otherwise (always the DP when td is given).  Both methods agree wherever both apply; the test suite enforces
+    that.
     """
     if method not in ("auto", "dp", "oracle"):
         raise ValueError(f"unknown method {method!r}")
+    if td is not None and method == "oracle":
+        raise ValueError("a given decomposition needs the DP method")
     if method == "auto":
-        method = "oracle" if g.m <= oracle_limit else "dp"
+        method = "oracle" if g.m <= oracle_limit and td is None else "dp"
     report = SolveReport(instance=instance, stage=method, method=method)
     t_total = time.perf_counter()
     if method == "oracle":
@@ -212,7 +239,11 @@ def gamma_prime(
     else:
         t0 = time.perf_counter()
         gamma, witness, stats = _dp_stage(
-            g, max_width=max_width, want_witness=True, diagnostics=diagnostics
+            g,
+            max_width=max_width,
+            want_witness=True,
+            diagnostics=diagnostics,
+            td=td,
         )
         report.timings_ms["dp"] = (time.perf_counter() - t0) * 1000
         report.gamma_prime = gamma

@@ -2,8 +2,8 @@
 
 Runs, on a deterministic stream of gnp instances:
 
-  * oracle-vs-DP equality of the exact value, through the same
-    matching-cover pipeline solve() uses, with the decomposition validated
+  * oracle-vs-DP equality of the exact value, over the same decomposition
+    solve() uses (decomposition.td_min_fill), with the decomposition validated
     and every per-node table measured against the state-space bound;
   * greedy maximal matchings are minimal edge dominating sets;
   * every enumerated minimal edge dominating set induces a star forest and
@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .decomposition import make_nice, td_from_vertex_cover, validate_nice, validate_td
+from .decomposition import make_nice, td_min_fill, validate_nice, validate_td
 from .dp import run_dp, state_space_bound
 from .generate import GenSpec, SplitMix64, gen
 from .graph import (
@@ -33,7 +33,6 @@ from .graph import (
     greedy_maximal_matching,
     is_minimal_eds,
     star_decomposition,
-    vertex_cover_from_matching,
 )
 from .kernel import DecidedYes, kernelize
 from .oracle import enumerate_minimal_eds, upper_eds_exact
@@ -149,9 +148,7 @@ def _check_instance(
     exact = upper_eds_exact(g, limit=oracle_limit)
 
     # oracle vs DP through the pipeline's own decomposition
-    matching = greedy_maximal_matching(g)
-    cover = vertex_cover_from_matching(g, matching)
-    td = td_from_vertex_cover(g, cover)
+    td = td_min_fill(g)
     td_violations = validate_td(g, td)
     if td_violations:
         fail("decomposition-valid", "; ".join(td_violations[:3]))
@@ -175,6 +172,7 @@ def _check_instance(
         )
 
     # maximal matchings are minimal edge dominating sets
+    matching = greedy_maximal_matching(g)
     report.checks_run += 1
     if not is_minimal_eds(g, matching):
         fail("matching-minimal-eds", f"matching {sorted(matching)} not minimal")

@@ -8,7 +8,13 @@ one.
 
 import time
 
-from ueds.decomposition import make_nice, td_from_vertex_cover, validate_nice, validate_td
+from ueds.decomposition import (
+    make_nice,
+    td_from_vertex_cover,
+    td_min_fill,
+    validate_nice,
+    validate_td,
+)
 from ueds.dp import run_dp, state_space_bound
 from ueds.generate import GenSpec, SplitMix64, gen
 from ueds.graph import (
@@ -36,9 +42,10 @@ def _random_corpus(count: int, base_seed: int, n_of=lambda i: 2 + i % 9):
         yield spec, gen(spec)
 
 
-def _dp_value(g: Graph, collect=None) -> int:
-    cover = minimum_vertex_cover(g)
-    td = td_from_vertex_cover(g, cover)
+def _dp_value(g: Graph, collect=None, td=None) -> int:
+    """The DP's value over td, by default the path over a minimum cover."""
+    if td is None:
+        td = td_from_vertex_cover(g, minimum_vertex_cover(g))
     nd = make_nice(g, td)
     result = run_dp(g, nd, check=False)
     if collect is not None:
@@ -57,20 +64,23 @@ class TestAcceptance:
         start = time.perf_counter()
         problems = []
         checked = 0
+        # each graph runs on a minimum-cover path and on the min-fill
+        # elimination decomposition, which brings join nodes
+        def compare(g: Graph, label: str) -> None:
+            want = upper_eds_exact(g, limit=ORACLE_LIMIT).gamma_prime
+            for name, td in (("cover", None), ("min-fill", td_min_fill(g))):
+                got = _dp_value(g, td=td)
+                if got != want:
+                    problems.append(f"{label} ({name}): dp={got} oracle={want}")
+
         # every graph on 5 labeled vertices: all 1024 subsets of the 10 pairs
         for g in all_graphs_on(5):
-            want = upper_eds_exact(g, limit=ORACLE_LIMIT).gamma_prime
-            got = _dp_value(g)
             checked += 1
-            if got != want:
-                problems.append(f"n=5 corpus #{checked}: dp={got} oracle={want}")
+            compare(g, f"n=5 corpus #{checked}")
         # 500 seeded random graphs, n <= 10, p cycling over {0.2, 0.4, 0.6}
         for spec, g in _random_corpus(500, base_seed=20260810):
-            want = upper_eds_exact(g, limit=ORACLE_LIMIT).gamma_prime
-            got = _dp_value(g)
             checked += 1
-            if got != want:
-                problems.append(f"{spec.instance_id}: dp={got} oracle={want}")
+            compare(g, spec.instance_id)
         elapsed = time.perf_counter() - start
         if elapsed >= 300:
             problems.append(f"runtime {elapsed:.0f}s exceeds the 5 minute budget")

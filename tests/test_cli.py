@@ -6,8 +6,15 @@ import pytest
 
 from ueds.cli import main
 from ueds.generate import GenSpec, gen
-from ueds.graph import emit_graph
-from ueds.decomposition import parse_td
+from ueds.graph import EdgeSet, emit_graph, is_minimal_eds
+from ueds.decomposition import (
+    TreeDecomposition,
+    emit_td,
+    parse_td,
+    td_from_vertex_cover,
+    td_min_fill,
+)
+from ueds.oracle import upper_eds_exact
 
 
 @pytest.fixture
@@ -125,6 +132,99 @@ class TestOtherCommands:
         out = tmp_path / "results.csv"
         assert main(["bench", str(tmp_path), "--out", str(out)]) == 0
         assert out.read_text().count("\n") == 2  # header + one row
+
+
+def _write_graph(tmp_path, spec):
+    path = tmp_path / f"{spec.instance_id}.gr"
+    path.write_text(emit_graph(gen(spec)))
+    return str(path)
+
+
+class TestDecompositionCommands:
+    def test_decomp_reports_and_emits_the_pipeline_choice(self, tmp_path, capsys):
+        spec = GenSpec("tree", 30)
+        out = tmp_path / "tree.td"
+        path = _write_graph(tmp_path, spec)
+        assert main(["decomp", path, "--emit-td", str(out), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        td = td_min_fill(gen(spec))
+        assert payload["width"] == td.width == 1 and payload["valid"] is True
+        assert parse_td(out.read_text()) == td
+
+    def test_decomp_refuses_above_the_cap_like_solve(self, tmp_path, capsys):
+        path = _write_graph(tmp_path, GenSpec("gnp", 16, 0.9, 5))
+        assert main(["solve", path, "-k", "50", "--max-width", "4"]) == 3
+        refusal = capsys.readouterr().err
+        assert main(["decomp", path, "--max-width", "4"]) == 3
+        assert capsys.readouterr().err == refusal
+        assert "min-fill" in refusal
+        assert main(["decomp", path, "--max-width", "16"]) == 0
+        assert "valid: True" in capsys.readouterr().out
+
+    def test_gamma_over_a_given_td(self, tmp_path, capsys):
+        spec = GenSpec("cycle", 9)
+        g = gen(spec)
+        path = _write_graph(tmp_path, spec)
+        td_file = tmp_path / "cover.td"
+        td_file.write_text(emit_td(td_from_vertex_cover(g, range(0, 9, 2))))
+        assert main(["gamma", path, "--td", str(td_file), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "dp" and payload["dp"]["source"] == "given"
+        assert payload["dp"]["width"] == 5
+        assert payload["gamma_prime"] == upper_eds_exact(g).gamma_prime == 4
+
+    @pytest.mark.parametrize(
+        "td_text",
+        [
+            # valid format, but edge (9, 1) lies in no bag
+            emit_td(TreeDecomposition(
+                n=9, bags=tuple((v, v + 1) for v in range(8)),
+                tree_edges=tuple((i, i + 1) for i in range(7)),
+            )),
+            "s td 1 2 9\nb 1 1 2 3\n",  # header width disagrees with the bag
+            "s td 1 2 5\nb 1 1 2\n",  # decomposes another vertex count
+            # another vertex count, and a bag above the width cap
+            "s td 1 16 16\nb 1 " + " ".join(map(str, range(1, 17))) + "\n",
+        ],
+    )
+    def test_gamma_rejects_a_bad_td(self, tmp_path, capsys, td_text):
+        path = _write_graph(tmp_path, GenSpec("cycle", 9))
+        td_file = tmp_path / "bad.td"
+        td_file.write_text(td_text)
+        assert main(["gamma", path, "--td", str(td_file)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_gamma_td_needs_the_dp(self, tmp_path, capsys):
+        path = _write_graph(tmp_path, GenSpec("path", 4))
+        td_file = tmp_path / "p4.td"
+        td_file.write_text(emit_td(td_from_vertex_cover(gen(GenSpec("path", 4)), [1, 2])))
+        assert main(["gamma", path, "--td", str(td_file), "--method", "oracle"]) == 2
+
+    @pytest.mark.parametrize(
+        "spec,oracle_checked",
+        [
+            (GenSpec("tree", 30), True),
+            (GenSpec("path", 40), False),  # the oracle takes minutes here
+            (GenSpec("cycle", 25), False),
+            (GenSpec("path", 20), True),
+            (GenSpec("cycle", 20), True),
+        ],
+    )
+    def test_gamma_solves_low_treewidth_graphs(
+        self, tmp_path, capsys, spec, oracle_checked
+    ):
+        g = gen(spec)
+        path = _write_graph(tmp_path, spec)
+        assert main(["gamma", path, "--method", "dp", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dp"]["width"] <= 2
+        ids = {frozenset((u + 1, v + 1)): e for e, (u, v) in enumerate(g.edges)}
+        witness = EdgeSet.from_ids(ids[frozenset(pair)] for pair in payload["witness"])
+        assert witness.size == len(payload["witness"]) == payload["gamma_prime"]
+        assert is_minimal_eds(g, witness)
+        if oracle_checked:
+            want = upper_eds_exact(g, limit=64).gamma_prime
+            assert payload["gamma_prime"] == want
 
 
 class TestEntryPoint:

@@ -14,10 +14,12 @@ from ueds.decomposition import (
     make_nice,
     parse_td,
     td_from_vertex_cover,
+    td_min_fill,
     validate_nice,
     validate_td,
 )
 from ueds.errors import DecompositionFormatError, InvalidDecomposition, NotACover
+from ueds.generate import GenSpec, gen
 from ueds.graph import Graph, greedy_maximal_matching, vertex_cover_from_matching
 
 from conftest import graphs, minimum_vertex_cover
@@ -56,6 +58,70 @@ class TestFromCover:
         td = td_from_vertex_cover(g, cover)
         assert td.width <= len(cover)
         assert validate_td(g, td) == []
+
+
+class TestMinFill:
+    def test_p4_ties_go_to_degree_then_id(self, p4):
+        # every fill is 0; vertices 1 and 4 have degree 1 and 1 goes first
+        td = td_min_fill(p4)
+        assert td.bags == ((0, 1), (1, 2), (2, 3))  # the bag {4} is dropped
+        assert td.tree_edges == ((0, 1), (1, 2))
+
+    def test_subset_bag_is_dropped(self, k13):
+        # leaves 2 and 3 go first; then the center and leaf 4 tie on fill 0
+        # and degree 1, and the center goes, leaving the bag {4}, which is a
+        # subset of the center's bag {1, 4}
+        td = td_min_fill(k13)
+        assert td.bags == ((0, 1), (0, 2), (0, 3))
+        assert td.tree_edges == ((0, 2), (1, 2))
+
+    def test_fill_outranks_degree(self):
+        # K4 on 0..3 with a pendant C4 on 4..7: vertices 0, 1, 2 have degree
+        # 3 but fill 0, the cycle vertices degree 2 but fill 1
+        g = Graph(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4),
+                      (4, 5), (5, 6), (6, 7), (7, 4)])
+        td = td_min_fill(g)
+        assert td.bags[0] == (0, 1, 2, 3)
+        assert td.width == 3 and validate_td(g, td) == []
+
+    def test_components_are_chained(self):
+        g = Graph(5, [(0, 1), (3, 4)])
+        td = td_min_fill(g)
+        assert validate_td(g, td) == []
+        assert len(td.tree_edges) == len(td.bags) - 1 and td.width == 1
+
+    def test_low_treewidth_families(self):
+        for spec, width in (
+            (GenSpec("tree", 30), 1),
+            (GenSpec("path", 40), 1),
+            (GenSpec("cycle", 25), 2),
+            (GenSpec("tree", 200, seed=3), 1),
+        ):
+            g = gen(spec)
+            td = td_min_fill(g)
+            assert td.width == width and validate_td(g, td) == []
+
+    @given(graphs(max_n=8))
+    @settings(max_examples=80, deadline=None)
+    def test_valid_pruned_and_deterministic(self, g):
+        td = td_min_fill(g)
+        assert validate_td(g, td) == []
+        adj = td.neighbors()
+        for i, bag in enumerate(td.bags):
+            assert all(not set(bag) <= set(td.bags[j]) for j in adj[i])
+        assert td_min_fill(g) == td
+        for placement in ("early", "late"):
+            assert validate_nice(g, make_nice(g, td, edge_placement=placement)) == []
+
+    def test_stops_at_the_cap(self):
+        g = gen(GenSpec("gnp", 12, 0.3, 24))
+        fill = td_min_fill(g)
+        assert fill.width == 4
+        assert td_min_fill(g, max_bag=5) == fill
+        assert td_min_fill(g, max_bag=4) is None
+        # on a sparse graph of high treewidth the elimination stops early
+        big = gen(GenSpec("gnp", 1000, 3 / 999, 1))
+        assert td_min_fill(big, max_bag=14) is None
 
 
 class TestValidateTd:

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 
 from ueds import _fast_dp
-from ueds.decomposition import TreeDecomposition, make_nice, td_from_vertex_cover
+from ueds.decomposition import (
+    JOIN,
+    TreeDecomposition,
+    make_nice,
+    td_from_vertex_cover,
+    td_min_fill,
+)
 from ueds.dp import (
     BLACK,
     GREEN,
@@ -256,15 +262,14 @@ class TestPackingBoundary:
     """At n = MAX_N the top vertex's field reaches bit 59, and the dedupe
     key (key << 4) | (15 - alpha) then fills all 64 bits of a uint64."""
 
-    def _kept_tables(self, g):
+    def _check(self, g):
         """Check the fast engine against the oracle on a minimum cover and on
         the pipeline's matching cover, both edge placements, with and without
-        kept tables; return the kept tables of every run."""
+        kept tables."""
         want = upper_eds_exact(g).gamma_prime
         # the packing leaves 4 bits for alpha; a solution is a star forest,
         # so alpha <= n - 1 must fit them
         assert g.n - 1 < 16 and want <= g.n - 1
-        tables = []
         for cover in (
             minimum_vertex_cover(g),
             vertex_cover_from_matching(g, greedy_maximal_matching(g)),
@@ -277,13 +282,21 @@ class TestPackingBoundary:
                     if keep:
                         witness = extract_witness(g, nd, result)
                         assert witness.size == want and is_minimal_eds(g, witness)
-                        tables += result.fast_tables
-        return tables
 
-    def test_star_centered_on_the_highest_vertex(self):
+    def test_star_centered_on_the_highest_vertex(self, monkeypatch):
         n = _fast_dp.MAX_N
         g = Graph(n, [(leaf, n - 1) for leaf in range(n - 1)])
-        tables = self._kept_tables(g)
+        # incidences grow at introduce-edge nodes only (the cover paths have
+        # no joins), so record the tables those nodes build
+        tables = []
+        build = _fast_dp._introduce_edge
+
+        def recorded(*args):
+            tables.append(build(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(_fast_dp, "_introduce_edge", recorded)
+        self._check(g)
         # some state holds the center green with incidence 2 in the top field
         top = 5 * (n - 1)
         code = _fast_dp._GREEN | 2 << 3
@@ -291,7 +304,7 @@ class TestPackingBoundary:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_gnp_at_max_n(self, seed):
-        self._kept_tables(gen(GenSpec("gnp", _fast_dp.MAX_N, 0.2, seed)))
+        self._check(gen(GenSpec("gnp", _fast_dp.MAX_N, 0.2, seed)))
 
 
 class TestPinnedOutput:
@@ -312,17 +325,90 @@ class TestPinnedOutput:
     def test_sizes_and_witness(
         self, spec, m, gamma, nodes, rows_sum, rows_max, witness
     ):
+        # the engine on the path over the greedy-matching cover
         g = gen(spec)
         assert g.m == m
-        report = gamma_prime(g, method="dp", diagnostics=True)
-        sizes = [
-            int(line.rsplit("tuples=", 1)[1])
-            for line in report.dp["diagnostics"]
-            if "tuples=" in line
-        ]
+        cover = vertex_cover_from_matching(g, greedy_maximal_matching(g))
+        nd = nice_for(g, cover=cover)
+        result = run_dp(g, nd, keep_tables=True)
+        sizes = [size for _, _, size in result.node_stats]
+        assert result.gamma_prime == gamma
+        assert (len(sizes), sum(sizes), max(sizes)) == (nodes, rows_sum, rows_max)
+        edges = [g.edges[e] for e in extract_witness(g, nd, result)]
+        assert [(u + 1, v + 1) for u, v in edges] == witness
+
+    @pytest.mark.parametrize(
+        "spec,joins,gamma,nodes,rows_sum,rows_max,witness",
+        [
+            (GenSpec("cycle", 9), 0, 4, 28, 1302, 176,
+             [(1, 2), (3, 4), (6, 7), (7, 8)]),
+            (GenSpec("tree", 11, seed=5), 2, 4, 41, 356, 24,
+             [(7, 6), (1, 5), (10, 2), (9, 8)]),
+            (GenSpec("gnp", 12, 0.3, 24), 2, 6, 59, 57993, 22589,
+             [(1, 4), (2, 3), (2, 8), (5, 6), (6, 12), (7, 11)]),
+        ],
+    )
+    def test_pipeline_choice(
+        self, spec, joins, gamma, nodes, rows_sum, rows_max, witness
+    ):
+        report = gamma_prime(gen(spec), method="dp", diagnostics=True)
+        lines = [line for line in report.dp["diagnostics"] if "tuples=" in line]
+        sizes = [int(line.rsplit("tuples=", 1)[1]) for line in lines]
+        assert report.dp["source"] == "min-fill"
+        assert sum(" type=join " in line for line in lines) == joins
         assert report.gamma_prime == gamma
         assert (len(sizes), sum(sizes), max(sizes)) == (nodes, rows_sum, rows_max)
         assert report.witness == witness
+
+
+class TestMinFillDecompositions:
+    """The three engines on min-fill elimination decompositions, which bring
+    join nodes that the cover paths never have."""
+
+    @given(graphs(max_n=8))
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_fast_and_tuple_agree(self, g):
+        want = upper_eds_exact(g, limit=28).gamma_prime  # every pair at n = 8
+        td = td_min_fill(g)
+        # make_nice roots at bag 0; rooted at a bag of the highest tree
+        # degree instead, every decomposition of three or more bags has a join
+        degree = [len(adj) for adj in td.neighbors()]
+        root = degree.index(max(degree, default=0)) if td.bags else 0
+        order = [root] + [i for i in range(len(td.bags)) if i != root]
+        index = {old: new for new, old in enumerate(order)}
+        rerooted = TreeDecomposition(
+            n=td.n,
+            bags=tuple(td.bags[i] for i in order),
+            tree_edges=tuple((index[a], index[b]) for a, b in td.tree_edges),
+        )
+        for tree in (td, rerooted):
+            for placement in ("early", "late"):
+                nd = make_nice(g, tree, edge_placement=placement)
+                if len(td.bags) >= 3 and tree is rerooted:
+                    assert nd.count(JOIN) > 0
+                for engine in ("fast", "tuple"):
+                    result = run_dp(g, nd, engine=engine, keep_tables=True)
+                    assert result.gamma_prime == want, (placement, engine)
+                    witness = extract_witness(g, nd, result)
+                    assert witness.size == want
+                    if g.m:
+                        assert is_minimal_eds(g, witness)
+
+    def test_corpus_has_joins(self):
+        # the hypothesis graphs above need not bring joins; these gnp graphs
+        # (the seeds up to 11 whose decompositions branch) all do
+        for seed in (1, 3, 4, 5, 7, 8, 9, 11):
+            g = gen(GenSpec("gnp", 8, 0.3, seed))
+            td = td_min_fill(g)
+            want = upper_eds_exact(g).gamma_prime
+            for placement in ("early", "late"):
+                nd = make_nice(g, td, edge_placement=placement)
+                assert nd.count(JOIN) > 0
+                for engine in ("fast", "tuple"):
+                    result = run_dp(g, nd, engine=engine, keep_tables=True)
+                    assert result.gamma_prime == want
+                    witness = extract_witness(g, nd, result)
+                    assert witness.size == want and is_minimal_eds(g, witness)
 
 
 class TestWitness:

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
+from ueds.decomposition import TreeDecomposition
 from ueds.errors import WidthCapExceeded
 from ueds.generate import GenSpec, gen
 from ueds.graph import EdgeSet, Graph, is_minimal_eds, parse_graph
@@ -73,6 +74,14 @@ class TestSolve:
         g = gen(GenSpec("gnp", 16, 0.9, 5))
         with pytest.raises(WidthCapExceeded):
             solve(g, 50, max_width=6)
+
+    def test_width_cap_message_names_the_decomposition(self, p4):
+        g = gen(GenSpec("gnp", 16, 0.9, 5))
+        with pytest.raises(WidthCapExceeded, match="the min-fill decomposition"):
+            solve(g, 50, max_width=6)
+        td = TreeDecomposition(n=4, bags=((0, 1, 2, 3),), tree_edges=())
+        with pytest.raises(WidthCapExceeded, match="the given decomposition"):
+            gamma_prime(p4, method="dp", max_width=3, td=td)
 
     def test_decision_matches_gamma_when_present(self, p4, k3, c5):
         for g in (p4, k3, c5):
