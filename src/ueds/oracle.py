@@ -2,14 +2,28 @@
 
 An edge set M dominates the graph iff it intersects the closed edge
 neighborhood N[e] of every edge e, so minimal edge dominating sets are exactly
-the minimal hitting sets of the hypergraph {N[e] : e in E}.  The enumerator
+the minimal hitting sets of the hypergraph {N[e] : e in E} (Eiter & Gottlob,
+"Identifying the minimal transversals of a hypergraph", 1995).  The enumerator
 branches on the first undominated edge: each member of its neighborhood is
 tried in turn, banning the previously tried members for the rest of that
-subtree.  Every minimal set is produced exactly once; leaves that are
-dominating but not minimal are filtered with the private-edge test.
+subtree.  Every minimal set is reached along exactly one branch; leaves that
+are dominating but not minimal are dropped by the private-edge test.
+
+The branching is level-synchronous over numpy: the frontier is a pair of
+uint64 arrays (chosen edges, banned edges), and one step expands every row at
+once.  A row's branch edge is its first edge whose neighborhood misses the
+chosen set; rows without one are leaves.  The leaves of a step are filtered
+together: with hits[f] the number of chosen edges in N[f], a leaf is kept when
+no hit count is 0 and every chosen edge e has some f in N[e] with hits[f] == 1,
+which is one matrix product against the closed-neighborhood matrix.  Steps
+take at most BLOCK_ROWS rows, and the children of a block are expanded before
+its siblings, so memory is bounded by the depth times the block's fan-out,
+not by the number of leaves.  Masks are uint64, so m is at most 64 whatever
+the limit.
 
 A vectorized full scan over all 2^m subsets (`bitforce_minimal_masks`) is kept
-as an independent second route; the two are cross-checked in the test suite.
+as an independent second route; the two are cross-checked in the test suite,
+as is the pure-Python branching search the enumerator replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InstanceTooLarge
-from .graph import EdgeSet, Graph, _is_minimal_eds_mask
+from .graph import EdgeSet, Graph
 
 __all__ = [
     "DEFAULT_EDGE_LIMIT",
@@ -34,6 +48,8 @@ __all__ = [
 
 DEFAULT_EDGE_LIMIT = 22
 BITFORCE_EDGE_LIMIT = 22
+MASK_BITS = 64  # edge sets are uint64 masks, whatever the limit
+BLOCK_ROWS = 1 << 13  # frontier rows expanded per step; bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -51,34 +67,56 @@ class OracleResult:
     count_minimal: int
 
 
-def _minimal_masks(g: Graph) -> list[int]:
-    """All minimal-EDS bitmasks, ascending."""
-    nbr = g.edge_neighborhood_masks
+def _minimal_masks(g: Graph) -> np.ndarray:
+    """All minimal-EDS bitmasks as an ascending uint64 array."""
     m = g.m
-    out: list[int] = []
-
-    # Iterative DFS over (chosen, banned) pairs; each minimal hitting set is
-    # reached along exactly one branch, so no dedup is needed.  Dominated-ness
-    # only grows along a branch, so children resume the scan where the parent
-    # stopped.
-    stack: list[tuple[int, int, int]] = [(0, 0, 0)]
+    if m > MASK_BITS:
+        raise InstanceTooLarge(f"m={m} exceeds the {MASK_BITS}-bit enumeration masks")
+    one = np.uint64(1)
+    edge_bit = one << np.arange(m, dtype=np.uint64)
+    nbr = np.array(g.edge_neighborhood_masks, dtype=np.uint64)
+    closed = ((nbr[:, None] & edge_bit) != 0).astype(np.float32)
+    # Depth-first over blocks: a block's children go on top of the stack, so
+    # the stack holds at most one pending run per level, however many leaves
+    # the enumeration has.  Per-row tests run over (edge, row) arrays: with
+    # the rows innermost, numpy broadcasts and reduces them several times
+    # faster than over (row, edge).
+    stack = [(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64))]
+    found: list[np.ndarray] = []
     while stack:
-        mask, banned, start = stack.pop()
-        for e in range(start, m):
-            if not nbr[e] & mask:
-                cand = nbr[e] & ~banned
-                ban = banned
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    stack.append((mask | low, ban, e))
-                    ban |= low
-                break
-        else:
-            if _is_minimal_eds_mask(g, mask):
-                out.append(mask)
-    out.sort()
-    return out
+        mask, banned = stack.pop()
+        if len(mask) > BLOCK_ROWS:
+            stack.append((mask[BLOCK_ROWS:], banned[BLOCK_ROWS:]))
+            mask, banned = mask[:BLOCK_ROWS], banned[:BLOCK_ROWS]
+        undominated = (nbr[:, None] & mask) == 0
+        inner = undominated.any(axis=0)
+        leaves = mask[~inner]
+        if len(leaves):
+            found.append(leaves[_minimal(leaves, nbr, closed, edge_bit)])
+        if not inner.any():
+            continue
+        mask, banned = mask[inner], banned[inner]
+        # Branch on the first undominated edge: its i-th untried neighbor
+        # joins the set and the neighbors tried before it are banned.
+        cand = nbr[undominated[:, inner].argmax(axis=0)] & ~banned
+        bits, rows = np.nonzero((cand & edge_bit[:, None]) != 0)
+        low = edge_bit[bits]
+        cand = cand[rows]
+        stack.append((mask[rows] | low, banned[rows] | (cand & (low - one))))
+    return np.sort(np.concatenate(found))
+
+
+def _minimal(
+    leaves: np.ndarray, nbr: np.ndarray, closed: np.ndarray, edge_bit: np.ndarray
+) -> np.ndarray:
+    """Which leaves are minimal edge dominating sets: every edge is hit, and
+    every member edge has a private edge (one hit exactly once) in its closed
+    neighborhood."""
+    hits = np.bitwise_count(nbr[:, None] & leaves)
+    private = (hits == 1).astype(np.float32)
+    has_private = (closed @ private) > 0
+    member = (edge_bit[:, None] & leaves) != 0
+    return (hits > 0).all(axis=0) & ~(member & ~has_private).any(axis=0)
 
 
 def bitforce_minimal_masks(g: Graph, limit: int = BITFORCE_EDGE_LIMIT) -> list[int]:
@@ -121,7 +159,7 @@ def enumerate_minimal_eds(
     bitmask order.  Raises InstanceTooLarge when m exceeds the limit."""
     if g.m > limit:
         raise InstanceTooLarge(f"m={g.m} exceeds enumeration limit {limit}")
-    return (EdgeSet(mask) for mask in _minimal_masks(g))
+    return (EdgeSet(mask) for mask in _minimal_masks(g).tolist())
 
 
 def upper_eds_exact(g: Graph, limit: int = DEFAULT_EDGE_LIMIT) -> OracleResult:
@@ -132,16 +170,11 @@ def upper_eds_exact(g: Graph, limit: int = DEFAULT_EDGE_LIMIT) -> OracleResult:
     if g.m > limit:
         raise InstanceTooLarge(f"m={g.m} exceeds enumeration limit {limit}")
     masks = _minimal_masks(g)
-    best_mask = 0
-    best_size = 0
-    for mask in masks:
-        size = mask.bit_count()
-        if size > best_size:
-            best_size = size
-            best_mask = mask
+    sizes = np.bitwise_count(masks)
+    best = int(sizes.argmax())  # the first maximum: masks ascend
     return OracleResult(
-        gamma_prime=best_size,
-        witness=EdgeSet(best_mask),
+        gamma_prime=int(sizes[best]),
+        witness=EdgeSet(int(masks[best])),
         count_minimal=len(masks),
     )
 

@@ -1,9 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ueds import oracle
 from ueds.errors import InstanceTooLarge
+from ueds.generate import GenSpec, gen
 from ueds.graph import Graph, greedy_maximal_matching, is_minimal_eds
 from ueds.oracle import (
+    BITFORCE_EDGE_LIMIT,
     bitforce_minimal_masks,
     decide,
     enumerate_minimal_eds,
@@ -11,6 +17,28 @@ from ueds.oracle import (
 )
 
 from conftest import all_graphs_on, graphs
+from oracle_reference import minimal_masks_reference
+
+K8_PAIRS = list(itertools.combinations(range(8), 2))
+
+
+@st.composite
+def dense_graphs(draw) -> Graph:
+    """An 8-vertex graph with 23 to 28 edges: above the default limit, where
+    only the reference can check the enumerator."""
+    pairs = draw(st.sets(st.sampled_from(K8_PAIRS), min_size=23, max_size=28))
+    return Graph(8, sorted(pairs))
+
+
+def _masks(g: Graph) -> list[int]:
+    return [s.mask for s in enumerate_minimal_eds(g, limit=g.m)]
+
+
+def _check_against_references(g: Graph) -> None:
+    got = _masks(g)
+    assert got == minimal_masks_reference(g)
+    if g.m <= BITFORCE_EDGE_LIMIT:
+        assert got == bitforce_minimal_masks(g)
 
 
 class TestEnumeration:
@@ -36,15 +64,42 @@ class TestEnumeration:
         for s in enumerate_minimal_eds(c5):
             assert is_minimal_eds(c5, s)
 
-    def test_matches_bitforce_on_all_n4_graphs(self):
-        for g in all_graphs_on(4):
-            branching = [s.mask for s in enumerate_minimal_eds(g)]
-            assert branching == bitforce_minimal_masks(g)
+    # the numpy enumerator against the pure-Python branching search it
+    # replaced and, where m allows, the full subset scan
+    def test_matches_references_on_all_n5_graphs(self):
+        for g in all_graphs_on(5):
+            _check_against_references(g)
 
-    @given(graphs(max_n=6))
-    @settings(max_examples=60)
-    def test_matches_bitforce_random(self, g):
-        assert [s.mask for s in enumerate_minimal_eds(g)] == bitforce_minimal_masks(g)
+    @given(st.one_of(graphs(max_n=6), dense_graphs()))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_references_random_and_dense(self, g):
+        _check_against_references(g)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec("path", 20),
+            GenSpec("cycle", 12),
+            GenSpec("gnp", 9, 0.5, seed=3),
+            GenSpec("gnp", 10, 0.4, seed=8),
+        ],
+        ids=lambda spec: spec.instance_id,
+    )
+    def test_tiny_blocks(self, spec, monkeypatch):
+        # every step splits its frontier, so each block seam is crossed
+        g = gen(spec)
+        monkeypatch.setattr(oracle, "BLOCK_ROWS", 3)
+        assert _masks(g) == minimal_masks_reference(g)
+
+    def test_star_uses_the_top_mask_bit(self):
+        g = gen(GenSpec("star", 65))
+        assert _masks(g) == [1 << e for e in range(64)]
+        r = upper_eds_exact(g, limit=64)
+        assert (r.gamma_prime, r.count_minimal, r.witness.mask) == (1, 64, 1)
+
+    def test_more_than_64_edges_is_refused_at_any_limit(self):
+        with pytest.raises(InstanceTooLarge, match="64-bit"):
+            upper_eds_exact(gen(GenSpec("star", 66)), limit=100)
 
 
 class TestExactValue:
@@ -69,6 +124,21 @@ class TestExactValue:
         # all six 2-subsets minus nothing: the 4 adjacent pairs and 2 matchings
         assert r.count_minimal == 6
         assert r.witness.mask == 0b0011  # lexicographically smallest maximum
+
+    @pytest.mark.parametrize(
+        "spec,limit,want",
+        [
+            # the top oracle stratum of the gamma-auto benchmark (n 11, m 22)
+            (GenSpec("gnp", 11, 0.4, seed=5_000_007), 22, (6, 1444, 0xE7)),
+            (GenSpec("gnp", 11, 0.4, seed=5_000_016), 22, (6, 1293, 0x407C)),
+            (GenSpec("tree", 30), 64, (12, 11352, 0x426B1F)),
+            (GenSpec("cycle", 20), 22, (10, 851, 0x33333)),
+        ],
+        ids=["gnp-n11-m22-a", "gnp-n11-m22-b", "tree-n30", "cycle-n20"],
+    )
+    def test_pinned_output(self, spec, limit, want):
+        r = upper_eds_exact(gen(spec), limit=limit)
+        assert (r.gamma_prime, r.count_minimal, r.witness.mask) == want
 
     def test_witness_always_minimal(self, c5):
         r = upper_eds_exact(c5)
