@@ -58,12 +58,6 @@ from .decomposition import (
 )
 from .dp import (
     DPResult,
-    NodeTable,
-    dp_forget,
-    dp_introduce_edge,
-    dp_introduce_vertex,
-    dp_join,
-    dp_leaf,
     extract_witness,
     run_dp,
     state_space_bound,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 = yes (or success for non-decision commands), 1 = no (or
 selfcheck failures), 2 = usage or input-format error, 3 = a resource cap was
-exceeded (decomposition width or oracle instance size) or memory ran out,
-4 = internal error (an unexpected exception, reported with its traceback).
+exceeded (decomposition width, the DP's 64-bit row or oracle instance size)
+or memory ran out, 4 = internal error (an unexpected exception, reported with
+its traceback).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 import traceback
 from pathlib import Path
 
-from .bench import bench
 from .decomposition import emit_td, make_nice, parse_td, validate_nice, validate_td
 from .errors import (
     DecompositionFormatError,
@@ -98,11 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("bench", help="run a corpus of .gr files to CSV")
-    p.add_argument("corpus", help="directory containing .gr files")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--max-width", type=int, default=DEFAULT_WIDTH_CAP)
     return parser
 
 
@@ -269,13 +264,6 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    rows = bench(args.corpus, out=args.out, max_width=args.max_width)
-    ok = sum(1 for r in rows if r["status"] == "ok")
-    print(f"bench: {len(rows)} instances, {ok} ok -> {args.out}")
-    return 0
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "gamma": _cmd_gamma,
@@ -284,7 +272,6 @@ _COMMANDS = {
     "gen": _cmd_gen,
     "decomp": _cmd_decomp,
     "selfcheck": _cmd_selfcheck,
-    "bench": _cmd_bench,
 }
 
 

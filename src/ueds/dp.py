@@ -4,35 +4,89 @@ Every minimal edge dominating set induces a disjoint union of isolated
 vertices and stars.  The program sweeps a nice decomposition bottom-up and
 classifies each bag vertex by its role in the partial solution:
 
-    black   no incident solution edge (and, at the end, no black-black edge
-            may remain undominated)
+    black   no incident solution edge (and no black-black edge may stay
+            undominated)
     purple  endpoint of a single-edge star
     green   center of a star with >= 2 leaves
     red     leaf of such a star; flavor r1 once a black neighbor has been
             seen (that neighbor certifies the star edge's private edge),
             flavor r0 until then
 
-A state is (f, y, n_r, n_r1, n_c, alpha, beta): the color vector f and the
-saturating incidence vector y (0, 1 or "2 meaning >= 2") over the current bag,
-plus five counters: red vertices seen so far, red vertices already certified
-by a black neighbor, vertices forgotten in a role they satisfied, solution
-edges, and edges with both endpoints black.  Tables hold only reachable
-states, deduplicated per node.  At the (empty-bag) root a state describes a
-minimal edge dominating set of size alpha exactly when n_r == n_r1,
-n_c == |V| and beta == 0; the answer is the maximum such alpha.
+State.  A state is the color and the incidence (0, 1 or "2 meaning >= 2") of
+each bag vertex, with the best solution size alpha reached with them.  The
+literal formulation also carries four counters: red vertices seen, red
+vertices certified by a black neighbor, vertices forgotten in a role they
+satisfied, and black-black edges.  None is needed.  The black-black count
+stays zero because such edges are discarded outright.  The satisfied count
+always equals the number of forgets below the node.  Of alpha only the
+per-state maximum can ever reach a better answer.  And the deficit between
+red vertices seen and red vertices certified always equals the number of r0
+vertices in the bag:
 
-Pruning (on by default, switchable off for debugging) discards states that
-can never reach an accepting root: beta > 0, a forgotten red vertex that
-never saw a black neighbor, and purple/red vertices whose incidence already
-exceeds one.  Answers are identical either way.
+- introduce adds one uncertified red exactly when it adds an r0 vertex;
+- an excluded red-black edge certifies the red endpoint exactly when it
+  turns an r0 vertex into r1, and no other edge branch touches either count;
+- forget keeps only satisfied vertices, and r0 is never satisfied, so a
+  forgotten red is r1 and a forget removes no r0 vertex;
+- at a join a bag vertex is red on both sides or on neither.  The sum of
+  the two sides' deficits counts a red bag vertex once per side where it is
+  r0.  The literal recurrence subtracts the red bag vertices and adds back
+  those r1 on both sides, which leaves one uncertified red exactly when the
+  vertex is r0 on both sides.  The merged color is the maximum of the two
+  sides' colors, which is r0 in that case only.  Reds forgotten below
+  either side are r1 and count for neither.
+
+The root's bag is empty, so its state has no r0 vertex and the root accepts
+the empty key.  ``tests/dp_reference.py`` runs the literal recurrences as an
+executable specification.
+
+Slots.  Each vertex keeps one slot in 0..width for its whole lifetime in the
+decomposition, and two vertices that share a bag hold different slots
+(assign_slots).  This is the position-indexed state vector of van Rooij,
+Bodlaender & Rossmanith, "Dynamic programming on tree decompositions using
+generalised fast subset convolution" (ESA 2009): a join pairs the same slots
+on both sides, so no node remaps fields.
+
+Packing.  A table is one sorted uint64 array with one row per state.  Slot s
+owns the 5-bit field at bits [5s + a, 5s + a + 4] of a row, with
+a = (n - 1).bit_length() alpha bits below the fields.  A field holds its
+vertex's code, color | incidence << 3, and a slot without a bag vertex holds
+0.  The low a bits hold amax - alpha with amax = 2^a - 1, so sorting the rows
+puts each key's best alpha first.  A solution is a star forest, so
+alpha <= n - 1 <= amax.  Rows whose partial solution is no star forest (a
+purple or red vertex with two solution edges, which a join can make and only
+a later forget drops) can have more edges; their alpha saturates at amax so
+it never borrows from the fields.  Such rows can never be accepted, so no
+answer reads their alpha.  A row fits when 5 * (width + 1) + a <= 64: bags
+of up to 12 vertices for n <= 16 and up to 10 for n <= 16,384.  run_dp
+refuses wider decompositions with WidthCapExceeded before it builds a table.
+
+Transitions.  A node changes the field of one vertex, or of two for an
+edge, so it is a lookup on their codes: liveness for introduce and
+satisfaction for forget, each a table over the 32 codes, and an
+introduce-edge lookup over the 1,024 code pairs code_u * 32 + code_v (per
+branch, whether a row survives and the increments to both fields).  The
+tables are built from the color rules and the pruning below, and applied to
+every row with one gather each.
+
+Pruning.  Black-black edges, forgets of an uncertified red and a purple or
+red incidence above one are discarded.  On top of that, a state is dropped
+when a bag vertex can no longer reach its target incidence with the edges
+still to be introduced above the current node.  The lookups fold this check
+in, so a dead row is never gathered.
+
+Dedupe.  Rows with equal fields collapse to the first row after one stable
+sort, which is the one of largest alpha.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from . import _fast_dp as _fast
-from .errors import BagMismatch, InvalidDecomposition, UedsError
+from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
+
 from .decomposition import (
     FORGET,
     INTRODUCE,
@@ -42,6 +96,7 @@ from .decomposition import (
     NiceDecomposition,
     validate_nice,
 )
+from .errors import InvalidDecomposition, UedsError, WidthCapExceeded
 from .graph import EdgeSet, Graph
 
 __all__ = [
@@ -50,248 +105,32 @@ __all__ = [
     "GREEN",
     "RED0",
     "RED1",
-    "COLOR_NAMES",
-    "NodeTable",
     "DPResult",
-    "dp_leaf",
-    "dp_introduce_vertex",
-    "dp_introduce_edge",
-    "dp_forget",
-    "dp_join",
+    "assign_slots",
     "run_dp",
     "extract_witness",
     "state_space_bound",
 ]
 
 BLACK, PURPLE, GREEN, RED0, RED1 = range(5)
-COLOR_NAMES = ("black", "purple", "green", "r0", "r1")
 
-_INTRODUCIBLE = (BLACK, PURPLE, GREEN, RED0)  # an isolated vertex cannot be r1
-
-# A state is (f, y, n_r, n_r1, n_c, alpha, beta) with f and y tuples over the
-# bag in sorted-vertex order.
-State = tuple
-
-
-class NodeTable:
-    """Reachable states at one decomposition node, with one back-reference per
-    state for witness reconstruction (first producer wins, so reconstruction
-    is deterministic)."""
-
-    __slots__ = ("bag", "states")
-
-    def __init__(self, bag: tuple[int, ...], states: dict[State, tuple] | None = None):
-        self.bag = bag
-        self.states: dict[State, tuple] = states if states is not None else {}
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NodeTable):
-            return NotImplemented
-        return self.bag == other.bag and set(self.states) == set(other.states)
-
-    def __repr__(self) -> str:
-        return f"NodeTable(bag={self.bag}, states={len(self.states)})"
-
-
-def dp_leaf() -> NodeTable:
-    """The single all-empty state."""
-    return NodeTable((), {((), (), 0, 0, 0, 0, 0): ("leaf",)})
-
-
-def dp_introduce_vertex(child: NodeTable, v: int) -> NodeTable:
-    """Extend every child state with each admissible color for v (black,
-    purple, green or r0, never r1: because the vertex has no edges yet, so a
-    black neighbor is impossible).  y(v) starts at 0."""
-    if v in child.bag:
-        raise ValueError(f"vertex {v} already in bag")
-    pos = bisect_left(child.bag, v)
-    bag = child.bag[:pos] + (v,) + child.bag[pos:]
-    out: dict[State, tuple] = {}
-    for state, _ in child.states.items():
-        f, y, n_r, n_r1, n_c, alpha, beta = state
-        new_y = y[:pos] + (0,) + y[pos:]
-        for color in _INTRODUCIBLE:
-            new_state = (
-                f[:pos] + (color,) + f[pos:],
-                new_y,
-                n_r + (1 if color == RED0 else 0),
-                n_r1,
-                n_c,
-                alpha,
-                beta,
-            )
-            out.setdefault(new_state, ("iv", state))
-    return NodeTable(bag, out)
-
-
-def _allowed_solution_pair(cu: int, cv: int) -> bool:
-    """Color pairs a solution edge may span: the two endpoints of a
-    single-edge star, or a star center and one of its leaves."""
-    if cu == PURPLE and cv == PURPLE:
-        return True
-    if cu == GREEN and cv in (RED0, RED1):
-        return True
-    if cv == GREEN and cu in (RED0, RED1):
-        return True
-    return False
-
-
-def dp_introduce_edge(
-    child: NodeTable, u: int, v: int, prune: bool = True
-) -> NodeTable:
-    """Branch every child state on the new edge being excluded or included.
-
-    Excluded: colors survive except that an r0 endpoint whose partner is
-    black becomes r1 (its certifying black neighbor now exists); an edge
-    between two black vertices bumps beta.  Included: only allowed color
-    pairs, both incidences bump (saturating at 2), alpha bumps.
-    """
-    iu = bisect_left(child.bag, u)
-    iv = bisect_left(child.bag, v)
-    if iu >= len(child.bag) or child.bag[iu] != u or iv >= len(child.bag) or child.bag[iv] != v:
-        raise ValueError(f"edge ({u}, {v}) endpoints not in bag {child.bag}")
-    out: dict[State, tuple] = {}
-    for state, _ in child.states.items():
-        f, y, n_r, n_r1, n_c, alpha, beta = state
-        cu, cv = f[iu], f[iv]
-
-        # excluded branch
-        if cu == BLACK and cv == BLACK:
-            if not prune:
-                ex = (f, y, n_r, n_r1, n_c, alpha, beta + 1)
-                out.setdefault(ex, ("ie", state, False))
-        else:
-            if cu == RED0 and cv == BLACK:
-                f2 = f[:iu] + (RED1,) + f[iu + 1 :]
-                ex = (f2, y, n_r, n_r1 + 1, n_c, alpha, beta)
-            elif cv == RED0 and cu == BLACK:
-                f2 = f[:iv] + (RED1,) + f[iv + 1 :]
-                ex = (f2, y, n_r, n_r1 + 1, n_c, alpha, beta)
-            else:
-                ex = state
-            out.setdefault(ex, ("ie", state, False))
-
-        # included branch
-        if _allowed_solution_pair(cu, cv):
-            yu = min(y[iu] + 1, 2)
-            yv = min(y[iv] + 1, 2)
-            if prune and (
-                (cu != GREEN and yu > 1) or (cv != GREEN and yv > 1)
-            ):
-                continue  # purple/red incidence above 1 can never recover
-            if iu < iv:
-                y2 = y[:iu] + (yu,) + y[iu + 1 : iv] + (yv,) + y[iv + 1 :]
-            else:
-                y2 = y[:iv] + (yv,) + y[iv + 1 : iu] + (yu,) + y[iu + 1 :]
-            inc = (f, y2, n_r, n_r1, n_c, alpha + 1, beta)
-            out.setdefault(inc, ("ie", state, True))
-    return NodeTable(child.bag, out)
-
-
-def dp_forget(child: NodeTable, v: int, prune: bool = True) -> NodeTable:
-    """Drop v from the bag.  All of v's edges have been introduced below, so
-    its incidence is final: states where v satisfies its color's incidence
-    requirement survive with n_c + 1, the rest are dead and are dropped.
-    With pruning, forgetting an uncertified red leaf (r0) is also dropped;
-    the n_r / n_r1 deficit could never be repaired."""
-    pos = bisect_left(child.bag, v)
-    if pos >= len(child.bag) or child.bag[pos] != v:
-        raise ValueError(f"vertex {v} not in bag {child.bag}")
-    bag = child.bag[:pos] + child.bag[pos + 1 :]
-    out: dict[State, tuple] = {}
-    for state, _ in child.states.items():
-        f, y, n_r, n_r1, n_c, alpha, beta = state
-        color = f[pos]
-        incidence = y[pos]
-        if color == BLACK:
-            ok = incidence == 0
-        elif color == GREEN:
-            ok = incidence == 2
-        else:
-            ok = incidence == 1
-        if not ok:
-            continue
-        if prune and color == RED0:
-            continue
-        new_state = (
-            f[:pos] + f[pos + 1 :],
-            y[:pos] + y[pos + 1 :],
-            n_r,
-            n_r1,
-            n_c + 1,
-            alpha,
-            beta,
-        )
-        out.setdefault(new_state, ("fg", state))
-    return NodeTable(bag, out)
-
-
-def dp_join(left: NodeTable, right: NodeTable) -> NodeTable:
-    """Combine states of two subtrees over the same bag.
-
-    Colors must agree per bag vertex except that the red flavors merge
-    disjunctively: a red leaf is certified (r1) as soon as either subtree saw
-    its black neighbor.  Incidences add (saturating), counters add with the
-    bag overlap subtracted so that each shared red vertex is counted once.
-    """
-    if left.bag != right.bag:
-        raise BagMismatch(f"join bags differ: {left.bag} vs {right.bag}")
-    k = len(left.bag)
-    red_set = (RED0, RED1)
-
-    def base_key(f: tuple) -> tuple:
-        return tuple(RED0 if c in red_set else c for c in f)
-
-    by_base: dict[tuple, list[State]] = {}
-    for state in right.states:
-        by_base.setdefault(base_key(state[0]), []).append(state)
-
-    out: dict[State, tuple] = {}
-    for s1 in left.states:
-        f1, y1, nr1_, nr11, nc1, a1, b1 = s1
-        group = by_base.get(base_key(f1))
-        if not group:
-            continue
-        n_red_bag = sum(1 for c in f1 if c in red_set)
-        for s2 in group:
-            f2, y2, nr2_, nr12, nc2, a2, b2 = s2
-            f = tuple(
-                (RED1 if (f1[i] == RED1 or f2[i] == RED1) else f1[i])
-                for i in range(k)
-            )
-            y = tuple(min(y1[i] + y2[i], 2) for i in range(k))
-            both_r1 = sum(
-                1 for i in range(k) if f1[i] == RED1 and f2[i] == RED1
-            )
-            merged = (
-                f,
-                y,
-                nr1_ + nr2_ - n_red_bag,
-                nr11 + nr12 - both_r1,
-                nc1 + nc2,
-                a1 + a2,
-                b1 + b2,
-            )
-            out.setdefault(merged, ("jn", s1, s2))
-    return NodeTable(left.bag, out)
+_CODES = np.arange(32, dtype=np.uint64)
+_COLOR = _CODES & 7
+_INC = _CODES >> 3
 
 
 @dataclass
 class DPResult:
-    """Answer plus diagnostics of one dynamic-programming run."""
+    """Answer plus diagnostics of one dynamic-programming run.  With
+    keep_tables, backrefs holds each node's back-reference arrays and
+    root_row the accepting root row, which the witness walk starts from."""
 
     gamma_prime: int
     width: int
     node_stats: list[tuple[int, str, int]]  # (node index, kind, table size)
     max_table_size: int
-    engine: str = "tuple"
-    accepting_state: State | None = None
-    tables: list[NodeTable] | None = field(default=None, repr=False)
-    fast_backrefs: list | None = field(default=None, repr=False)
-    fast_root_row: int | None = None
+    backrefs: list[dict[str, np.ndarray]] | None = field(default=None, repr=False)
+    root_row: int = 0
 
     def diagnostics_lines(self) -> list[str]:
         lines = [
@@ -302,131 +141,399 @@ class DPResult:
         return lines
 
 
-def state_space_bound(width: int, n: int, m: int) -> int:
-    """Loose upper bound on the number of distinct states at any node:
-    15^(width+1) color/incidence combinations times the counter ranges."""
-    return 15 ** (width + 1) * (n + 1) ** 3 * (m + 1) ** 2
+def state_space_bound(width: int) -> int:
+    """Upper bound on the rows of any table: a bag holds at most width + 1
+    vertices, and each has one of 13 reachable (color, incidence) codes.
+    Black stays at incidence 0; purple, r0, r1 and green take 0, 1 or 2.
+    An introduce-edge node never lifts a purple or red vertex above 1, but a
+    join adds the incidences of its two sides."""
+    return 13 ** (width + 1)
+
+
+def assign_slots(nd: NiceDecomposition, n: int) -> list[int]:
+    """Each vertex's slot in 0..width.  Walking down from the root, a vertex
+    takes at its forget node the lowest slot that no vertex of that node's
+    bag holds.  Those vertices are forgotten higher up, so they already have
+    their slots.  Of two vertices that share a bag, the one forgotten lower
+    sees the other in its forget node's bag, so they get different slots;
+    and that bag has at most width vertices, so one of width + 1 slots is
+    free."""
+    slot = [-1] * n
+    for node in reversed(nd.nodes):
+        if node.kind == FORGET:
+            used = 0
+            for u in node.bag:
+                used |= 1 << slot[u]
+            slot[node.vertex] = (~used & (used + 1)).bit_length() - 1
+    return slot
+
+
+class _Table(NamedTuple):
+    """One node's rows, unique by fields and ascending (introduce nodes keep
+    their child's order per color block instead), and the back-reference
+    arrays of a witness run: "back" = row into the (left) child; "took" =
+    included-edge flag (introduce-edge nodes); "back2" = row into the right
+    child (join nodes)."""
+
+    rows: np.ndarray
+    extras: dict[str, np.ndarray]
+
+
+def _dedupe(rows: np.ndarray, extras: dict, amask: np.uint64) -> _Table:
+    """Keep the maximum-alpha row per key.  With back-references the earliest
+    producer wins ties, so witnesses are deterministic; without them any
+    tied row will do.  Both sorts are the stable merge sort, which is also
+    the faster one here because the rows arrive as a few ascending runs."""
+    if extras:
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+    else:
+        rows.sort(kind="stable")
+    # a row starts a new key where it differs from its predecessor above
+    # the alpha bits
+    first = np.empty(len(rows), dtype=bool)
+    first[:1] = True
+    np.greater(rows[1:] ^ rows[:-1], amask, out=first[1:])
+    if extras:
+        sel = order[first]
+        extras = {name: arr[sel] for name, arr in extras.items()}
+    return _Table(rows[first], extras)
+
+
+def _alive(color: np.ndarray, y: np.ndarray, remaining: int) -> np.ndarray:
+    """Can this vertex still reach its color's target incidence given how many
+    of its edges are yet to be introduced?  Black needs nothing (its incidence
+    never grows), purple and red must end at exactly one, green at >= 2."""
+    need_one = (color != BLACK) & (color != GREEN)
+    return (
+        (color == BLACK)
+        | (need_one & ((y == 1) | (remaining >= 1)))
+        | ((color == GREEN) & (y + remaining >= 2))
+    )
+
+
+# per code: may a vertex with this field be forgotten?
+_SATISFIED = (
+    ((_COLOR == BLACK) & (_INC == 0))
+    | ((_COLOR == GREEN) & (_INC == 2))
+    | (((_COLOR == PURPLE) | (_COLOR == RED1)) & (_INC == 1))
+)
+
+
+class _EdgeRules(NamedTuple):
+    """An introduce-edge node's lookup, indexed code_u * 32 + code_v: per
+    branch, whether a row with those codes survives, and the increments to
+    the fields of u and v (in field units, before shifting into place)."""
+
+    ex_ok: np.ndarray
+    ex_du: np.ndarray
+    ex_dv: np.ndarray
+    in_ok: np.ndarray
+    in_du: np.ndarray
+    in_dv: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _edge_rules(rem_u: int, rem_v: int) -> _EdgeRules:
+    """Build the lookup for an edge uv whose endpoints have rem_u and rem_v
+    incident edges left above the node.  _alive only tells 0, 1 and >= 2
+    apart, so callers clamp the counts to 2 and there are nine tables."""
+    cu, yu = _COLOR[:, None], _INC[:, None]
+    cv, yv = _COLOR[None, :], _INC[None, :]
+
+    # excluded branch: drop black-black outright; an r0 endpoint whose
+    # partner is black is certified and becomes r1
+    up_u = (cu == RED0) & (cv == BLACK)
+    up_v = (cv == RED0) & (cu == BLACK)
+    ex_ok = (
+        ((cu != BLACK) | (cv != BLACK))
+        & _alive(cu + up_u, yu, rem_u)
+        & _alive(cv + up_v, yv, rem_v)
+    )
+
+    # included branch: single-edge-star pair or center-leaf pair; a
+    # purple/red endpoint may not exceed incidence one
+    red_u = cu >= RED0
+    red_v = cv >= RED0
+    allowed = (
+        ((cu == PURPLE) & (cv == PURPLE))
+        | ((cu == GREEN) & red_v)
+        | ((cv == GREEN) & red_u)
+    )
+    allowed &= ~((cu != GREEN) & (yu >= 1)) & ~((cv != GREEN) & (yv >= 1))
+    bump_u = yu < 2
+    bump_v = yv < 2
+    in_ok = allowed & _alive(cu, yu + bump_u, rem_u) & _alive(cv, yv + bump_v, rem_v)
+
+    def table(a: np.ndarray) -> np.ndarray:
+        out = np.broadcast_to(a, (32, 32)).ravel()
+        out.flags.writeable = False
+        return out
+
+    return _EdgeRules(
+        table(ex_ok),
+        table(np.where(ex_ok, up_u, 0).astype(np.uint64)),
+        table(np.where(ex_ok, up_v, 0).astype(np.uint64)),
+        table(in_ok),
+        table(np.where(in_ok, bump_u << 3, 0).astype(np.uint64)),
+        table(np.where(in_ok, bump_v << 3, 0).astype(np.uint64)),
+    )
+
+
+def _remaining_above(g: Graph, nd: NiceDecomposition) -> list[dict[int, int]]:
+    """Per node, for each vertex whose introduced-edge count changes there,
+    how many of its incident edges are introduced OUTSIDE the node's subtree.
+    Those are the hits a state's incidence can still receive on the way to
+    the root (edges in a parallel join branch arrive via the join's sum, so
+    they count as remaining).  Queried only at a vertex's introduce node and
+    at its edges' nodes."""
+    out: list[dict[int, int]] = [dict() for _ in nd.nodes]
+    # per-vertex introduced-edge counts within each node's subtree; dicts are
+    # shared with the child where the node cannot change them
+    sub: list[dict[int, int]] = []
+    for idx, node in enumerate(nd.nodes):
+        if node.kind == LEAF:
+            cnt: dict[int, int] = {}
+        elif node.kind == INTRODUCE_EDGE:
+            cnt = dict(sub[node.children[0]])
+            u, v = node.edge
+            cnt[u] = cnt.get(u, 0) + 1
+            cnt[v] = cnt.get(v, 0) + 1
+            out[idx][u] = g.degree(u) - cnt[u]
+            out[idx][v] = g.degree(v) - cnt[v]
+        elif node.kind == JOIN:
+            left = sub[node.children[0]]
+            right = sub[node.children[1]]
+            cnt = dict(left)
+            for v, c in right.items():
+                cnt[v] = cnt.get(v, 0) + c
+        else:
+            cnt = sub[node.children[0]]
+            if node.kind == INTRODUCE:
+                v = node.vertex
+                out[idx][v] = g.degree(v) - cnt.get(v, 0)
+        sub.append(cnt)
+    return out
+
+
+def _introduce(child: _Table, shift: np.uint64, rem_v: int, keep: bool) -> _Table:
+    # the new field has incidence 0, so its code is its color, and each
+    # color keeps or drops the whole child table
+    live = _alive(_COLOR, _INC, rem_v)
+    colors = [c for c in (BLACK, PURPLE, GREEN, RED0) if live[c]]
+    rows = np.concatenate([child.rows + (np.uint64(c) << shift) for c in colors])
+    extras = {}
+    if keep:
+        extras["back"] = np.tile(
+            np.arange(len(child.rows), dtype=np.int32), len(colors)
+        )
+    return _Table(rows, extras)
+
+
+def _introduce_edge(
+    child: _Table,
+    su: np.uint64,
+    sv: np.uint64,
+    rules: _EdgeRules,
+    amask: np.uint64,
+    keep: bool,
+) -> _Table:
+    ex_step = (rules.ex_du << su) + (rules.ex_dv << sv)
+    in_step = (rules.in_du << su) + (rules.in_dv << sv)
+
+    rows = child.rows
+    # the fields are below 32, so the int64 view reads them unchanged and
+    # indexes without a cast
+    pair = ((rows >> su) & 31).view(np.int64)
+    pair <<= 5
+    pair |= ((rows >> sv) & 31).view(np.int64)
+    ex = rules.ex_ok[pair]
+    inc = rules.in_ok[pair]
+    ex_rows = rows[ex]
+    ex_rows += ex_step[pair[ex]]
+    in_rows = rows[inc]
+    in_rows += in_step[pair[inc]]
+    # one more solution edge lowers amax - alpha by one, saturating at 0
+    in_rows -= (in_rows & amask) != 0
+    extras: dict[str, np.ndarray] = {}
+    if keep:
+        extras["back"] = np.concatenate(
+            [np.flatnonzero(ex), np.flatnonzero(inc)]
+        ).astype(np.int32)
+        extras["took"] = np.arange(len(ex_rows) + len(in_rows)) >= len(ex_rows)
+    return _dedupe(np.concatenate([ex_rows, in_rows]), extras, amask)
+
+
+def _forget(child: _Table, shift: np.uint64, amask: np.uint64, keep: bool) -> _Table:
+    satisfied = _SATISFIED[((child.rows >> shift) & 31).view(np.int64)]
+    rows = child.rows[satisfied] & ~(np.uint64(31) << shift)
+    extras = {}
+    if keep:
+        extras["back"] = np.flatnonzero(satisfied).astype(np.int32)
+    return _dedupe(rows, extras, amask)
+
+
+def _join(
+    left: _Table, right: _Table, ones: np.uint64, amask: np.uint64, keep: bool
+) -> _Table:
+    """Pair rows whose base colors agree on every bag slot (red flavors
+    collapse for matching; the merged flavor is the maximum of the two).
+    Incidences add with saturation and alphas add.  ones has the lowest bit
+    of each bag slot's field set.
+
+    Pairs come out grouped by base ascending, then by left row, then by
+    right row.  Every field is handled at once through masks over the bag
+    fields: r1 (4) is the only color with bit 2, so the base turns it into
+    r0 (3) by subtracting that bit, and an incidence sum (at most 4) fits
+    the three low bits of a field without carrying into the next one."""
+    colors = ones * np.uint64(7)
+
+    def base(rows: np.ndarray) -> np.ndarray:
+        c = rows & colors
+        return c - ((c >> 2) & ones)
+
+    lbase = base(left.rows)
+    rbase = base(right.rows)
+    lorder = np.argsort(lbase, kind="stable")
+    rorder = np.argsort(rbase, kind="stable")
+    rb = rbase[rorder]
+    lb = lbase[lorder]
+    # each left row meets the run rb[lo:hi] of equal right bases
+    lo = np.searchsorted(rb, lb, "left")
+    run = np.searchsorted(rb, lb, "right") - lo
+    li = np.repeat(lorder, run)
+    starts = np.cumsum(run) - run
+    ri = rorder[np.arange(len(li)) + np.repeat(lo - starts, run)]
+
+    lr = left.rows[li]
+    rr = right.rows[ri]
+    red1 = ((lr | rr) >> 2) & ones
+    y = ((lr >> 3) & (ones * np.uint64(3))) + ((rr >> 3) & (ones * np.uint64(3)))
+    over = ((y >> 2) | ((y >> 1) & y)) & ones  # incidence sum above 2
+    y = (y & ~(over * np.uint64(7))) | (over << 1)
+    # the alphas add: (amax - a_l) + (amax - a_r) - amax, saturating at 0
+    comp = (lr & amask) + (rr & amask)
+    np.maximum(comp, amask, out=comp)
+    comp -= amask
+    merged = (base(lr) + red1) | (y << 3) | comp
+    extras = {}
+    if keep:
+        extras = {"back": li.astype(np.int32), "back2": ri.astype(np.int32)}
+    return _dedupe(merged, extras, amask)
 
 
 def run_dp(
     g: Graph,
     nd: NiceDecomposition,
-    prune: bool = True,
     keep_tables: bool = False,
     check: bool = True,
-    engine: str = "auto",
 ) -> DPResult:
     """Evaluate the decomposition bottom-up and read the answer off the root.
 
-    The answer is the maximum solution size over root states with every red
-    leaf certified (n_r == n_r1), every vertex satisfied (n_c == |V|) and no
-    black-black edge (beta == 0).  The edgeless graph yields 0.
-
-    Engines: "tuple" drives the per-node operations above literally; "fast"
-    runs the same recurrences vectorized over packed states (answers are
-    identical; the test suite cross-checks them).  "auto" picks fast when the
-    graph fits its packing and pruning is on.
-    """
-    if engine not in ("auto", "fast", "tuple"):
-        raise ValueError(f"unknown engine {engine!r}")
+    The answer is the best alpha of the root's empty key (every red leaf
+    certified, every vertex satisfied, no black-black edge).  The edgeless
+    graph yields 0.  check validates nd first.  A decomposition whose rows do
+    not fit 64 bits raises WidthCapExceeded before any table is built.  A
+    node's rows are freed as soon as its parent is built; with keep_tables
+    its back-references are kept for extract_witness, which reads nothing
+    else."""
     if check:
         violations = validate_nice(g, nd)
         if violations:
             raise InvalidDecomposition("; ".join(violations[:5]))
-    if engine == "auto":
-        engine = "fast" if (prune and g.n <= _fast.MAX_N) else "tuple"
-    if engine == "fast":
-        if not prune:
-            raise ValueError("the fast engine always prunes; use engine='tuple'")
-        if g.n > _fast.MAX_N:
-            raise ValueError(f"fast engine requires n <= {_fast.MAX_N}")
-        gamma, sizes, backrefs, root_row = _fast.run_fast_dp(
-            g, nd, keep_tables=keep_tables
+    alpha_bits = (g.n - 1).bit_length()  # alpha <= n - 1
+    if 5 * (nd.width + 1) + alpha_bits > 64:
+        raise WidthCapExceeded(
+            f"the DP packs a bag of {nd.width + 1} vertices into "
+            f"{5 * (nd.width + 1)} bits plus {alpha_bits} alpha bits for n = "
+            f"{g.n}, above the 64 of a row"
         )
-        node_stats = [
-            (idx, node.kind, sizes[idx]) for idx, node in enumerate(nd.nodes)
-        ]
-        return DPResult(
-            gamma_prime=gamma,
-            width=nd.width,
-            node_stats=node_stats,
-            max_table_size=max(sizes),
-            engine="fast",
-            fast_backrefs=backrefs,
-            fast_root_row=root_row,
-        )
-    tables: list[NodeTable] = []
+    amask = np.uint64((1 << alpha_bits) - 1)
+    slot = assign_slots(nd, g.n)
+    shift = [np.uint64(5 * s + alpha_bits) for s in slot]
+    remaining = _remaining_above(g, nd)
+    leaf_extras = {"back": np.zeros(1, dtype=np.int32)} if keep_tables else {}
+
+    tables: list[_Table | None] = []
+    backrefs: list[dict[str, np.ndarray]] = []
     node_stats: list[tuple[int, str, int]] = []
     for idx, node in enumerate(nd.nodes):
         if node.kind == LEAF:
-            table = dp_leaf()
+            # the empty key with alpha 0
+            table = _Table(np.full(1, amask, dtype=np.uint64), leaf_extras)
         elif node.kind == INTRODUCE:
-            table = dp_introduce_vertex(tables[node.children[0]], node.vertex)
+            v = node.vertex
+            table = _introduce(
+                tables[node.children[0]], shift[v], remaining[idx][v], keep_tables
+            )
         elif node.kind == INTRODUCE_EDGE:
             u, v = node.edge
-            table = dp_introduce_edge(tables[node.children[0]], u, v, prune=prune)
-        elif node.kind == FORGET:
-            table = dp_forget(tables[node.children[0]], node.vertex, prune=prune)
-        elif node.kind == JOIN:
-            table = dp_join(tables[node.children[0]], tables[node.children[1]])
-        else:
-            raise InvalidDecomposition(f"unknown node kind {node.kind!r}")
-        if table.bag != node.bag:
-            raise InvalidDecomposition(
-                f"node {idx}: computed bag {table.bag} != declared {node.bag}"
+            rem = remaining[idx]
+            rules = _edge_rules(min(rem[u], 2), min(rem[v], 2))
+            table = _introduce_edge(
+                tables[node.children[0]], shift[u], shift[v], rules, amask, keep_tables
             )
+        elif node.kind == FORGET:
+            table = _forget(
+                tables[node.children[0]], shift[node.vertex], amask, keep_tables
+            )
+        elif node.kind == JOIN:
+            ones = np.uint64(sum(1 << int(shift[v]) for v in node.bag))
+            table = _join(
+                tables[node.children[0]],
+                tables[node.children[1]],
+                ones,
+                amask,
+                keep_tables,
+            )
+        else:
+            raise InvalidDecomposition(f"node {idx}: unknown kind {node.kind!r}")
         tables.append(table)
-        node_stats.append((idx, node.kind, len(table)))
+        node_stats.append((idx, node.kind, len(table.rows)))
+        if keep_tables:
+            backrefs.append(table.extras)
+        # every node has one parent, so a child is done once it is built
+        for c in node.children:
+            tables[c] = None
 
-    root_table = tables[-1]
-    best: State | None = None
-    for state in root_table.states:
-        _, _, n_r, n_r1, n_c, alpha, beta = state
-        if n_r == n_r1 and n_c == g.n and beta == 0:
-            if best is None or alpha > best[5] or (alpha == best[5] and state < best):
-                best = state
-    if best is None:
+    root = tables[-1].rows
+    # no r0 field left means no uncertified red (see the module docstring)
+    accept = np.flatnonzero(root <= amask)
+    if len(accept) == 0:
         raise UedsError(
             "no accepting state at the root; the decomposition does not "
             "cover the graph"
         )
+    row = int(accept[0])
     return DPResult(
-        gamma_prime=best[5],
+        gamma_prime=int(amask - root[row]),
         width=nd.width,
         node_stats=node_stats,
-        max_table_size=max(count for _, _, count in node_stats),
-        engine="tuple",
-        accepting_state=best,
-        tables=tables if keep_tables else None,
+        max_table_size=max(size for _, _, size in node_stats),
+        backrefs=backrefs if keep_tables else None,
+        root_row=row,
     )
 
 
 def extract_witness(g: Graph, nd: NiceDecomposition, result: DPResult) -> EdgeSet:
-    """Walk the stored back-references from the accepting root state and
-    collect the edges taken on included introduce-edge branches.  Requires a
-    run with keep_tables=True."""
-    if result.engine == "fast":
-        if result.fast_backrefs is None:
-            raise ValueError("witness extraction needs a run with keep_tables=True")
-        return _fast.fast_witness(g, nd, result.fast_backrefs, result.fast_root_row)
-    if result.tables is None:
+    """Walk back-references from the accepting root row, collecting the edges
+    taken on included introduce-edge branches.  Requires a run with
+    keep_tables=True."""
+    if result.backrefs is None:
         raise ValueError("witness extraction needs a run with keep_tables=True")
-    if result.accepting_state is None:
-        raise ValueError("no accepting state recorded")
     mask = 0
-    stack: list[tuple[int, State]] = [(nd.root, result.accepting_state)]
+    stack = [(nd.root, result.root_row)]
     while stack:
-        idx, state = stack.pop()
+        idx, row = stack.pop()
         node = nd.nodes[idx]
-        back = result.tables[idx].states[state]
-        tag = back[0]
-        if tag == "leaf":
+        extras = result.backrefs[idx]
+        if node.kind == LEAF:
             continue
-        if tag == "jn":
-            stack.append((node.children[0], back[1]))
-            stack.append((node.children[1], back[2]))
+        if node.kind == JOIN:
+            stack.append((node.children[0], int(extras["back"][row])))
+            stack.append((node.children[1], int(extras["back2"][row])))
             continue
-        if tag == "ie" and back[2]:
+        if node.kind == INTRODUCE_EDGE and bool(extras["took"][row]):
             mask |= 1 << node.edge_id
-        stack.append((node.children[0], back[1]))
+        stack.append((node.children[0], int(extras["back"][row])))
     return EdgeSet(mask)

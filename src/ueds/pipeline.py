@@ -111,14 +111,14 @@ def _dp_stage(
                 f"the given decomposition needs bags of size {td.width + 1}, "
                 f"above the cap {max_width}; raise --max-width to proceed"
             )
-    result = run_dp(work, nd, keep_tables=want_witness)
+    # make_nice has validated td and checks its own output
+    result = run_dp(work, nd, keep_tables=want_witness, check=False)
     witness = extract_witness(work, nd, result) if want_witness else None
     stats = {
         "source": source,
         "width": nd.width,
         "nodes": len(nd.nodes),
         "max_table_size": result.max_table_size,
-        "engine": result.engine,
     }
     if diagnostics:
         stats["diagnostics"] = result.diagnostics_lines()

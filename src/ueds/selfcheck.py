@@ -163,7 +163,7 @@ def _check_instance(
             "oracle-dp-equality",
             f"dp={dp_result.gamma_prime} oracle={exact.gamma_prime}",
         )
-    bound = state_space_bound(nd.width, g.n, g.m)
+    bound = state_space_bound(nd.width)
     report.checks_run += 1
     if dp_result.max_table_size > bound:
         fail(

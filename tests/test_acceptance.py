@@ -195,7 +195,7 @@ class TestAcceptance:
             td = td_from_vertex_cover(g, cover)
             nd = make_nice(g, td)
             result = run_dp(g, nd, check=False)
-            if result.max_table_size > state_space_bound(nd.width, g.n, g.m):
+            if result.max_table_size > state_space_bound(nd.width):
                 problems.append(f"{spec.instance_id}: bound exceeded")
         _report("5 state-space-bound", problems)
 

@@ -128,11 +128,6 @@ class TestOtherCommands:
         assert main(["selfcheck", "--count", "4", "--nmax", "6", "--seed", "3"]) == 0
         assert "all checks passed" in capsys.readouterr().out
 
-    def test_bench(self, tmp_path, p4_file, capsys):
-        out = tmp_path / "results.csv"
-        assert main(["bench", str(tmp_path), "--out", str(out)]) == 0
-        assert out.read_text().count("\n") == 2  # header + one row
-
 
 def _write_graph(tmp_path, spec):
     path = tmp_path / f"{spec.instance_id}.gr"
@@ -193,6 +188,15 @@ class TestDecompositionCommands:
         td_file.write_text(td_text)
         assert main(["gamma", path, "--td", str(td_file)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_gamma_refuses_a_bag_the_dp_cannot_pack(self, tmp_path, capsys):
+        # K13 in one bag: 13 fields of 5 bits and 4 alpha bits exceed the
+        # 64 of a row, though 13 is within --max-width
+        path = _write_graph(tmp_path, GenSpec("gnp", 13, 1.0, 1))
+        td_file = tmp_path / "k13.td"
+        td_file.write_text("s td 1 13 13\nb 1 " + " ".join(map(str, range(1, 14))) + "\n")
+        assert main(["gamma", path, "--td", str(td_file)]) == 3
+        assert "64" in capsys.readouterr().err
 
     def test_gamma_td_needs_the_dp(self, tmp_path, capsys):
         path = _write_graph(tmp_path, GenSpec("path", 4))

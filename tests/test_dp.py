@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ueds import _fast_dp
+import ueds.dp
 from ueds.decomposition import (
     JOIN,
     TreeDecomposition,
@@ -15,17 +17,12 @@ from ueds.dp import (
     PURPLE,
     RED0,
     RED1,
-    NodeTable,
-    dp_forget,
-    dp_introduce_edge,
-    dp_introduce_vertex,
-    dp_join,
-    dp_leaf,
+    assign_slots,
     extract_witness,
     run_dp,
     state_space_bound,
 )
-from ueds.errors import BagMismatch
+from ueds.errors import BagMismatch, WidthCapExceeded
 from ueds.generate import GenSpec, gen
 from ueds.graph import (
     Graph,
@@ -38,11 +35,42 @@ from ueds.oracle import upper_eds_exact
 from ueds.pipeline import gamma_prime
 
 from conftest import all_graphs_on, graphs, minimum_vertex_cover
+from dp_reference import (
+    NodeTable,
+    dp_forget,
+    dp_introduce_edge,
+    dp_introduce_vertex,
+    dp_join,
+    dp_leaf,
+    reference_witness,
+    run_reference,
+)
 
 
 def nice_for(g, placement="early", cover=None):
     cover = minimum_vertex_cover(g) if cover is None else cover
     return make_nice(g, td_from_vertex_cover(g, cover), edge_placement=placement)
+
+
+def solved_by_both(g, nd):
+    """(gamma', witness) from run_dp and from the reference."""
+    result = run_dp(g, nd, keep_tables=True)
+    ref = run_reference(g, nd)
+    return [
+        (result.gamma_prime, extract_witness(g, nd, result)),
+        (ref.gamma_prime, reference_witness(nd, ref)),
+    ]
+
+
+def rooted_at(td, root):
+    """The same decomposition with bag `root` first, where make_nice roots it."""
+    order = [root] + [i for i in range(len(td.bags)) if i != root]
+    index = {old: new for new, old in enumerate(order)}
+    return TreeDecomposition(
+        n=td.n,
+        bags=tuple(td.bags[i] for i in order),
+        tree_edges=tuple((index[a], index[b]) for a, b in td.tree_edges),
+    )
 
 
 class TestLeaf:
@@ -183,8 +211,8 @@ class TestRunDp:
     def test_named_values_both_engines(self, fixture, want, request):
         g = request.getfixturevalue(fixture)
         nd = nice_for(g)
-        assert run_dp(g, nd, engine="fast").gamma_prime == want
-        assert run_dp(g, nd, engine="tuple").gamma_prime == want
+        assert run_dp(g, nd).gamma_prime == want
+        assert run_reference(g, nd).gamma_prime == want
 
     def test_edgeless_graph(self):
         g = Graph(4, [])
@@ -197,7 +225,7 @@ class TestRunDp:
     def test_table_sizes_within_bound(self, c5):
         nd = nice_for(c5)
         result = run_dp(c5, nd)
-        assert result.max_table_size <= state_space_bound(nd.width, c5.n, c5.m)
+        assert result.max_table_size <= state_space_bound(nd.width)
 
     def test_decomposition_invariance(self, p4):
         path_nd = nice_for(p4, cover=(1, 2))
@@ -206,9 +234,9 @@ class TestRunDp:
         )
         join_nd = make_nice(p4, join_td)
         values = {
-            run_dp(p4, nd, engine=engine).gamma_prime
+            run(p4, nd).gamma_prime
             for nd in (path_nd, join_nd)
-            for engine in ("fast", "tuple")
+            for run in (run_dp, run_reference)
         }
         assert values == {2}
 
@@ -225,9 +253,9 @@ class TestRunDp:
         for g in all_graphs_on(4):
             nd = nice_for(g)
             want = upper_eds_exact(g).gamma_prime
-            assert run_dp(g, nd, engine="fast").gamma_prime == want
-            assert run_dp(g, nd, engine="tuple", prune=True).gamma_prime == want
-            assert run_dp(g, nd, engine="tuple", prune=False).gamma_prime == want
+            assert run_dp(g, nd).gamma_prime == want
+            assert run_reference(g, nd, prune=True).gamma_prime == want
+            assert run_reference(g, nd, prune=False).gamma_prime == want
 
     @given(graphs(max_n=7))
     @settings(max_examples=40, deadline=None)
@@ -236,7 +264,7 @@ class TestRunDp:
         nd = nice_for(g)
         result = run_dp(g, nd)
         assert result.gamma_prime == want
-        assert result.max_table_size <= state_space_bound(nd.width, g.n, g.m)
+        assert result.max_table_size <= state_space_bound(nd.width)
 
     @given(graphs(max_n=6))
     @settings(max_examples=25, deadline=None)
@@ -254,57 +282,213 @@ class TestRunDp:
         )
         nd = make_nice(g, td)
         want = upper_eds_exact(g).gamma_prime
-        assert run_dp(g, nd, engine="fast").gamma_prime == want
-        assert run_dp(g, nd, engine="tuple").gamma_prime == want
+        assert run_dp(g, nd).gamma_prime == want
+        assert run_reference(g, nd).gamma_prime == want
+
+    def test_bound_counts_the_codes_a_join_makes(self):
+        # A join adds incidences, so a purple or red vertex can reach
+        # incidence 2 there (such a row dies at its forget): 13 codes per
+        # field, not the 10 the other nodes use.  On this tree rooted at bag
+        # 33, a join over a two-vertex bag holds 143 rows, above 10^2.
+        g = gen(GenSpec("tree", 47, seed=1027834953))
+        nd = make_nice(g, rooted_at(td_min_fill(g), 33))
+        result = run_dp(g, nd)
+        assert nd.width == 1 and result.max_table_size == 143
+        assert result.max_table_size <= state_space_bound(nd.width)
+        assert result.gamma_prime == run_reference(g, nd).gamma_prime
 
 
 class TestPackingBoundary:
-    """At n = MAX_N the top vertex's field reaches bit 59, and the dedupe
-    key (key << 4) | (15 - alpha) then fills all 64 bits of a uint64."""
+    """With n = 12 a row has 4 alpha bits, and a bag of 12 vertices puts the
+    top slot's field at bits 59-63: a row fills all 64 bits of a uint64.  A
+    13th vertex in the bag does not fit."""
 
-    def _check(self, g):
-        """Check the fast engine against the oracle on a minimum cover and on
-        the pipeline's matching cover, both edge placements, with and without
-        kept tables."""
+    def _check(self, g, td):
+        """Check run_dp against the oracle on the paths over a minimum cover
+        and over the pipeline's matching cover, both edge placements, and on
+        td with early placement (late placement on a bag of 12 builds
+        millions of rows), with and without kept tables."""
         want = upper_eds_exact(g).gamma_prime
-        # the packing leaves 4 bits for alpha; a solution is a star forest,
-        # so alpha <= n - 1 must fit them
-        assert g.n - 1 < 16 and want <= g.n - 1
-        for cover in (
-            minimum_vertex_cover(g),
-            vertex_cover_from_matching(g, greedy_maximal_matching(g)),
-        ):
-            for placement in ("early", "late"):
-                nd = nice_for(g, placement, cover)
-                for keep in (False, True):
-                    result = run_dp(g, nd, engine="fast", keep_tables=keep)
-                    assert result.gamma_prime == want
-                    if keep:
-                        witness = extract_witness(g, nd, result)
-                        assert witness.size == want and is_minimal_eds(g, witness)
+        nds = [make_nice(g, td)] + [
+            make_nice(g, td_from_vertex_cover(g, cover), edge_placement=placement)
+            for cover in (
+                minimum_vertex_cover(g),
+                vertex_cover_from_matching(g, greedy_maximal_matching(g)),
+            )
+            for placement in ("early", "late")
+        ]
+        for nd in nds:
+            for keep in (False, True):
+                result = run_dp(g, nd, keep_tables=keep)
+                assert result.gamma_prime == want
+                if keep:
+                    witness = extract_witness(g, nd, result)
+                    assert witness.size == want and is_minimal_eds(g, witness)
 
     def test_star_centered_on_the_highest_vertex(self, monkeypatch):
-        n = _fast_dp.MAX_N
+        n = 12
         g = Graph(n, [(leaf, n - 1) for leaf in range(n - 1)])
-        # incidences grow at introduce-edge nodes only (the cover paths have
-        # no joins), so record the tables those nodes build
+        # the center is forgotten first, below the bag of all leaves, so it
+        # takes the top slot
+        td = TreeDecomposition(
+            n=n, bags=(tuple(range(n - 1)), tuple(range(n))), tree_edges=((0, 1),)
+        )
+        assert assign_slots(make_nice(g, td), n)[n - 1] == n - 1
+        # incidences grow at introduce-edge nodes only (these decompositions
+        # have no joins), so record the tables those nodes build
         tables = []
-        build = _fast_dp._introduce_edge
+        build = ueds.dp._introduce_edge
 
         def recorded(*args):
             tables.append(build(*args))
             return tables[-1]
 
-        monkeypatch.setattr(_fast_dp, "_introduce_edge", recorded)
-        self._check(g)
-        # some state holds the center green with incidence 2 in the top field
-        top = 5 * (n - 1)
-        code = _fast_dp._GREEN | 2 << 3
-        assert any(((t.keys >> top) == code).any() for t in tables)
+        monkeypatch.setattr(ueds.dp, "_introduce_edge", recorded)
+        self._check(g, td)
+        # some row holds the center green with incidence 2 in the top field
+        code = GREEN | 2 << 3
+        assert any(((t.rows >> 59) == code).any() for t in tables)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_gnp_at_max_n(self, seed):
-        self._check(gen(GenSpec("gnp", _fast_dp.MAX_N, 0.2, seed)))
+        g = gen(GenSpec("gnp", 12, 0.2, seed))
+        self._check(g, TreeDecomposition(n=12, bags=(tuple(range(12)),), tree_edges=()))
+
+    def test_a_thirteenth_bag_vertex_is_refused(self):
+        # n = 13 keeps 4 alpha bits; K13 in one bag needs 65 + 4 bits
+        g = gen(GenSpec("gnp", 13, 1.0, 1))
+        td = TreeDecomposition(n=13, bags=(tuple(range(13)),), tree_edges=())
+        with pytest.raises(WidthCapExceeded, match="64"):
+            run_dp(g, make_nice(g, td))
+
+
+class TestAlphaSaturation:
+    """A row whose partial solution is no star forest can have more than
+    n - 1 edges.  Its alpha saturates at 2^a - 1 instead of borrowing from
+    the fields above the a alpha bits.  Here n = 8, so a = 3."""
+
+    AMASK = np.uint64(7)
+
+    def test_at_a_join(self):
+        # one bag vertex in slot 0, purple with one edge on each side, and
+        # partial solutions of 5 and 4 edges: the merged row is purple at
+        # incidence 2 with alpha 7
+        purple1 = PURPLE | 1 << 3
+        left = ueds.dp._Table(np.array([purple1 << 3 | 7 - 5], dtype=np.uint64), {})
+        right = ueds.dp._Table(np.array([purple1 << 3 | 7 - 4], dtype=np.uint64), {})
+        ones = np.uint64(1 << 3)
+        out = ueds.dp._join(left, right, ones, self.AMASK, False)
+        assert out.rows.tolist() == [(PURPLE | 2 << 3) << 3]
+
+    def test_at_an_included_edge(self):
+        # u (slot 0) green at incidence 2, v (slot 1) r0, alpha already 7:
+        # including uv keeps alpha at 7 and bumps v to incidence 1
+        row = (GREEN | 2 << 3 | RED0 << 5) << 3
+        child = ueds.dp._Table(np.array([row], dtype=np.uint64), {})
+        rules = ueds.dp._edge_rules(2, 2)
+        out = ueds.dp._introduce_edge(
+            child, np.uint64(3), np.uint64(8), rules, self.AMASK, True
+        )
+        took = out.rows[out.extras["took"]].tolist()
+        assert took == [(GREEN | 2 << 3 | (RED0 | 1 << 3) << 5) << 3]
+
+
+class TestSlots:
+    """assign_slots gives the vertices of every bag distinct slots below
+    width + 1, on every kind of decomposition the solver or a user makes."""
+
+    @staticmethod
+    def _assert_slots(g, nd):
+        slot = assign_slots(nd, g.n)
+        width = nd.width
+        for node in nd.nodes:
+            held = [slot[v] for v in node.bag]
+            assert len(set(held)) == len(held)
+            assert all(0 <= s <= width for s in held)
+
+    @given(graphs(max_n=9))
+    @settings(max_examples=40, deadline=None)
+    def test_distinct_per_bag(self, g):
+        td = td_min_fill(g)
+        cover = vertex_cover_from_matching(g, greedy_maximal_matching(g))
+        for tree in [td, td_from_vertex_cover(g, cover)] + [
+            rooted_at(td, root) for root in range(len(td.bags))
+        ]:
+            for placement in ("early", "late"):
+                self._assert_slots(g, make_nice(g, tree, edge_placement=placement))
+
+    def test_distinct_per_bag_on_a_large_tree(self):
+        g = gen(GenSpec("tree", 300, seed=2))
+        td = td_min_fill(g)
+        for root in (0, len(td.bags) // 2, len(td.bags) - 1):
+            self._assert_slots(g, make_nice(g, rooted_at(td, root)))
+
+
+@st.composite
+def sparse_graphs(draw, min_n: int = 13, max_n: int = 20, extra: int = 5) -> Graph:
+    """Hypothesis strategy: a random forest on min_n..max_n vertices plus up
+    to `extra` more edges."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    edges = set()
+    for v in range(1, n):
+        parent = draw(st.integers(min_value=-1, max_value=v - 1))
+        if parent >= 0:
+            edges.add((parent, v))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(pairs, max_size=extra)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
+class TestAboveTwelveVertices:
+    """Graphs beyond the 4 alpha bits of n <= 16 and beyond 12 vertex ids,
+    against the reference and the oracle."""
+
+    @given(sparse_graphs())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_reference_on_min_fill(self, g):
+        td = td_min_fill(g)
+        assume(td.width <= 3)
+        nd = make_nice(g, td)
+        ref = run_reference(g, nd)
+        result = run_dp(g, nd, keep_tables=True)
+        assert result.gamma_prime == ref.gamma_prime
+        assert result.max_table_size <= state_space_bound(nd.width)
+        witness = extract_witness(g, nd, result)
+        assert witness.size == result.gamma_prime
+        if g.m:
+            assert is_minimal_eds(g, witness)
+
+    def test_path40_matches_reference(self):
+        # gamma' = 20 needs 5 bits; n = 40 gives the rows 6
+        g = gen(GenSpec("path", 40))
+        nd = make_nice(g, td_min_fill(g))
+        ref = run_reference(g, nd)
+        result = run_dp(g, nd, keep_tables=True)
+        assert result.gamma_prime == ref.gamma_prime == 20
+        witness = extract_witness(g, nd, result)
+        assert witness.size == 20 and is_minimal_eds(g, witness)
+        assert reference_witness(nd, ref).size == 20
+
+    @pytest.mark.parametrize("spec", [GenSpec("tree", 30), GenSpec("path", 24)])
+    def test_matches_oracle(self, spec):
+        g = gen(spec)
+        want = upper_eds_exact(g, limit=64).gamma_prime
+        report = gamma_prime(g, method="dp")
+        assert report.gamma_prime == want
+
+    @pytest.mark.parametrize(
+        "spec,gamma",
+        [(GenSpec("tree", 200, seed=1), 86), (GenSpec("path", 1000), 500)],
+    )
+    def test_pinned_large(self, spec, gamma):
+        g = gen(spec)
+        nd = make_nice(g, td_min_fill(g))
+        result = run_dp(g, nd, keep_tables=True)
+        assert result.gamma_prime == gamma
+        witness = extract_witness(g, nd, result)
+        assert witness.size == gamma and is_minimal_eds(g, witness)
 
 
 class TestPinnedOutput:
@@ -362,8 +546,8 @@ class TestPinnedOutput:
 
 
 class TestMinFillDecompositions:
-    """The three engines on min-fill elimination decompositions, which bring
-    join nodes that the cover paths never have."""
+    """The DP, the reference and the oracle on min-fill elimination
+    decompositions, which bring join nodes that the cover paths never have."""
 
     @given(graphs(max_n=8))
     @settings(max_examples=60, deadline=None)
@@ -373,24 +557,14 @@ class TestMinFillDecompositions:
         # make_nice roots at bag 0; rooted at a bag of the highest tree
         # degree instead, every decomposition of three or more bags has a join
         degree = [len(adj) for adj in td.neighbors()]
-        root = degree.index(max(degree, default=0)) if td.bags else 0
-        order = [root] + [i for i in range(len(td.bags)) if i != root]
-        index = {old: new for new, old in enumerate(order)}
-        rerooted = TreeDecomposition(
-            n=td.n,
-            bags=tuple(td.bags[i] for i in order),
-            tree_edges=tuple((index[a], index[b]) for a, b in td.tree_edges),
-        )
+        rerooted = rooted_at(td, degree.index(max(degree, default=0)) if td.bags else 0)
         for tree in (td, rerooted):
             for placement in ("early", "late"):
                 nd = make_nice(g, tree, edge_placement=placement)
                 if len(td.bags) >= 3 and tree is rerooted:
                     assert nd.count(JOIN) > 0
-                for engine in ("fast", "tuple"):
-                    result = run_dp(g, nd, engine=engine, keep_tables=True)
-                    assert result.gamma_prime == want, (placement, engine)
-                    witness = extract_witness(g, nd, result)
-                    assert witness.size == want
+                for gamma, witness in solved_by_both(g, nd):
+                    assert gamma == witness.size == want, placement
                     if g.m:
                         assert is_minimal_eds(g, witness)
 
@@ -404,11 +578,9 @@ class TestMinFillDecompositions:
             for placement in ("early", "late"):
                 nd = make_nice(g, td, edge_placement=placement)
                 assert nd.count(JOIN) > 0
-                for engine in ("fast", "tuple"):
-                    result = run_dp(g, nd, engine=engine, keep_tables=True)
-                    assert result.gamma_prime == want
-                    witness = extract_witness(g, nd, result)
-                    assert witness.size == want and is_minimal_eds(g, witness)
+                for gamma, witness in solved_by_both(g, nd):
+                    assert gamma == witness.size == want
+                    assert is_minimal_eds(g, witness)
 
 
 class TestWitness:
@@ -439,10 +611,8 @@ class TestWitness:
     @settings(max_examples=40, deadline=None)
     def test_witness_valid_and_structured(self, g):
         nd = nice_for(g)
-        for engine in ("fast", "tuple"):
-            result = run_dp(g, nd, engine=engine, keep_tables=True)
-            witness = extract_witness(g, nd, result)
-            assert witness.size == result.gamma_prime
+        for gamma, witness in solved_by_both(g, nd):
+            assert witness.size == gamma
             if g.m:
                 assert is_minimal_eds(g, witness)
             structure = star_decomposition(g, witness)
@@ -458,7 +628,7 @@ class TestWitness:
 class TestCounterMonotonicity:
     def test_beta_never_decreases_and_accepting_paths_avoid_red_forgets(self, c5):
         nd = nice_for(c5)
-        result = run_dp(c5, nd, engine="tuple", prune=False, keep_tables=True)
+        result = run_reference(c5, nd, prune=False)
         tables = result.tables
         # beta monotone along every back-reference
         for idx, node in enumerate(nd.nodes):
