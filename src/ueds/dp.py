@@ -52,14 +52,12 @@ owns the 5-bit field at bits [5s + a, 5s + a + 4] of a row, with
 a = (n - 1).bit_length() alpha bits below the fields.  A field holds its
 vertex's code, color | incidence << 3, and a slot without a bag vertex holds
 0.  The low a bits hold amax - alpha with amax = 2^a - 1, so sorting the rows
-puts each key's best alpha first.  A solution is a star forest, so
-alpha <= n - 1 <= amax.  Rows whose partial solution is no star forest (a
-purple or red vertex with two solution edges, which a join can make and only
-a later forget drops) can have more edges; their alpha saturates at amax so
-it never borrows from the fields.  Such rows can never be accepted, so no
-answer reads their alpha.  A row fits when 5 * (width + 1) + a <= 64: bags
-of up to 12 vertices for n <= 16 and up to 10 for n <= 16,384.  run_dp
-refuses wider decompositions with WidthCapExceeded before it builds a table.
+puts each key's best alpha first.  Every row's partial solution is a star
+forest (no node keeps a purple or red vertex above incidence one, see
+Pruning), so alpha <= n - 1 <= amax and alpha never borrows from the fields.
+A row fits when 5 * (width + 1) + a <= 64: bags of up to 12 vertices for
+n <= 16 and up to 10 for n <= 16,384.  run_dp refuses wider decompositions
+with WidthCapExceeded before it builds a table.
 
 Transitions.  A node changes the field of one vertex, or of two for an
 edge, so it is a lookup on their codes: liveness for introduce and
@@ -73,7 +71,13 @@ Pruning.  Black-black edges, forgets of an uncertified red and a purple or
 red incidence above one are discarded.  On top of that, a state is dropped
 when a bag vertex can no longer reach its target incidence with the edges
 still to be introduced above the current node.  The lookups fold this check
-in, so a dead row is never gathered.
+in, so a dead row is never gathered.  A join prunes the same way, from the
+two sides' fields before it merges them: it drops a pair in which a purple
+or red vertex has one solution edge on each side, or a green vertex is short
+of two with the edges left above the join.  A purple or red vertex with no
+edge left above the join must leave it at incidence exactly one, so its
+incidence bit goes into the left side's join key and the complement into the
+right side's, and the pairs 0/0 and 1/1 are never built.
 
 Dedupe.  Rows with equal fields collapse to the first row after one stable
 sort, which is the one of largest alpha.
@@ -143,11 +147,12 @@ class DPResult:
 
 def state_space_bound(width: int) -> int:
     """Upper bound on the rows of any table: a bag holds at most width + 1
-    vertices, and each has one of 13 reachable (color, incidence) codes.
-    Black stays at incidence 0; purple, r0, r1 and green take 0, 1 or 2.
-    An introduce-edge node never lifts a purple or red vertex above 1, but a
-    join adds the incidences of its two sides."""
-    return 13 ** (width + 1)
+    vertices, and each has one of 10 reachable (color, incidence) codes.
+    Black stays at incidence 0, purple, r0 and r1 take 0 or 1, and green
+    takes 0, 1 or 2.  No node keeps a purple or red vertex above 1: an
+    introduce-edge node never lifts one there, and a join drops the pairs
+    whose incidences add up to 2."""
+    return 10 ** (width + 1)
 
 
 def assign_slots(nd: NiceDecomposition, n: int) -> list[int]:
@@ -281,12 +286,12 @@ def _edge_rules(rem_u: int, rem_v: int) -> _EdgeRules:
 
 
 def _remaining_above(g: Graph, nd: NiceDecomposition) -> list[dict[int, int]]:
-    """Per node, for each vertex whose introduced-edge count changes there,
-    how many of its incident edges are introduced OUTSIDE the node's subtree.
+    """Per node, for each vertex whose field the node checks, how many of
+    its incident edges are introduced OUTSIDE the node's subtree.
     Those are the hits a state's incidence can still receive on the way to
     the root (edges in a parallel join branch arrive via the join's sum, so
-    they count as remaining).  Queried only at a vertex's introduce node and
-    at its edges' nodes."""
+    they count as remaining).  Queried only at a vertex's introduce node, at
+    its edges' nodes and at the join nodes whose bag holds it."""
     out: list[dict[int, int]] = [dict() for _ in nd.nodes]
     # per-vertex introduced-edge counts within each node's subtree; dicts are
     # shared with the child where the node cannot change them
@@ -307,6 +312,8 @@ def _remaining_above(g: Graph, nd: NiceDecomposition) -> list[dict[int, int]]:
             cnt = dict(left)
             for v, c in right.items():
                 cnt[v] = cnt.get(v, 0) + c
+            for v in node.bag:
+                out[idx][v] = g.degree(v) - cnt.get(v, 0)
         else:
             cnt = sub[node.children[0]]
             if node.kind == INTRODUCE:
@@ -316,11 +323,18 @@ def _remaining_above(g: Graph, nd: NiceDecomposition) -> list[dict[int, int]]:
     return out
 
 
-def _introduce(child: _Table, shift: np.uint64, rem_v: int, keep: bool) -> _Table:
-    # the new field has incidence 0, so its code is its color, and each
-    # color keeps or drops the whole child table
+@lru_cache(maxsize=None)
+def _live_colors(rem_v: int) -> tuple[int, ...]:
+    """The colors an introduced vertex may take with rem_v incident edges
+    left above it.  The new field has incidence 0, so its code is its
+    color.  Callers clamp rem_v to 2, as for _edge_rules."""
     live = _alive(_COLOR, _INC, rem_v)
-    colors = [c for c in (BLACK, PURPLE, GREEN, RED0) if live[c]]
+    return tuple(c for c in (BLACK, PURPLE, GREEN, RED0) if live[c])
+
+
+def _introduce(child: _Table, shift: np.uint64, rem_v: int, keep: bool) -> _Table:
+    # each live color keeps the whole child table
+    colors = _live_colors(min(rem_v, 2))
     rows = np.concatenate([child.rows + (np.uint64(c) << shift) for c in colors])
     extras = {}
     if keep:
@@ -339,7 +353,9 @@ def _introduce_edge(
     keep: bool,
 ) -> _Table:
     ex_step = (rules.ex_du << su) + (rules.ex_dv << sv)
-    in_step = (rules.in_du << su) + (rules.in_dv << sv)
+    # one more solution edge also lowers amax - alpha by one; uint64 wraps,
+    # and the sum with the row is never below 0 because alpha <= n - 1
+    in_step = (rules.in_du << su) + (rules.in_dv << sv) - np.uint64(1)
 
     rows = child.rows
     # the fields are below 32, so the int64 view reads them unchanged and
@@ -353,8 +369,6 @@ def _introduce_edge(
     ex_rows += ex_step[pair[ex]]
     in_rows = rows[inc]
     in_rows += in_step[pair[inc]]
-    # one more solution edge lowers amax - alpha by one, saturating at 0
-    in_rows -= (in_rows & amask) != 0
     extras: dict[str, np.ndarray] = {}
     if keep:
         extras["back"] = np.concatenate(
@@ -374,19 +388,36 @@ def _forget(child: _Table, shift: np.uint64, amask: np.uint64, keep: bool) -> _T
 
 
 def _join(
-    left: _Table, right: _Table, ones: np.uint64, amask: np.uint64, keep: bool
+    left: _Table,
+    right: _Table,
+    ones: np.uint64,
+    rem0: np.uint64,
+    rem1: np.uint64,
+    amask: np.uint64,
+    keep: bool,
 ) -> _Table:
     """Pair rows whose base colors agree on every bag slot (red flavors
-    collapse for matching; the merged flavor is the maximum of the two).
-    Incidences add with saturation and alphas add.  ones has the lowest bit
-    of each bag slot's field set.
+    collapse for matching; the merged flavor is the maximum of the two),
+    and keep the pairs that can still be accepted.  Incidences add with
+    saturation and alphas add.  ones has the lowest bit of each bag slot's
+    field set, and rem0 and rem1 the same bit of the slots whose vertex has
+    no edge and one edge left above the join.
 
-    Pairs come out grouped by base ascending, then by left row, then by
+    A pair is dropped when a purple or red vertex has incidence 1 on both
+    sides, or a green vertex cannot reach incidence 2 with the edges left.
+    A purple or red vertex at a rem0 slot must sum to exactly 1, which the
+    key enforces: it holds the left incidence bit and the right complement,
+    so only the pairs 1/0 and 0/1 meet.  The keep mask is computed from the
+    two sides' fields, and only kept pairs are merged.
+
+    Pairs come out grouped by key ascending, then by left row, then by
     right row.  Every field is handled at once through masks over the bag
     fields: r1 (4) is the only color with bit 2, so the base turns it into
-    r0 (3) by subtracting that bit, and an incidence sum (at most 4) fits
-    the three low bits of a field without carrying into the next one."""
+    r0 (3) by subtracting that bit; purple (1) and red (3) are the odd
+    bases; and an incidence sum (at most 4) fits the three low bits of a
+    field without carrying into the next one."""
     colors = ones * np.uint64(7)
+    tight = rem0 << np.uint64(3)  # the incidence bit of each rem0 field
 
     def base(rows: np.ndarray) -> np.ndarray:
         c = rows & colors
@@ -394,28 +425,41 @@ def _join(
 
     lbase = base(left.rows)
     rbase = base(right.rows)
-    lorder = np.argsort(lbase, kind="stable")
-    rorder = np.argsort(rbase, kind="stable")
-    rb = rbase[rorder]
-    lb = lbase[lorder]
-    # each left row meets the run rb[lo:hi] of equal right bases
-    lo = np.searchsorted(rb, lb, "left")
-    run = np.searchsorted(rb, lb, "right") - lo
+    # an odd base shifted by 3 marks a purple or red field's incidence bit
+    lkey = lbase | (left.rows & (lbase << 3) & tight)
+    rkey = rbase | (~right.rows & (rbase << 3) & tight)
+    lorder = np.argsort(lkey, kind="stable")
+    rorder = np.argsort(rkey, kind="stable")
+    rk = rkey[rorder]
+    lk = lkey[lorder]
+    # each left row meets the run rk[lo:hi] of equal right keys
+    lo = np.searchsorted(rk, lk, "left")
+    run = np.searchsorted(rk, lk, "right") - lo
     li = np.repeat(lorder, run)
     starts = np.cumsum(run) - run
     ri = rorder[np.arange(len(li)) + np.repeat(lo - starts, run)]
 
     lr = left.rows[li]
     rr = right.rows[ri]
+    b = lbase[li]
+    three = ones * np.uint64(3)
+    y = ((lr >> 3) & three) + ((rr >> 3) & three)
+    # purple or red at incidence 1 on both sides
+    drop = b & (lr >> 3) & (rr >> 3) & ones
+    # green short of 2 with no edge or one edge left
+    green = (b >> 1) & ~b & ones
+    at_least_2 = ((y >> 1) | (y >> 2)) & ones
+    drop |= green & ((rem0 & ~at_least_2) | (rem1 & ~(y | at_least_2)))
+    kept = np.flatnonzero(drop == 0)
+    li, ri, lr, rr, b, y = (a[kept] for a in (li, ri, lr, rr, b, y))
+
     red1 = ((lr | rr) >> 2) & ones
-    y = ((lr >> 3) & (ones * np.uint64(3))) + ((rr >> 3) & (ones * np.uint64(3)))
     over = ((y >> 2) | ((y >> 1) & y)) & ones  # incidence sum above 2
     y = (y & ~(over * np.uint64(7))) | (over << 1)
-    # the alphas add: (amax - a_l) + (amax - a_r) - amax, saturating at 0
-    comp = (lr & amask) + (rr & amask)
-    np.maximum(comp, amask, out=comp)
-    comp -= amask
-    merged = (base(lr) + red1) | (y << 3) | comp
+    # the alphas add: (amax - a_l) + (amax - a_r) - amax, which stays at or
+    # above 0 because a kept pair's partial solution is a star forest
+    comp = (lr & amask) + (rr & amask) - amask
+    merged = (b + red1) | (y << 3) | comp
     extras = {}
     if keep:
         extras = {"back": li.astype(np.int32), "back2": ri.astype(np.int32)}
@@ -478,11 +522,16 @@ def run_dp(
                 tables[node.children[0]], shift[node.vertex], amask, keep_tables
             )
         elif node.kind == JOIN:
-            ones = np.uint64(sum(1 << int(shift[v]) for v in node.bag))
+            # the bag's field bits, by edges left above: 0, 1, 2 or more
+            by_rem = [0, 0, 0]
+            for v in node.bag:
+                by_rem[min(remaining[idx][v], 2)] |= 1 << int(shift[v])
             table = _join(
                 tables[node.children[0]],
                 tables[node.children[1]],
-                ones,
+                np.uint64(sum(by_rem)),
+                np.uint64(by_rem[0]),
+                np.uint64(by_rem[1]),
                 amask,
                 keep_tables,
             )

@@ -83,7 +83,9 @@ class Graph:
 
     Construction validates simplicity (no loops, no parallel edges) and builds
     the adjacency structure once; all methods afterwards are pure, so a Graph
-    can be shared freely between threads.
+    can be shared freely between threads.  parse_graph and induced_subgraph
+    have already established simplicity and build through _simple, which
+    skips the second check.
     """
 
     __slots__ = ("n", "m", "edges", "adj", "__dict__")
@@ -92,9 +94,8 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         seen: set[tuple[int, int]] = set()
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         normalized: list[tuple[int, int]] = []
-        for eid, (u, v) in enumerate(edges):
+        for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -104,11 +105,24 @@ class Graph:
                 raise ValueError(f"parallel edge ({u}, {v})")
             seen.add(key)
             normalized.append((u, v))
+        self._build(n, normalized)
+
+    @classmethod
+    def _simple(cls, n: int, edges: list[tuple[int, int]]) -> "Graph":
+        """A Graph from edges the caller has already checked: in range, no
+        loops and no parallel edges."""
+        g = cls.__new__(cls)
+        g._build(n, edges)
+        return g
+
+    def _build(self, n: int, edges: list[tuple[int, int]]) -> None:
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for eid, (u, v) in enumerate(edges):
             adj[u].append((v, eid))
             adj[v].append((u, eid))
         self.n = n
-        self.m = len(normalized)
-        self.edges: tuple[tuple[int, int], ...] = tuple(normalized)
+        self.m = len(edges)
+        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
         self.adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple(lst) for lst in adj
         )
@@ -232,7 +246,8 @@ def parse_graph(text: str | Iterable[str]) -> Graph:
         raise GraphFormatError(
             f"declared {m_declared} edges but found {len(edges)}"
         )
-    return Graph(n, edges)
+    # the loop above has checked range, loops and duplicates
+    return Graph._simple(n, edges)
 
 
 def emit_graph(g: Graph) -> str:
@@ -392,4 +407,5 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
         for u, v in g.edges
         if u in relabel and v in relabel
     ]
-    return Graph(len(kept), edges)
+    # the edges of a simple graph stay simple under an injective relabeling
+    return Graph._simple(len(kept), edges)

@@ -286,14 +286,15 @@ class TestRunDp:
         assert run_reference(g, nd).gamma_prime == want
 
     def test_bound_counts_the_codes_a_join_makes(self):
-        # A join adds incidences, so a purple or red vertex can reach
-        # incidence 2 there (such a row dies at its forget): 13 codes per
-        # field, not the 10 the other nodes use.  On this tree rooted at bag
-        # 33, a join over a two-vertex bag holds 143 rows, above 10^2.
+        # A join adds incidences, so a purple or red vertex could reach
+        # incidence 2 there; the join drops such pairs, so every field keeps
+        # to the 10 codes the other nodes use.  On this tree rooted at bag
+        # 33, a join over a two-vertex bag would otherwise hold 143 rows,
+        # above 10^2; with the pruning no table exceeds 38.
         g = gen(GenSpec("tree", 47, seed=1027834953))
         nd = make_nice(g, rooted_at(td_min_fill(g), 33))
         result = run_dp(g, nd)
-        assert nd.width == 1 and result.max_table_size == 143
+        assert nd.width == 1 and result.max_table_size == 38
         assert result.max_table_size <= state_space_bound(nd.width)
         assert result.gamma_prime == run_reference(g, nd).gamma_prime
 
@@ -364,33 +365,76 @@ class TestPackingBoundary:
 
 class TestAlphaSaturation:
     """A row whose partial solution is no star forest can have more than
-    n - 1 edges.  Its alpha saturates at 2^a - 1 instead of borrowing from
-    the fields above the a alpha bits.  Here n = 8, so a = 3."""
+    n - 1 edges, which would overflow the a alpha bits into the fields.  No
+    node keeps such a row, so alpha needs no saturation.  Here n = 8, so
+    a = 3 (TestStarForestTables checks every table)."""
 
     AMASK = np.uint64(7)
 
     def test_at_a_join(self):
         # one bag vertex in slot 0, purple with one edge on each side, and
-        # partial solutions of 5 and 4 edges: the merged row is purple at
-        # incidence 2 with alpha 7
+        # partial solutions of 5 and 4 edges: 9 edges on 8 vertices, and
+        # the join drops the pair
         purple1 = PURPLE | 1 << 3
         left = ueds.dp._Table(np.array([purple1 << 3 | 7 - 5], dtype=np.uint64), {})
         right = ueds.dp._Table(np.array([purple1 << 3 | 7 - 4], dtype=np.uint64), {})
         ones = np.uint64(1 << 3)
-        out = ueds.dp._join(left, right, ones, self.AMASK, False)
-        assert out.rows.tolist() == [(PURPLE | 2 << 3) << 3]
+        none = np.uint64(0)
+        out = ueds.dp._join(left, right, ones, none, none, self.AMASK, False)
+        assert out.rows.tolist() == []
 
-    def test_at_an_included_edge(self):
-        # u (slot 0) green at incidence 2, v (slot 1) r0, alpha already 7:
-        # including uv keeps alpha at 7 and bumps v to incidence 1
-        row = (GREEN | 2 << 3 | RED0 << 5) << 3
-        child = ueds.dp._Table(np.array([row], dtype=np.uint64), {})
-        rules = ueds.dp._edge_rules(2, 2)
-        out = ueds.dp._introduce_edge(
-            child, np.uint64(3), np.uint64(8), rules, self.AMASK, True
+
+def join_one_slot(color, yl, yr, rem, alphas=(0, 0)):
+    """_join on one-row tables over a single bag vertex in slot 0 (n = 8,
+    three alpha bits) with rem edges left above the join; the merged rows
+    with their back-references."""
+    def table(y, alpha):
+        return ueds.dp._Table(
+            np.array([(color | y << 3) << 3 | 7 - alpha], dtype=np.uint64), {}
         )
-        took = out.rows[out.extras["took"]].tolist()
-        assert took == [(GREEN | 2 << 3 | (RED0 | 1 << 3) << 5) << 3]
+
+    ones = np.uint64(1 << 3)
+    rem0 = ones if rem == 0 else np.uint64(0)
+    rem1 = ones if rem == 1 else np.uint64(0)
+    out = ueds.dp._join(
+        table(yl, alphas[0]), table(yr, alphas[1]), ones, rem0, rem1,
+        np.uint64(7), True,
+    )
+    return out.rows.tolist(), out.extras
+
+
+class TestPackedJoin:
+    """_join keeps only pairs that can still be accepted."""
+
+    @pytest.mark.parametrize("color", [PURPLE, RED0, RED1])
+    @pytest.mark.parametrize("rem", [0, 1, 2])
+    def test_a_dead_pair_is_dropped(self, color, rem):
+        rows, extras = join_one_slot(color, 1, 1, rem, alphas=(1, 1))
+        assert rows == [] and extras["back"].tolist() == []
+
+    @pytest.mark.parametrize("color", [PURPLE, RED0])
+    @pytest.mark.parametrize("yl,yr,kept", [
+        (0, 0, False), (1, 1, False), (1, 0, True), (0, 1, True),
+    ])
+    def test_a_tight_slot_sums_to_one(self, color, yl, yr, kept):
+        rows, _ = join_one_slot(color, yl, yr, rem=0, alphas=(yl, yr))
+        assert rows == ([(color | 1 << 3) << 3 | 7 - 1] if kept else [])
+
+    @pytest.mark.parametrize("rem", [1, 2])
+    def test_a_slot_with_edges_left_keeps_zero_zero(self, rem):
+        rows, extras = join_one_slot(PURPLE, 0, 0, rem)
+        assert rows == [PURPLE << 3 | 7]
+        assert (extras["back"].tolist(), extras["back2"].tolist()) == ([0], [0])
+
+    @pytest.mark.parametrize("yl,yr,rem,kept", [
+        (1, 0, 0, False), (1, 1, 0, True), (2, 0, 0, True),
+        (0, 0, 1, False), (1, 0, 1, True), (0, 0, 2, True),
+    ])
+    def test_green_needs_two_with_the_edges_left(self, yl, yr, rem, kept):
+        rows, _ = join_one_slot(GREEN, yl, yr, rem)
+        assert bool(rows) == kept
+        if kept:
+            assert rows == [(GREEN | min(yl + yr, 2) << 3) << 3 | 7]
 
 
 class TestSlots:
@@ -491,6 +535,79 @@ class TestAboveTwelveVertices:
         assert witness.size == gamma and is_minimal_eds(g, witness)
 
 
+class TestStarForestTables:
+    """Every table of run_dp, on min-fill and re-rooted decompositions with
+    both edge placements: each field holds one of the 10 codes with purple
+    and red at incidence 1 or below, alpha <= n - 1, at most 10^(w+1) rows,
+    and after a join every bag vertex can still reach its target with the
+    edges introduced outside the join's subtree."""
+
+    @staticmethod
+    def _edges_left(g, nd, idx):
+        """Per vertex, its edges introduced outside node idx's subtree."""
+        left = [g.degree(v) for v in range(g.n)]
+        stack = [idx]
+        while stack:
+            node = nd.nodes[stack.pop()]
+            if node.edge is not None:
+                for v in node.edge:
+                    left[v] -= 1
+            stack.extend(node.children)
+        return left
+
+    def _check(self, g, nd):
+        """Check every table of run_dp(g, nd) and return its gamma'."""
+        built = []
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for name in ("_introduce", "_introduce_edge", "_forget", "_join"):
+                def recorded(*args, _build=getattr(ueds.dp, name)):
+                    built.append(_build(*args))
+                    return built[-1]
+
+                monkeypatch.setattr(ueds.dp, name, recorded)
+            result = run_dp(g, nd)
+
+        a = (g.n - 1).bit_length()
+        amask = (1 << a) - 1
+        slot = assign_slots(nd, g.n)
+        codes = {BLACK} | {c | y << 3 for c in (PURPLE, RED0, RED1) for y in (0, 1)}
+        codes |= {GREEN | y << 3 for y in (0, 1, 2)}
+        inner = [(idx, node) for idx, node in enumerate(nd.nodes) if node.children]
+        assert len(built) == len(inner)
+        for (idx, node), table in zip(inner, built):
+            rows = [int(r) for r in table.rows]
+            assert len(rows) <= state_space_bound(nd.width)
+            assert len(set(rows)) == len(rows)
+            left = self._edges_left(g, nd, idx) if node.kind == JOIN else None
+            for row in rows:
+                assert amask - (row & amask) <= g.n - 1
+                fields = row >> a
+                for v in node.bag:
+                    code = fields >> 5 * slot[v] & 31
+                    fields &= ~(31 << 5 * slot[v])
+                    assert code in codes, (node.kind, v, code)
+                    if left is not None:
+                        color, y = code & 7, code >> 3
+                        if color == GREEN:
+                            assert y + left[v] >= 2
+                        elif color != BLACK:
+                            assert y == 1 or left[v] >= 1
+                assert fields == 0  # no field outside the bag
+        return result.gamma_prime
+
+    @given(st.one_of(graphs(max_n=8), sparse_graphs(min_n=6, max_n=12, extra=4)))
+    @settings(max_examples=40, deadline=None)
+    def test_every_table(self, g):
+        want = upper_eds_exact(g, limit=28).gamma_prime
+        td = td_min_fill(g)
+        degree = [len(adj) for adj in td.neighbors()]
+        hub = degree.index(max(degree, default=0)) if td.bags else 0
+        for tree in (td, rooted_at(td, hub)):
+            for placement in ("early", "late"):
+                nd = make_nice(g, tree, edge_placement=placement)
+                assert self._check(g, nd) == want
+
+
 class TestPinnedOutput:
     """Table sizes and witnesses of the DP on fixed graphs.  Pruning or
     tie-breaking changes show up here even when gamma' does not move."""
@@ -526,9 +643,9 @@ class TestPinnedOutput:
         [
             (GenSpec("cycle", 9), 0, 4, 28, 1302, 176,
              [(1, 2), (3, 4), (6, 7), (7, 8)]),
-            (GenSpec("tree", 11, seed=5), 2, 4, 41, 356, 24,
+            (GenSpec("tree", 11, seed=5), 2, 4, 41, 332, 24,
              [(7, 6), (1, 5), (10, 2), (9, 8)]),
-            (GenSpec("gnp", 12, 0.3, 24), 2, 6, 59, 57993, 22589,
+            (GenSpec("gnp", 12, 0.3, 24), 2, 6, 59, 25345, 3524,
              [(1, 4), (2, 3), (2, 8), (5, 6), (6, 12), (7, 11)]),
         ],
     )

@@ -231,6 +231,18 @@ class TestGraphBasics:
         assert h.n == 2 or h.n == 3
         assert h.edges == ((0, 1), (1, 2))
 
+    @given(graphs(max_n=8))
+    @settings(max_examples=40, deadline=None)
+    def test_unchecked_builds_match_the_checked_constructor(self, g):
+        # parse_graph and induced_subgraph skip Graph's simplicity check
+        even = [(u // 2, v // 2) for u, v in g.edges if u % 2 == 0 and v % 2 == 0]
+        for built, want in (
+            (parse_graph(emit_graph(g)), Graph(g.n, list(g.edges))),
+            (induced_subgraph(g, range(0, g.n, 2)), Graph((g.n + 1) // 2, even)),
+        ):
+            assert (built.n, built.m, built.edges) == (want.n, want.m, want.edges)
+            assert built.adj == want.adj
+
     def test_edge_neighborhood_masks(self, p4):
         masks = p4.edge_neighborhood_masks
         assert masks[0] == 0b011 and masks[1] == 0b111 and masks[2] == 0b110
