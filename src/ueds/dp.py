@@ -69,15 +69,18 @@ every row with one gather each.
 
 Pruning.  Black-black edges, forgets of an uncertified red and a purple or
 red incidence above one are discarded.  On top of that, a state is dropped
-when a bag vertex can no longer reach its target incidence with the edges
-still to be introduced above the current node.  The lookups fold this check
-in, so a dead row is never gathered.  A join prunes the same way, from the
-two sides' fields before it merges them: it drops a pair in which a purple
-or red vertex has one solution edge on each side, or a green vertex is short
-of two with the edges left above the join.  A purple or red vertex with no
-edge left above the join must leave it at incidence exactly one, so its
-incidence bit goes into the left side's join key and the complement into the
-right side's, and the pairs 0/0 and 1/1 are never built.
+when a bag vertex can no longer reach its target with the edges still to be
+introduced above the current node.  An r0 vertex needs one more edge than
+its incidence target: its certificate is an excluded edge to a black
+neighbor.  The lookups fold this check in, so a dead row is never gathered.
+A join prunes the same way, from the two sides' fields before it merges
+them: it drops a pair in which a purple or red vertex has one solution edge
+on each side, a green vertex is short of two with the edges left above the
+join, or a vertex r0 on both sides has too few edges left to be certified.
+A purple or red vertex with no edge left above the join must leave it at
+incidence exactly one, so its incidence bit goes into the left side's join
+key and the complement into the right side's, and the pairs 0/0 and 1/1 are
+never built.
 
 Dedupe.  Rows with equal fields collapse to the first row after one stable
 sort, which is the one of largest alpha.
@@ -208,11 +211,14 @@ def _dedupe(rows: np.ndarray, extras: dict, amask: np.uint64) -> _Table:
 def _alive(color: np.ndarray, y: np.ndarray, remaining: int) -> np.ndarray:
     """Can this vertex still reach its color's target incidence given how many
     of its edges are yet to be introduced?  Black needs nothing (its incidence
-    never grows), purple and red must end at exactly one, green at >= 2."""
-    need_one = (color != BLACK) & (color != GREEN)
+    never grows), purple and r1 must end at exactly one, green at >= 2.  An
+    r0 vertex must end at one too, and it also still needs an excluded edge
+    to a black neighbor: at incidence 1 it needs one edge left, at 0 two."""
+    need_one = (color == PURPLE) | (color == RED1)
     return (
         (color == BLACK)
         | (need_one & ((y == 1) | (remaining >= 1)))
+        | ((color == RED0) & (y <= 1) & (y + remaining >= 2))
         | ((color == GREEN) & (y + remaining >= 2))
     )
 
@@ -404,7 +410,9 @@ def _join(
     no edge and one edge left above the join.
 
     A pair is dropped when a purple or red vertex has incidence 1 on both
-    sides, or a green vertex cannot reach incidence 2 with the edges left.
+    sides, a green vertex cannot reach incidence 2 with the edges left, or a
+    vertex r0 on both sides has no edge left, or one edge and incidence 0
+    (it needs an included edge and an excluded one to a black neighbor).
     A purple or red vertex at a rem0 slot must sum to exactly 1, which the
     key enforces: it holds the left incidence bit and the right complement,
     so only the pairs 1/0 and 0/1 meet.  The keep mask is computed from the
@@ -449,7 +457,12 @@ def _join(
     # green short of 2 with no edge or one edge left
     green = (b >> 1) & ~b & ones
     at_least_2 = ((y >> 1) | (y >> 2)) & ones
-    drop |= green & ((rem0 & ~at_least_2) | (rem1 & ~(y | at_least_2)))
+    empty = ~(y | at_least_2)  # incidence sum 0
+    drop |= green & ((rem0 & ~at_least_2) | (rem1 & empty))
+    # r0 on both sides (base red, neither side r1) with no edge left, or
+    # with one edge left and no solution edge yet
+    r0 = b & (b >> 1) & ~((lr | rr) >> 2)
+    drop |= r0 & (rem0 | (rem1 & empty))
     kept = np.flatnonzero(drop == 0)
     li, ri, lr, rr, b, y = (a[kept] for a in (li, ri, lr, rr, b, y))
 

@@ -6,20 +6,22 @@ the minimal hitting sets of the hypergraph {N[e] : e in E} (Eiter & Gottlob,
 "Identifying the minimal transversals of a hypergraph", 1995).  The enumerator
 branches on the first undominated edge: each member of its neighborhood is
 tried in turn, banning the previously tried members for the rest of that
-subtree.  Every minimal set is reached along exactly one branch; leaves that
-are dominating but not minimal are dropped by the private-edge test.
+subtree.  Every minimal set is reached along exactly one branch.
 
 The branching is level-synchronous over numpy: the frontier is a pair of
 uint64 arrays (chosen edges, banned edges), and one step expands every row at
-once.  A row's branch edge is its first edge whose neighborhood misses the
-chosen set; rows without one are leaves.  The leaves of a step are filtered
-together: with hits[f] the number of chosen edges in N[f], a leaf is kept when
-no hit count is 0 and every chosen edge e has some f in N[e] with hits[f] == 1,
-which is one AND of N[e] with the leaf's mask of such private edges f.  Steps
-take at most BLOCK_ROWS rows, and the children of a block are expanded before
-its siblings, so memory is bounded by the depth times the block's fan-out,
-not by the number of leaves.  Masks are uint64, so m is at most 64 whatever
-the limit.
+once.  Each step first computes hits[f], the number of chosen edges in N[f],
+for every edge f of every row.  A row is dropped when some chosen edge e has
+no private edge, an f in N[e] with hits[f] == 1; this is one AND of N[e] with
+the row's mask of such f.  Hit counts only grow along a branch, so no dropped
+row has a minimal descendant (the critical-edge test of MMCS: Murakami & Uno,
+"Efficient algorithms for dualizing large-scale hypergraphs", 2014).  A
+surviving row's branch edge is its first edge with hits[f] == 0, and a row
+without one is a leaf: it dominates and each member has a private edge, so
+every leaf is a minimal set.  Steps take at most BLOCK_ROWS rows, and the
+children of a block are expanded before its siblings, so memory is bounded
+by the depth times the block's fan-out, not by the number of leaves.  Masks
+are uint64, so m is at most 64 whatever the limit.
 
 A vectorized full scan over all 2^m subsets (`bitforce_minimal_masks`) is kept
 as an independent second route; the two are cross-checked in the test suite,
@@ -87,11 +89,18 @@ def _minimal_masks(g: Graph) -> np.ndarray:
         if len(mask) > BLOCK_ROWS:
             stack.append((mask[BLOCK_ROWS:], banned[BLOCK_ROWS:]))
             mask, banned = mask[:BLOCK_ROWS], banned[:BLOCK_ROWS]
-        undominated = (nbr[:, None] & mask) == 0
+        hits = np.bitwise_count(nbr[:, None] & mask)
+        # Keep the rows whose chosen edges all have a private edge.  The
+        # private edges of a row form a sum of disjoint bits.  (A float
+        # product with the closed-neighborhood matrix gives the same test,
+        # but OpenBLAS spends a second core on it for no gain in wall time.)
+        private = ((hits == 1) * edge_bit[:, None]).sum(axis=0)
+        member = (edge_bit[:, None] & mask) != 0
+        keep = ~(member & ((nbr[:, None] & private) == 0)).any(axis=0)
+        undominated = hits[:, keep] == 0
+        mask, banned = mask[keep], banned[keep]
         inner = undominated.any(axis=0)
-        leaves = mask[~inner]
-        if len(leaves):
-            found.append(leaves[_minimal(leaves, nbr, edge_bit)])
+        found.append(mask[~inner])  # every leaf left is a minimal set
         if not inner.any():
             continue
         mask, banned = mask[inner], banned[inner]
@@ -103,20 +112,6 @@ def _minimal_masks(g: Graph) -> np.ndarray:
         cand = cand[rows]
         stack.append((mask[rows] | low, banned[rows] | (cand & (low - one))))
     return np.sort(np.concatenate(found))
-
-
-def _minimal(leaves: np.ndarray, nbr: np.ndarray, edge_bit: np.ndarray) -> np.ndarray:
-    """Which leaves are minimal edge dominating sets: every edge is hit, and
-    every member edge has a private edge (one hit exactly once) in its closed
-    neighborhood."""
-    hits = np.bitwise_count(nbr[:, None] & leaves)
-    # The mask of private edges: a sum of disjoint bits.  (A float product
-    # with the closed-neighborhood matrix gives the same test, but OpenBLAS
-    # spends a second core on it for no gain in wall time.)
-    private = ((hits == 1) * edge_bit[:, None]).sum(axis=0)
-    has_private = (nbr[:, None] & private) != 0
-    member = (edge_bit[:, None] & leaves) != 0
-    return (hits > 0).all(axis=0) & ~(member & ~has_private).any(axis=0)
 
 
 def bitforce_minimal_masks(g: Graph, limit: int = BITFORCE_EDGE_LIMIT) -> list[int]:

@@ -218,10 +218,10 @@ def gamma_prime(
     """Exact upper edge domination number.
 
     method "oracle" enumerates (m <= oracle_limit), "dp" runs the dynamic
-    program over the min-fill elimination decomposition, or over td when one
-    is given, "auto" picks the oracle for small edge counts and the DP
-    otherwise (always the DP when td is given).  Both methods agree wherever both apply; the test suite enforces
-    that.
+    program over the min-fill elimination decomposition, or over td when
+    one is given, "auto" picks the oracle for small edge counts and the DP
+    otherwise (always the DP when td is given).  Both methods agree
+    wherever both apply; the test suite enforces that.
     """
     if method not in ("auto", "dp", "oracle"):
         raise ValueError(f"unknown method {method!r}")

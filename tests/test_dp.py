@@ -327,10 +327,16 @@ class TestPackingBoundary:
                     assert witness.size == want and is_minimal_eds(g, witness)
 
     def test_star_centered_on_the_highest_vertex(self, monkeypatch):
+        # a star on center 11 with legs i-11 and i-(i+5) for i < 5 and a
+        # leaf 10: a red leg i is certified by a black i + 5, so the center
+        # can be green with incidence 2 in a solution (K1,11 has no such
+        # solution, and the DP drops that state there)
         n = 12
-        g = Graph(n, [(leaf, n - 1) for leaf in range(n - 1)])
-        # the center is forgotten first, below the bag of all leaves, so it
-        # takes the top slot
+        edges = [(i, 11) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        g = Graph(n, sorted(edges + [(10, 11)]))
+        assert upper_eds_exact(g).gamma_prime == 6
+        # the center is forgotten first, below the bag of all other
+        # vertices, so it takes the top slot
         td = TreeDecomposition(
             n=n, bags=(tuple(range(n - 1)), tuple(range(n))), tree_edges=((0, 1),)
         )
@@ -384,20 +390,22 @@ class TestAlphaSaturation:
         assert out.rows.tolist() == []
 
 
-def join_one_slot(color, yl, yr, rem, alphas=(0, 0)):
+def join_one_slot(color, yl, yr, rem, alphas=(0, 0), right_color=None):
     """_join on one-row tables over a single bag vertex in slot 0 (n = 8,
     three alpha bits) with rem edges left above the join; the merged rows
-    with their back-references."""
-    def table(y, alpha):
+    with their back-references.  The right side takes color too unless
+    right_color is given."""
+    def table(c, y, alpha):
         return ueds.dp._Table(
-            np.array([(color | y << 3) << 3 | 7 - alpha], dtype=np.uint64), {}
+            np.array([(c | y << 3) << 3 | 7 - alpha], dtype=np.uint64), {}
         )
 
     ones = np.uint64(1 << 3)
     rem0 = ones if rem == 0 else np.uint64(0)
     rem1 = ones if rem == 1 else np.uint64(0)
+    rc = color if right_color is None else right_color
     out = ueds.dp._join(
-        table(yl, alphas[0]), table(yr, alphas[1]), ones, rem0, rem1,
+        table(color, yl, alphas[0]), table(rc, yr, alphas[1]), ones, rem0, rem1,
         np.uint64(7), True,
     )
     return out.rows.tolist(), out.extras
@@ -412,13 +420,27 @@ class TestPackedJoin:
         rows, extras = join_one_slot(color, 1, 1, rem, alphas=(1, 1))
         assert rows == [] and extras["back"].tolist() == []
 
-    @pytest.mark.parametrize("color", [PURPLE, RED0])
-    @pytest.mark.parametrize("yl,yr,kept", [
+    @pytest.mark.parametrize("color", [PURPLE, RED0, RED1])
+    @pytest.mark.parametrize("yl,yr,sums_to_one", [
         (0, 0, False), (1, 1, False), (1, 0, True), (0, 1, True),
     ])
-    def test_a_tight_slot_sums_to_one(self, color, yl, yr, kept):
+    def test_a_tight_slot_sums_to_one(self, color, yl, yr, sums_to_one):
+        # r0 on both sides has no edge left to a black neighbor to certify it
         rows, _ = join_one_slot(color, yl, yr, rem=0, alphas=(yl, yr))
+        kept = sums_to_one and color != RED0
         assert rows == ([(color | 1 << 3) << 3 | 7 - 1] if kept else [])
+
+    @pytest.mark.parametrize("yl,yr", [(1, 0), (0, 1)])
+    def test_one_certified_side_makes_r1(self, yl, yr):
+        rows, _ = join_one_slot(RED0, yl, yr, rem=0, right_color=RED1)
+        assert rows == [(RED1 | 1 << 3) << 3 | 7]
+
+    @pytest.mark.parametrize("yl,yr,rem,kept", [
+        (0, 0, 1, False), (1, 0, 1, True), (0, 1, 1, True), (0, 0, 2, True),
+    ])
+    def test_r0_on_both_sides_needs_an_edge_left(self, yl, yr, rem, kept):
+        rows, _ = join_one_slot(RED0, yl, yr, rem)
+        assert rows == ([(RED0 | (yl + yr) << 3) << 3 | 7] if kept else [])
 
     @pytest.mark.parametrize("rem", [1, 2])
     def test_a_slot_with_edges_left_keeps_zero_zero(self, rem):
@@ -435,6 +457,33 @@ class TestPackedJoin:
         assert bool(rows) == kept
         if kept:
             assert rows == [(GREEN | min(yl + yr, 2) << 3) << 3 | 7]
+
+
+class TestLiveness:
+    """_alive and _live_colors on hand-built fields."""
+
+    @pytest.mark.parametrize("y,rem,alive", [
+        (0, 0, False), (0, 1, False), (0, 2, True),
+        (1, 0, False), (1, 1, True), (1, 2, True),
+    ])
+    def test_r0_needs_an_edge_left_for_its_certificate(self, y, rem, alive):
+        assert bool(ueds.dp._alive(np.array(RED0), np.array(y), rem)) == alive
+
+    @pytest.mark.parametrize("color", [PURPLE, RED1])
+    @pytest.mark.parametrize("y,rem,alive", [
+        (0, 0, False), (0, 1, True), (1, 0, True), (1, 1, True),
+    ])
+    def test_purple_and_r1_need_one_edge(self, color, y, rem, alive):
+        assert bool(ueds.dp._alive(np.array(color), np.array(y), rem)) == alive
+
+    @pytest.mark.parametrize("rem,colors", [
+        (0, (BLACK,)),
+        (1, (BLACK, PURPLE)),
+        (2, (BLACK, PURPLE, GREEN, RED0)),
+    ])
+    def test_introduced_colors(self, rem, colors):
+        # r0 and green need two edges at incidence 0, purple one
+        assert ueds.dp._live_colors(rem) == colors
 
 
 class TestSlots:
@@ -608,6 +657,9 @@ class TestStarForestTables:
                 assert self._check(g, nd) == want
 
 
+PINNED_IDS = ["cycle-n9", "tree-n11-s5", "gnp-n12-p0.3-s24"]
+
+
 class TestPinnedOutput:
     """Table sizes and witnesses of the DP on fixed graphs.  Pruning or
     tie-breaking changes show up here even when gamma' does not move."""
@@ -615,13 +667,14 @@ class TestPinnedOutput:
     @pytest.mark.parametrize(
         "spec,m,gamma,nodes,rows_sum,rows_max,witness",
         [
-            (GenSpec("cycle", 9), 9, 4, 28, 3041, 756,
+            (GenSpec("cycle", 9), 9, 4, 28, 1140, 228,
              [(1, 2), (2, 3), (5, 6), (7, 8)]),
-            (GenSpec("tree", 11, seed=5), 10, 4, 33, 8076, 1520,
+            (GenSpec("tree", 11, seed=5), 10, 4, 33, 2484, 528,
              [(6, 1), (10, 2), (9, 8), (5, 11)]),
-            (GenSpec("gnp", 12, 0.3, 24), 20, 6, 45, 747697, 120740,
+            (GenSpec("gnp", 12, 0.3, 24), 20, 6, 45, 215145, 49672,
              [(3, 9), (4, 7), (4, 10), (5, 9), (6, 9), (8, 9)]),
         ],
+        ids=PINNED_IDS,
     )
     def test_sizes_and_witness(
         self, spec, m, gamma, nodes, rows_sum, rows_max, witness
@@ -641,13 +694,14 @@ class TestPinnedOutput:
     @pytest.mark.parametrize(
         "spec,joins,gamma,nodes,rows_sum,rows_max,witness",
         [
-            (GenSpec("cycle", 9), 0, 4, 28, 1302, 176,
+            (GenSpec("cycle", 9), 0, 4, 28, 937, 132,
              [(1, 2), (3, 4), (6, 7), (7, 8)]),
-            (GenSpec("tree", 11, seed=5), 2, 4, 41, 332, 24,
+            (GenSpec("tree", 11, seed=5), 2, 4, 41, 269, 20,
              [(7, 6), (1, 5), (10, 2), (9, 8)]),
-            (GenSpec("gnp", 12, 0.3, 24), 2, 6, 59, 25345, 3524,
+            (GenSpec("gnp", 12, 0.3, 24), 2, 6, 59, 22574, 2865,
              [(1, 4), (2, 3), (2, 8), (5, 6), (6, 12), (7, 11)]),
         ],
+        ids=PINNED_IDS,
     )
     def test_pipeline_choice(
         self, spec, joins, gamma, nodes, rows_sum, rows_max, witness

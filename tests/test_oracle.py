@@ -133,8 +133,19 @@ class TestExactValue:
             (GenSpec("gnp", 11, 0.4, seed=5_000_016), 22, (6, 1293, 0x407C)),
             (GenSpec("tree", 30), 64, (12, 11352, 0x426B1F)),
             (GenSpec("cycle", 20), 22, (10, 851, 0x33333)),
+            # sparse graphs with deep branches whose chosen edges lose their
+            # private edges long before the leaves
+            (GenSpec("path", 24), 64, (12, 2029, 0x555555)),
+            (GenSpec("tree", 36, seed=2), 64, (16, 63743, 0x8AA2B2AF)),
         ],
-        ids=["gnp-n11-m22-a", "gnp-n11-m22-b", "tree-n30", "cycle-n20"],
+        ids=[
+            "gnp-n11-m22-a",
+            "gnp-n11-m22-b",
+            "tree-n30",
+            "cycle-n20",
+            "path-n24",
+            "tree-n36-s2",
+        ],
     )
     def test_pinned_output(self, spec, limit, want):
         r = upper_eds_exact(gen(spec), limit=limit)
