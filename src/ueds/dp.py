@@ -67,6 +67,23 @@ branch, whether a row survives and the increments to both fields).  The
 tables are built from the color rules and the pruning below, and applied to
 every row with one gather each.
 
+Folded introduces.  An introduce writes one copy of its child per live
+color, and most of those copies are read once by the node right above it,
+so run_dp builds no table for an introduce whose parent can apply it:
+
+- an introduce of x below an introduce-edge on x (x's first edge): the
+  edge node reads the introduce's child, through one lookup over the code of
+  the other endpoint with a row per (branch, color of x) outcome, excluded
+  branch first, then by color.  Its candidate rows come out in the order of
+  the two separate nodes, so dedupe keeps the same rows;
+- an introduce in the chain of introduces right below a join: that side's
+  table lacks the vertex, and the join carries the field from the other side
+  (below, one-sided slots).  A vertex introduced in the chains of both sides
+  stays built on the right.
+
+Either way the parent's back-references point into the introduce's child,
+and node_stats still reports the nice-form table the introduce stands for.
+
 Pruning.  Black-black edges, forgets of an uncertified red and a purple or
 red incidence above one are discarded.  On top of that, a state is dropped
 when a bag vertex can no longer reach its target with the edges still to be
@@ -80,7 +97,12 @@ join, or a vertex r0 on both sides has too few edges left to be certified.
 A purple or red vertex with no edge left above the join must leave it at
 incidence exactly one, so its incidence bit goes into the left side's join
 key and the complement into the right side's, and the pairs 0/0 and 1/1 are
-never built.
+never built.  The keys, the drops and the merge run over the slots both
+sides hold.  A one-sided slot, whose vertex was introduced right below the
+join on the other side, is copied from the side that holds it: the vertex
+has no edge in the other subtree, so the nice form would pair each row with
+the one copy of its color at incidence 0, and the row passed _alive with the
+join's remaining count already.
 
 Dedupe.  Rows with equal fields collapse to the first row after one stable
 sort, which is the one of largest alpha.
@@ -128,9 +150,12 @@ _INC = _CODES >> 3
 
 @dataclass
 class DPResult:
-    """Answer plus diagnostics of one dynamic-programming run.  With
-    keep_tables, backrefs holds each node's back-reference arrays and
-    root_row the accepting root row, which the witness walk starts from."""
+    """Answer plus diagnostics of one dynamic-programming run.  node_stats
+    gives every node's table size in the nice form; a folded introduce,
+    which builds no table, reports its child's size times its live colors.
+    With keep_tables, backrefs holds each node's back-reference arrays
+    (empty for a folded introduce) and root_row the accepting root row,
+    which the witness walk starts from."""
 
     gamma_prime: int
     width: int
@@ -384,6 +409,74 @@ def _introduce_edge(
     return _dedupe(np.concatenate([ex_rows, in_rows]), extras, amask)
 
 
+class _Fused(NamedTuple):
+    """An introduce of x and the introduce-edge on xw above it as one
+    lookup over code_w: per (branch, color of x) outcome, excluded branch
+    first, whether a row survives and its increment (x's color, both
+    fields' edge increments and, on the included branch, one more edge)."""
+
+    ok: np.ndarray  # (outcomes, 32) bool
+    step: np.ndarray  # outcomes * 32 uint64, at outcome * 32 + code_w
+    excluded: int  # outcomes of the excluded branch
+
+
+# (id(rules), rem_x, x_is_v, su, sv) -> (rules, lookup).  Keying on the rules
+# object itself means a lookup always comes from the rules in use; each entry
+# holds its rules, so no other object can take that id while the entry
+# lives.  Emptied when it reaches 4,096 entries.
+_FUSED: dict[tuple, tuple[_EdgeRules, _Fused]] = {}
+
+
+def _fused_rules(
+    rules: _EdgeRules, rem_x: int, x_is_v: bool, su: np.uint64, sv: np.uint64
+) -> _Fused:
+    """The lookup of an edge uv whose endpoint x (v when x_is_v, else u) is
+    introduced right below it with rem_x edges left, clamped to 2."""
+    key = (id(rules), rem_x, x_is_v, su, sv)
+    hit = _FUSED.get(key)
+    if hit is not None:
+        return hit[1]
+    colors = np.array(_live_colors(rem_x), dtype=np.int64)
+    codes = _CODES.view(np.int64)[None, :]
+    if x_is_v:
+        pair, sx = codes * 32 + colors[:, None], sv
+    else:
+        pair, sx = colors[:, None] * 32 + codes, su
+    put = colors.astype(np.uint64)[:, None] << sx
+    fused = _Fused(
+        np.concatenate([rules.ex_ok[pair], rules.in_ok[pair]]),
+        np.concatenate([
+            (rules.ex_du[pair] << su) + (rules.ex_dv[pair] << sv) + put,
+            (rules.in_du[pair] << su) + (rules.in_dv[pair] << sv) + put - np.uint64(1),
+        ]).ravel(),
+        len(colors),
+    )
+    if len(_FUSED) >= 4096:
+        _FUSED.clear()
+    _FUSED[key] = (rules, fused)
+    return fused
+
+
+def _introduce_edge_fused(
+    child: _Table, sw: np.uint64, fused: _Fused, amask: np.uint64, keep: bool
+) -> _Table:
+    """An introduce-edge node on xw over the child of x's introduce, which
+    builds no table; sw is the shift of w.  Outcome-major order matches the
+    separate nodes: excluded rows, then included ones, each by x's color and
+    then by child row."""
+    rows = child.rows
+    code = ((rows >> sw) & 31).view(np.int64)
+    # np.take keeps the (outcome, row) result C-ordered, unlike ok[:, code]
+    outcome, r = np.divmod(np.flatnonzero(np.take(fused.ok, code, axis=1)), len(rows))
+    out = rows[r]
+    out += fused.step[outcome * 32 + code[r]]
+    extras: dict[str, np.ndarray] = {}
+    if keep:
+        extras["back"] = r.astype(np.int32)
+        extras["took"] = outcome >= fused.excluded
+    return _dedupe(out, extras, amask)
+
+
 def _forget(child: _Table, shift: np.uint64, amask: np.uint64, keep: bool) -> _Table:
     satisfied = _SATISFIED[((child.rows >> shift) & 31).view(np.int64)]
     rows = child.rows[satisfied] & ~(np.uint64(31) << shift)
@@ -399,15 +492,18 @@ def _join(
     ones: np.uint64,
     rem0: np.uint64,
     rem1: np.uint64,
+    solo: np.uint64,
     amask: np.uint64,
     keep: bool,
 ) -> _Table:
-    """Pair rows whose base colors agree on every bag slot (red flavors
+    """Pair rows whose base colors agree on every shared slot (red flavors
     collapse for matching; the merged flavor is the maximum of the two),
     and keep the pairs that can still be accepted.  Incidences add with
-    saturation and alphas add.  ones has the lowest bit of each bag slot's
-    field set, and rem0 and rem1 the same bit of the slots whose vertex has
-    no edge and one edge left above the join.
+    saturation and alphas add.  ones has the lowest bit of each shared
+    slot's field set, and rem0 and rem1 the same bit of the slots whose
+    vertex has no edge and one edge left above the join.  solo has every
+    bit of the one-sided slots' fields set; a one-sided field is 0 on the
+    side without it and is copied from the other.
 
     A pair is dropped when a purple or red vertex has incidence 1 on both
     sides, a green vertex cannot reach incidence 2 with the edges left, or a
@@ -473,10 +569,36 @@ def _join(
     # above 0 because a kept pair's partial solution is a star forest
     comp = (lr & amask) + (rr & amask) - amask
     merged = (b + red1) | (y << 3) | comp
+    if solo:
+        merged |= (lr | rr) & solo
     extras = {}
     if keep:
         extras = {"back": li.astype(np.int32), "back2": ri.astype(np.int32)}
     return _dedupe(merged, extras, amask)
+
+
+def _folds(nd: NiceDecomposition) -> tuple[list[bool], dict[int, set[int]]]:
+    """Which introduce nodes build no table, and per join the vertices that
+    such introduces leave on one side only.  An introduce is folded into an
+    introduce-edge parent on its vertex, and into a join when it is in the
+    chain of introduces right below it.  A vertex in both sides' chains
+    stays built on the right, so the other side holds every folded one."""
+    folded = [False] * len(nd.nodes)
+    solo: dict[int, set[int]] = {}
+    for idx, node in enumerate(nd.nodes):
+        if node.kind == INTRODUCE_EDGE:
+            c = node.children[0]
+            if nd.nodes[c].kind == INTRODUCE and nd.nodes[c].vertex in node.edge:
+                folded[c] = True
+        elif node.kind == JOIN:
+            solo[idx] = set()
+            for c in node.children:
+                while nd.nodes[c].kind == INTRODUCE:
+                    if nd.nodes[c].vertex not in solo[idx]:
+                        folded[c] = True
+                        solo[idx].add(nd.nodes[c].vertex)
+                    c = nd.nodes[c].children[0]
+    return folded, solo
 
 
 def run_dp(
@@ -498,62 +620,87 @@ def run_dp(
         violations = validate_nice(g, nd)
         if violations:
             raise InvalidDecomposition("; ".join(violations[:5]))
+    width = nd.width
     alpha_bits = (g.n - 1).bit_length()  # alpha <= n - 1
-    if 5 * (nd.width + 1) + alpha_bits > 64:
+    if 5 * (width + 1) + alpha_bits > 64:
         raise WidthCapExceeded(
-            f"the DP packs a bag of {nd.width + 1} vertices into "
-            f"{5 * (nd.width + 1)} bits plus {alpha_bits} alpha bits for n = "
+            f"the DP packs a bag of {width + 1} vertices into "
+            f"{5 * (width + 1)} bits plus {alpha_bits} alpha bits for n = "
             f"{g.n}, above the 64 of a row"
         )
     amask = np.uint64((1 << alpha_bits) - 1)
     slot = assign_slots(nd, g.n)
     shift = [np.uint64(5 * s + alpha_bits) for s in slot]
     remaining = _remaining_above(g, nd)
+    folded, solo = _folds(nd)
     leaf_extras = {"back": np.zeros(1, dtype=np.int32)} if keep_tables else {}
 
+    # a folded introduce's entry is its child's table, which its parent reads
     tables: list[_Table | None] = []
     backrefs: list[dict[str, np.ndarray]] = []
-    node_stats: list[tuple[int, str, int]] = []
+    sizes: list[int] = []
     for idx, node in enumerate(nd.nodes):
         if node.kind == LEAF:
             # the empty key with alpha 0
             table = _Table(np.full(1, amask, dtype=np.uint64), leaf_extras)
         elif node.kind == INTRODUCE:
             v = node.vertex
-            table = _introduce(
-                tables[node.children[0]], shift[v], remaining[idx][v], keep_tables
-            )
+            table = tables[node.children[0]]
+            if not folded[idx]:
+                table = _introduce(table, shift[v], remaining[idx][v], keep_tables)
         elif node.kind == INTRODUCE_EDGE:
             u, v = node.edge
             rem = remaining[idx]
             rules = _edge_rules(min(rem[u], 2), min(rem[v], 2))
-            table = _introduce_edge(
-                tables[node.children[0]], shift[u], shift[v], rules, amask, keep_tables
-            )
+            c = node.children[0]
+            if folded[c]:
+                x = nd.nodes[c].vertex
+                fused = _fused_rules(
+                    rules, min(remaining[c][x], 2), x == v, shift[u], shift[v]
+                )
+                table = _introduce_edge_fused(
+                    tables[c], shift[u if x == v else v], fused, amask, keep_tables
+                )
+            else:
+                table = _introduce_edge(
+                    tables[c], shift[u], shift[v], rules, amask, keep_tables
+                )
         elif node.kind == FORGET:
             table = _forget(
                 tables[node.children[0]], shift[node.vertex], amask, keep_tables
             )
         elif node.kind == JOIN:
-            # the bag's field bits, by edges left above: 0, 1, 2 or more
+            # the shared slots' field bits, by edges left above: 0, 1, 2 or
+            # more; and every bit of the one-sided slots' fields
             by_rem = [0, 0, 0]
+            one_sided = 0
             for v in node.bag:
-                by_rem[min(remaining[idx][v], 2)] |= 1 << int(shift[v])
+                if v in solo[idx]:
+                    one_sided |= 31 << int(shift[v])
+                else:
+                    by_rem[min(remaining[idx][v], 2)] |= 1 << int(shift[v])
             table = _join(
                 tables[node.children[0]],
                 tables[node.children[1]],
                 np.uint64(sum(by_rem)),
                 np.uint64(by_rem[0]),
                 np.uint64(by_rem[1]),
+                np.uint64(one_sided),
                 amask,
                 keep_tables,
             )
         else:
             raise InvalidDecomposition(f"node {idx}: unknown kind {node.kind!r}")
         tables.append(table)
-        node_stats.append((idx, node.kind, len(table.rows)))
+        if node.kind == INTRODUCE:
+            # one copy of the child per live color in the nice form, also
+            # for a built introduce above a folded one in a join's chain
+            colors = _live_colors(min(remaining[idx][node.vertex], 2))
+            sizes.append(sizes[node.children[0]] * len(colors))
+        else:
+            sizes.append(len(table.rows))
         if keep_tables:
-            backrefs.append(table.extras)
+            backrefs.append({} if folded[idx] else table.extras)
         # every node has one parent, so a child is done once it is built
         for c in node.children:
             tables[c] = None
@@ -569,9 +716,11 @@ def run_dp(
     row = int(accept[0])
     return DPResult(
         gamma_prime=int(amask - root[row]),
-        width=nd.width,
-        node_stats=node_stats,
-        max_table_size=max(size for _, _, size in node_stats),
+        width=width,
+        node_stats=[
+            (idx, node.kind, size) for idx, (node, size) in enumerate(zip(nd.nodes, sizes))
+        ],
+        max_table_size=max(sizes),
         backrefs=backrefs if keep_tables else None,
         root_row=row,
     )
@@ -579,8 +728,9 @@ def run_dp(
 
 def extract_witness(g: Graph, nd: NiceDecomposition, result: DPResult) -> EdgeSet:
     """Walk back-references from the accepting root row, collecting the edges
-    taken on included introduce-edge branches.  Requires a run with
-    keep_tables=True."""
+    taken on included introduce-edge branches.  A folded introduce has no
+    back-references: its parent's row indices point into its child already.
+    Requires a run with keep_tables=True."""
     if result.backrefs is None:
         raise ValueError("witness extraction needs a run with keep_tables=True")
     mask = 0
@@ -597,5 +747,7 @@ def extract_witness(g: Graph, nd: NiceDecomposition, result: DPResult) -> EdgeSe
             continue
         if node.kind == INTRODUCE_EDGE and bool(extras["took"][row]):
             mask |= 1 << node.edge_id
-        stack.append((node.children[0], int(extras["back"][row])))
+        if extras:
+            row = int(extras["back"][row])
+        stack.append((node.children[0], row))
     return EdgeSet(mask)

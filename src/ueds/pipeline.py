@@ -116,7 +116,7 @@ def _dp_stage(
     witness = extract_witness(work, nd, result) if want_witness else None
     stats = {
         "source": source,
-        "width": nd.width,
+        "width": result.width,
         "nodes": len(nd.nodes),
         "max_table_size": result.max_table_size,
     }

@@ -1,6 +1,9 @@
-"""Reference dynamic program for tests: the five-role recurrences run
-literally, one Python tuple per state.  ``ueds.dp.run_dp`` must give the
-same gamma' on every nice decomposition.
+"""Reference dynamic programs for tests.  ``run_reference`` runs the
+five-role recurrences literally, one Python tuple per state, and
+``ueds.dp.run_dp`` must give the same gamma' on every nice decomposition.
+``run_eager`` drives the packed transitions of ``ueds.dp`` over every node
+of the nice form, an introduce table included, and must give the same
+node_stats, gamma' and witness as ``run_dp``, which folds introduces.
 
 A state is (f, y, n_r, n_r1, n_c, alpha, beta): the color vector f and the
 saturating incidence vector y (0, 1 or "2 meaning >= 2") over the current bag,
@@ -30,7 +33,10 @@ from ueds.decomposition import (
     LEAF,
     NiceDecomposition,
 )
-from ueds.dp import BLACK, GREEN, PURPLE, RED0, RED1
+import numpy as np
+
+from ueds import dp
+from ueds.dp import BLACK, GREEN, PURPLE, RED0, RED1, DPResult
 from ueds.errors import BagMismatch, UedsError
 from ueds.graph import EdgeSet, Graph
 
@@ -315,3 +321,50 @@ def reference_witness(nd: NiceDecomposition, result: ReferenceResult) -> EdgeSet
             mask |= 1 << node.edge_id
         stack.append((node.children[0], back[1]))
     return EdgeSet(mask)
+
+
+def run_eager(g: Graph, nd: NiceDecomposition, keep_tables: bool = False) -> DPResult:
+    """run_dp without folded introduces: every node of the nice form builds
+    its table, and every join pairs all bag slots."""
+    alpha_bits = (g.n - 1).bit_length()
+    amask = np.uint64((1 << alpha_bits) - 1)
+    shift = [np.uint64(5 * s + alpha_bits) for s in dp.assign_slots(nd, g.n)]
+    remaining = dp._remaining_above(g, nd)
+    leaf_extras = {"back": np.zeros(1, dtype=np.int32)} if keep_tables else {}
+    tables: list[dp._Table] = []
+    for idx, node in enumerate(nd.nodes):
+        rem = remaining[idx]
+        if node.kind == LEAF:
+            table = dp._Table(np.full(1, amask, dtype=np.uint64), leaf_extras)
+        elif node.kind == INTRODUCE:
+            v = node.vertex
+            table = dp._introduce(tables[node.children[0]], shift[v], rem[v], keep_tables)
+        elif node.kind == INTRODUCE_EDGE:
+            u, v = node.edge
+            rules = dp._edge_rules(min(rem[u], 2), min(rem[v], 2))
+            table = dp._introduce_edge(
+                tables[node.children[0]], shift[u], shift[v], rules, amask, keep_tables
+            )
+        elif node.kind == FORGET:
+            table = dp._forget(tables[node.children[0]], shift[node.vertex], amask, keep_tables)
+        else:
+            by_rem = [0, 0, 0]
+            for v in node.bag:
+                by_rem[min(rem[v], 2)] |= 1 << int(shift[v])
+            table = dp._join(
+                tables[node.children[0]], tables[node.children[1]],
+                np.uint64(sum(by_rem)), np.uint64(by_rem[0]), np.uint64(by_rem[1]),
+                np.uint64(0), amask, keep_tables,
+            )
+        tables.append(table)
+    root = tables[-1].rows
+    row = int(np.flatnonzero(root <= amask)[0])
+    sizes = [len(t.rows) for t in tables]
+    return DPResult(
+        gamma_prime=int(amask - root[row]),
+        width=nd.width,
+        node_stats=[(idx, node.kind, size) for idx, (node, size) in enumerate(zip(nd.nodes, sizes))],
+        max_table_size=max(sizes),
+        backrefs=[t.extras for t in tables] if keep_tables else None,
+        root_row=row,
+    )

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 import ueds.dp
 from ueds.decomposition import (
+    INTRODUCE,
+    INTRODUCE_EDGE,
     JOIN,
     TreeDecomposition,
     make_nice,
@@ -43,6 +47,7 @@ from dp_reference import (
     dp_join,
     dp_leaf,
     reference_witness,
+    run_eager,
     run_reference,
 )
 
@@ -342,15 +347,15 @@ class TestPackingBoundary:
         )
         assert assign_slots(make_nice(g, td), n)[n - 1] == n - 1
         # incidences grow at introduce-edge nodes only (these decompositions
-        # have no joins), so record the tables those nodes build
+        # have no joins), so record the tables those nodes build, with or
+        # without the introduce below folded in
         tables = []
-        build = ueds.dp._introduce_edge
+        for name in ("_introduce_edge", "_introduce_edge_fused"):
+            def recorded(*args, _build=getattr(ueds.dp, name)):
+                tables.append(_build(*args))
+                return tables[-1]
 
-        def recorded(*args):
-            tables.append(build(*args))
-            return tables[-1]
-
-        monkeypatch.setattr(ueds.dp, "_introduce_edge", recorded)
+            monkeypatch.setattr(ueds.dp, name, recorded)
         self._check(g, td)
         # some row holds the center green with incidence 2 in the top field
         code = GREEN | 2 << 3
@@ -386,7 +391,7 @@ class TestAlphaSaturation:
         right = ueds.dp._Table(np.array([purple1 << 3 | 7 - 4], dtype=np.uint64), {})
         ones = np.uint64(1 << 3)
         none = np.uint64(0)
-        out = ueds.dp._join(left, right, ones, none, none, self.AMASK, False)
+        out = ueds.dp._join(left, right, ones, none, none, none, self.AMASK, False)
         assert out.rows.tolist() == []
 
 
@@ -406,7 +411,7 @@ def join_one_slot(color, yl, yr, rem, alphas=(0, 0), right_color=None):
     rc = color if right_color is None else right_color
     out = ueds.dp._join(
         table(color, yl, alphas[0]), table(rc, yr, alphas[1]), ones, rem0, rem1,
-        np.uint64(7), True,
+        np.uint64(0), np.uint64(7), True,
     )
     return out.rows.tolist(), out.extras
 
@@ -457,6 +462,150 @@ class TestPackedJoin:
         assert bool(rows) == kept
         if kept:
             assert rows == [(GREEN | min(yl + yr, 2) << 3) << 3 | 7]
+
+
+# the ten codes a field can take (see state_space_bound)
+CODES = [BLACK] + [c | y << 3 for c in (PURPLE, RED0, RED1) for y in (0, 1)]
+CODES += [GREEN | y << 3 for y in (0, 1, 2)]
+
+
+@st.composite
+def packed_tables(draw, fields):
+    """Hypothesis strategy: a table over n = 8 (three alpha bits) with a
+    field at every slot of `fields`, a code drawn from fields[slot], and
+    alpha 0 or 1; unique by fields and in any order, like a child table."""
+    slots = sorted(fields)
+    drawn = draw(st.lists(
+        st.tuples(st.integers(0, 1), *[st.sampled_from(fields[s]) for s in slots]),
+        min_size=1, max_size=12,
+    ))
+    rows = {}
+    for alpha, *codes in drawn:
+        key = sum(code << 3 + 5 * s for s, code in zip(slots, codes))
+        rows.setdefault(key, key | 7 - alpha)
+    order = draw(st.permutations(list(rows.values())))
+    return ueds.dp._Table(np.array(order, dtype=np.uint64), {})
+
+
+AMASK8 = np.uint64(7)
+SHIFT8 = [np.uint64(3 + 5 * s) for s in range(3)]
+
+
+class TestFusedIntroduceEdge:
+    """An introduce of x at slot 1 with its first edge xw, w at slot 0 and a
+    bystander at slot 2: _introduce_edge_fused on the introduce's child
+    against _introduce followed by _introduce_edge."""
+
+    @given(packed_tables({0: CODES, 2: CODES}))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_separate_nodes(self, child):
+        sw, sx = SHIFT8[0], SHIFT8[1]
+        for rem_x, rem_u, rem_v in itertools.product(range(3), repeat=3):
+            rules = ueds.dp._edge_rules(rem_u, rem_v)
+            for x_is_v in (False, True):
+                su, sv = (sw, sx) if x_is_v else (sx, sw)
+                fused = ueds.dp._fused_rules(rules, rem_x, x_is_v, su, sv)
+                for keep in (False, True):
+                    intro = ueds.dp._introduce(child, sx, rem_x, keep)
+                    want = ueds.dp._introduce_edge(intro, su, sv, rules, AMASK8, keep)
+                    got = ueds.dp._introduce_edge_fused(child, sw, fused, AMASK8, keep)
+                    assert got.rows.tolist() == want.rows.tolist()
+                    if keep:
+                        took, back = want.extras["took"], want.extras["back"]
+                        assert got.extras["took"].tolist() == took.tolist()
+                        composed = intro.extras["back"][back]
+                        assert got.extras["back"].tolist() == composed.tolist()
+
+    def test_the_lookup_follows_the_rules_object(self):
+        # equal remaining counts and shifts, another rules object: the
+        # cached lookup must not be reused
+        rules = ueds.dp._edge_rules(2, 2)
+        broken = rules._replace(ex_ok=np.zeros_like(rules.ex_ok))
+        args = (2, True, SHIFT8[0], SHIFT8[1])
+        fused = ueds.dp._fused_rules(rules, *args)
+        assert fused.ok[: fused.excluded].any()
+        assert not ueds.dp._fused_rules(broken, *args).ok[: fused.excluded].any()
+        assert ueds.dp._fused_rules(rules, *args) is fused
+
+
+# the shared vertices hold slots 0 and 2 and the one-sided vertex v slot 1
+SV8 = SHIFT8[1]
+SOLO8 = np.uint64(31 << 8)
+
+
+def join_masks(rems, rem_v=None):
+    """(ones, rem0, rem1) over the shared slots, with v's slot too when
+    rem_v is given; rems are the shared slots' edges left."""
+    bits = [(1 << 3, rems[0]), (1 << 13, rems[1])]
+    if rem_v is not None:
+        bits.append((1 << 8, rem_v))
+    return tuple(
+        np.uint64(sum(bit for bit, rem in bits if rem in want))
+        for want in ((0, 1, 2), (0,), (1,))
+    )
+
+
+class TestOneSidedJoin:
+    """_join with v's slot one-sided against _join after an explicit
+    _introduce of v on the side without it."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_explicit_introduce(self, data):
+        rems = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+        # v has no edge below the folded introduce, so it has at least as
+        # many edges left there as at the join
+        rem_v = data.draw(st.integers(0, 2))
+        rem_intro = data.draw(st.integers(rem_v, 2))
+        # the holding side's rows passed _alive with the join's count, and
+        # their colors are live at the introduce (r1 pairs with r0)
+        live = ueds.dp._live_colors(rem_intro)
+        held_codes = [
+            c for c in CODES
+            if ueds.dp._alive(np.array(c & 7), np.array(c >> 3), rem_v)
+            and (RED0 if c & 7 == RED1 else c & 7) in live
+        ]
+        held = data.draw(packed_tables({0: CODES, 1: held_codes, 2: CODES}))
+        other = data.draw(packed_tables({0: CODES, 2: CODES}))
+        held_left = data.draw(st.booleans())
+        keep = data.draw(st.booleans())
+
+        intro = ueds.dp._introduce(other, SV8, rem_intro, keep)
+        sides = (held, intro) if held_left else (intro, held)
+        want = ueds.dp._join(
+            *sides, *join_masks(rems, rem_v), np.uint64(0), AMASK8, keep
+        )
+        sides = (held, other) if held_left else (other, held)
+        got = ueds.dp._join(*sides, *join_masks(rems), SOLO8, AMASK8, keep)
+        assert got.rows.tolist() == want.rows.tolist()
+        if keep:
+            folded, built = ("back2", "back") if held_left else ("back", "back2")
+            assert got.extras[built].tolist() == want.extras[built].tolist()
+            composed = intro.extras["back"][want.extras[folded]]
+            assert got.extras[folded].tolist() == composed.tolist()
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_a_vertex_introduced_on_both_sides(self, data):
+        # v has no edge below the join on either side; run_dp builds its
+        # introduce on the right and folds the left one
+        rems = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+        rem_v = data.draw(st.integers(0, 2))
+        left = data.draw(packed_tables({0: CODES, 2: CODES}))
+        right = data.draw(packed_tables({0: CODES, 2: CODES}))
+        keep = data.draw(st.booleans())
+        left_intro = ueds.dp._introduce(left, SV8, rem_v, keep)
+        right_intro = ueds.dp._introduce(right, SV8, rem_v, keep)
+        want = ueds.dp._join(
+            left_intro, right_intro, *join_masks(rems, rem_v), np.uint64(0),
+            AMASK8, keep,
+        )
+        got = ueds.dp._join(left, right_intro, *join_masks(rems), SOLO8, AMASK8, keep)
+        assert got.rows.tolist() == want.rows.tolist()
+        if keep:
+            assert got.extras["back2"].tolist() == want.extras["back2"].tolist()
+            composed = left_intro.extras["back"][want.extras["back"]]
+            assert got.extras["back"].tolist() == composed.tolist()
 
 
 class TestLiveness:
@@ -604,11 +753,41 @@ class TestStarForestTables:
             stack.extend(node.children)
         return left
 
+    @staticmethod
+    def _folded(nd):
+        """The introduces that build no table: below an introduce-edge on
+        their vertex, or in the chain of introduces right below a join,
+        except on the right for a vertex in the left chain too."""
+        folded = set()
+        for node in nd.nodes:
+            below = [nd.nodes[c] for c in node.children]
+            if node.kind == INTRODUCE_EDGE and below[0].kind == INTRODUCE:
+                if below[0].vertex in node.edge:
+                    folded.add(node.children[0])
+            if node.kind != JOIN:
+                continue
+            chains = []
+            for c in node.children:
+                chain = []
+                while nd.nodes[c].kind == INTRODUCE:
+                    chain.append(c)
+                    c = nd.nodes[c].children[0]
+                chains.append(chain)
+            on_left = {nd.nodes[c].vertex for c in chains[0]}
+            folded.update(chains[0])
+            folded.update(c for c in chains[1] if nd.nodes[c].vertex not in on_left)
+        return folded
+
     def _check(self, g, nd):
-        """Check every table of run_dp(g, nd) and return its gamma'."""
+        """Check every table that run_dp(g, nd) builds and return its
+        gamma'.  A folded introduce builds none; the introduce-edge or join
+        above it builds its table from the introduce's child."""
         built = []
         with pytest.MonkeyPatch.context() as monkeypatch:
-            for name in ("_introduce", "_introduce_edge", "_forget", "_join"):
+            for name in (
+                "_introduce", "_introduce_edge", "_introduce_edge_fused", "_forget",
+                "_join",
+            ):
                 def recorded(*args, _build=getattr(ueds.dp, name)):
                     built.append(_build(*args))
                     return built[-1]
@@ -621,7 +800,11 @@ class TestStarForestTables:
         slot = assign_slots(nd, g.n)
         codes = {BLACK} | {c | y << 3 for c in (PURPLE, RED0, RED1) for y in (0, 1)}
         codes |= {GREEN | y << 3 for y in (0, 1, 2)}
-        inner = [(idx, node) for idx, node in enumerate(nd.nodes) if node.children]
+        folded = self._folded(nd)
+        inner = [
+            (idx, node) for idx, node in enumerate(nd.nodes)
+            if node.children and idx not in folded
+        ]
         assert len(built) == len(inner)
         for (idx, node), table in zip(inner, built):
             rows = [int(r) for r in table.rows]
@@ -752,6 +935,55 @@ class TestMinFillDecompositions:
                 for gamma, witness in solved_by_both(g, nd):
                     assert gamma == witness.size == want
                     assert is_minimal_eds(g, witness)
+
+
+class TestFoldedIntroduces:
+    """run_dp folds introduces into the node above; run_eager builds every
+    table of the nice form.  Both must give the same node_stats, gamma' and
+    witness."""
+
+    @staticmethod
+    def _assert_same(g, nd):
+        for keep in (False, True):
+            got = run_dp(g, nd, keep_tables=keep)
+            want = run_eager(g, nd, keep_tables=keep)
+            assert got.node_stats == want.node_stats
+            assert got.gamma_prime == want.gamma_prime
+            assert got.max_table_size == want.max_table_size
+            if keep:
+                assert extract_witness(g, nd, got) == extract_witness(g, nd, want)
+
+    @given(st.one_of(graphs(max_n=8), sparse_graphs(min_n=6, max_n=16, extra=4)))
+    @settings(max_examples=40, deadline=None)
+    def test_same_as_the_eager_driver(self, g):
+        td = td_min_fill(g)
+        degree = [len(adj) for adj in td.neighbors()]
+        hub = degree.index(max(degree, default=0)) if td.bags else 0
+        for tree in (td, rooted_at(td, hub)):
+            for placement in ("early", "late"):
+                self._assert_same(g, make_nice(g, tree, edge_placement=placement))
+
+    def test_both_folds_and_a_vertex_on_both_sides(self):
+        # with late placement, a join of this graph's min-fill decomposition
+        # has a vertex introduced in both chains, and the right chain builds
+        # its introduce above a folded one
+        g = gen(GenSpec("gnp", 8, 0.3, 1))
+        nd = make_nice(g, td_min_fill(g), edge_placement="late")
+        folded, solo = ueds.dp._folds(nd)
+        under_edge = [
+            c for node in nd.nodes if node.kind == INTRODUCE_EDGE
+            for c in node.children if folded[c]
+        ]
+        right_chains = []
+        for node in nd.nodes:
+            if node.kind == JOIN:
+                c, chain = node.children[1], []
+                while nd.nodes[c].kind == INTRODUCE:
+                    chain.append(folded[c])
+                    c = nd.nodes[c].children[0]
+                right_chains.append(chain)
+        assert under_edge and any(solo.values()) and [False, True] in right_chains
+        self._assert_same(g, nd)
 
 
 class TestWitness:
