@@ -247,16 +247,21 @@ def validate_td(g: Graph, td: TreeDecomposition) -> list[str]:
     """All violations of the three decomposition properties (plus tree-ness).
 
     Empty list means the decomposition is valid.  Violations are returned as
-    data, naming the failing vertex, edge or node.
+    data, naming the failing vertex, edge or node.  The checks take time
+    linear in the bags' total size plus the edges of the graph and the tree.
     """
     violations: list[str] = []
     b = len(td.bags)
     if td.n != g.n:
         violations.append(f"decomposition is for n={td.n}, graph has n={g.n}")
+    # the bags holding each vertex, ascending
+    holders: list[list[int]] = [[] for _ in range(g.n)]
     for i, bag in enumerate(td.bags):
         for v in bag:
             if not 0 <= v < g.n:
                 violations.append(f"bag {i} contains out-of-range vertex {v + 1}")
+            elif not holders[v] or holders[v][-1] != i:
+                holders[v].append(i)
     for a, c in td.tree_edges:
         if not (0 <= a < b and 0 <= c < b):
             violations.append(f"tree edge ({a}, {c}) references missing bag")
@@ -282,34 +287,26 @@ def validate_td(g: Graph, td: TreeDecomposition) -> list[str]:
         violations.append("no bags but the graph has vertices")
         return violations
     # property (i): vertex coverage
-    covered: set[int] = set()
-    for bag in td.bags:
-        covered.update(bag)
     for v in range(g.n):
-        if v not in covered:
+        if not holders[v]:
             violations.append(f"vertex {v + 1} appears in no bag")
     # property (ii): edge coverage
-    bag_sets = [set(bag) for bag in td.bags]
+    held = [set(h) for h in holders]
     for u, v in g.edges:
-        if not any(u in s and v in s for s in bag_sets):
+        if held[u].isdisjoint(held[v]):
             violations.append(f"edge ({u + 1}, {v + 1}) is contained in no bag")
-    # property (iii): interpolation -- bags containing v form a subtree
+    # property (iii): interpolation -- bags containing v form a subtree.  In
+    # a tree, k bags are connected exactly when k - 1 tree edges join two of
+    # them, and a tree edge joins two holders of each vertex both bags hold.
     if b > 0 and len(td.tree_edges) == b - 1 and len(seen) == b:
-        adj = td.neighbors()
+        bag_sets = [set(bag) for bag in td.bags]
+        inside = [0] * g.n
+        for a, c in td.tree_edges:
+            for v in bag_sets[a].intersection(bag_sets[c]):
+                if 0 <= v < g.n:
+                    inside[v] += 1
         for v in range(g.n):
-            holders = [i for i, s in enumerate(bag_sets) if v in s]
-            if len(holders) <= 1:
-                continue
-            holder_set = set(holders)
-            reach = {holders[0]}
-            queue = [holders[0]]
-            while queue:
-                x = queue.pop()
-                for y in adj[x]:
-                    if y in holder_set and y not in reach:
-                        reach.add(y)
-                        queue.append(y)
-            if reach != holder_set:
+            if inside[v] < len(holders[v]) - 1:
                 violations.append(
                     f"bags containing vertex {v + 1} are disconnected in the tree"
                 )

@@ -61,21 +61,26 @@ with WidthCapExceeded before it builds a table.
 
 Transitions.  A node changes the field of one vertex, or of two for an
 edge, so it is a lookup on their codes: liveness for introduce and
-satisfaction for forget, each a table over the 32 codes, and an
-introduce-edge lookup over the 1,024 code pairs code_u * 32 + code_v (per
-branch, whether a row survives and the increments to both fields).  The
-tables are built from the color rules and the pruning below, and applied to
-every row with one gather each.
+satisfaction for forget, each a table over the 32 codes, built from the
+color rules and the pruning below and applied to every row with one gather.
+Every introduce-edge node is one lookup over a key read from each child row,
+with one row per outcome: whether a row with that key survives, and its
+increment.  It emits every surviving (outcome, child row) pair, outcome-major
+with the excluded branch first, adds the increments and dedupes.  A plain
+edge node uv is the two-outcome case: its keys are the 1,024 code pairs
+code_u * 32 + code_v, and its outcomes are the excluded and the included
+branch.
 
 Folded introduces.  An introduce writes one copy of its child per live
 color, and most of those copies are read once by the node right above it,
 so run_dp builds no table for an introduce whose parent can apply it:
 
 - an introduce of x below an introduce-edge on x (x's first edge): the
-  edge node reads the introduce's child, through one lookup over the code of
-  the other endpoint with a row per (branch, color of x) outcome, excluded
-  branch first, then by color.  Its candidate rows come out in the order of
-  the two separate nodes, so dedupe keeps the same rows;
+  edge node reads the introduce's child, and its lookup's keys are the codes
+  of the other endpoint, with one outcome per (branch, color of x), by
+  branch, then by color; each increment also writes x's color.  The
+  candidate rows come out in the order of the two separate nodes, so dedupe
+  keeps the same rows;
 - an introduce in the chain of introduces right below a join: that side's
   table lacks the vertex, and the join carries the field from the other side
   (below, one-sided slots).  A vertex introduced in the chains of both sides
@@ -205,7 +210,8 @@ class _Table(NamedTuple):
     """One node's rows, unique by fields and ascending (introduce nodes keep
     their child's order per color block instead), and the back-reference
     arrays of a witness run: "back" = row into the (left) child; "took" =
-    included-edge flag (introduce-edge nodes); "back2" = row into the right
+    whether the row's outcome includes the edge (introduce-edge nodes, read
+    off the lookup's outcome, plain or folded); "back2" = row into the right
     child (join nodes)."""
 
     rows: np.ndarray
@@ -257,21 +263,19 @@ _SATISFIED = (
 
 
 class _EdgeRules(NamedTuple):
-    """An introduce-edge node's lookup, indexed code_u * 32 + code_v: per
-    branch, whether a row with those codes survives, and the increments to
-    the fields of u and v (in field units, before shifting into place)."""
+    """An introduce-edge node's rules, indexed [branch, code_u * 32 + code_v]
+    with the excluded branch 0 and the included branch 1: whether a row with
+    those codes survives, and the increments to the fields of u and v (in
+    field units, before shifting into place)."""
 
-    ex_ok: np.ndarray
-    ex_du: np.ndarray
-    ex_dv: np.ndarray
-    in_ok: np.ndarray
-    in_du: np.ndarray
-    in_dv: np.ndarray
+    ok: np.ndarray  # (2, 1024) bool
+    du: np.ndarray  # (2, 1024) uint64
+    dv: np.ndarray  # (2, 1024) uint64
 
 
 @lru_cache(maxsize=None)
 def _edge_rules(rem_u: int, rem_v: int) -> _EdgeRules:
-    """Build the lookup for an edge uv whose endpoints have rem_u and rem_v
+    """Build the rules for an edge uv whose endpoints have rem_u and rem_v
     incident edges left above the node.  _alive only tells 0, 1 and >= 2
     apart, so callers clamp the counts to 2 and there are nine tables."""
     cu, yu = _COLOR[:, None], _INC[:, None]
@@ -301,56 +305,43 @@ def _edge_rules(rem_u: int, rem_v: int) -> _EdgeRules:
     bump_v = yv < 2
     in_ok = allowed & _alive(cu, yu + bump_u, rem_u) & _alive(cv, yv + bump_v, rem_v)
 
-    def table(a: np.ndarray) -> np.ndarray:
-        out = np.broadcast_to(a, (32, 32)).ravel()
-        out.flags.writeable = False
-        return out
+    def stacked(ex: np.ndarray, inc: np.ndarray) -> np.ndarray:
+        return np.stack(np.broadcast_arrays(ex, inc)).reshape(2, 1024)
 
-    return _EdgeRules(
-        table(ex_ok),
-        table(np.where(ex_ok, up_u, 0).astype(np.uint64)),
-        table(np.where(ex_ok, up_v, 0).astype(np.uint64)),
-        table(in_ok),
-        table(np.where(in_ok, bump_u << 3, 0).astype(np.uint64)),
-        table(np.where(in_ok, bump_v << 3, 0).astype(np.uint64)),
-    )
+    ok = stacked(ex_ok, in_ok)
+    du = np.where(ok, stacked(up_u, bump_u << 3), 0).astype(np.uint64)
+    dv = np.where(ok, stacked(up_v, bump_v << 3), 0).astype(np.uint64)
+    for a in (ok, du, dv):
+        a.flags.writeable = False
+    return _EdgeRules(ok, du, dv)
 
 
 def _remaining_above(g: Graph, nd: NiceDecomposition) -> list[dict[int, int]]:
-    """Per node, for each vertex whose field the node checks, how many of
-    its incident edges are introduced OUTSIDE the node's subtree.
-    Those are the hits a state's incidence can still receive on the way to
-    the root (edges in a parallel join branch arrive via the join's sum, so
-    they count as remaining).  Queried only at a vertex's introduce node, at
-    its edges' nodes and at the join nodes whose bag holds it."""
-    out: list[dict[int, int]] = [dict() for _ in nd.nodes]
-    # per-vertex introduced-edge counts within each node's subtree; dicts are
-    # shared with the child where the node cannot change them
-    sub: list[dict[int, int]] = []
-    for idx, node in enumerate(nd.nodes):
+    """Per node, for each vertex of its bag, how many of its incident edges
+    are introduced OUTSIDE the node's subtree.  Those are the hits a state's
+    incidence can still receive on the way to the root (edges in a parallel
+    join branch arrive via the join's sum, so they count as remaining).  A
+    vertex appears nowhere below its introduce, so it starts there with its
+    degree; each of its edge nodes takes one off, and a join adds the two
+    sides' counts less the degree, which both sides started from."""
+    out: list[dict[int, int]] = []
+    for node in nd.nodes:
         if node.kind == LEAF:
-            cnt: dict[int, int] = {}
-        elif node.kind == INTRODUCE_EDGE:
-            cnt = dict(sub[node.children[0]])
-            u, v = node.edge
-            cnt[u] = cnt.get(u, 0) + 1
-            cnt[v] = cnt.get(v, 0) + 1
-            out[idx][u] = g.degree(u) - cnt[u]
-            out[idx][v] = g.degree(v) - cnt[v]
+            rem: dict[int, int] = {}
         elif node.kind == JOIN:
-            left = sub[node.children[0]]
-            right = sub[node.children[1]]
-            cnt = dict(left)
-            for v, c in right.items():
-                cnt[v] = cnt.get(v, 0) + c
-            for v in node.bag:
-                out[idx][v] = g.degree(v) - cnt.get(v, 0)
+            left, right = (out[c] for c in node.children)
+            rem = {v: left[v] + right[v] - g.degree(v) for v in node.bag}
         else:
-            cnt = sub[node.children[0]]
+            rem = out[node.children[0]].copy()
             if node.kind == INTRODUCE:
-                v = node.vertex
-                out[idx][v] = g.degree(v) - cnt.get(v, 0)
-        sub.append(cnt)
+                rem[node.vertex] = g.degree(node.vertex)
+            elif node.kind == INTRODUCE_EDGE:
+                u, v = node.edge
+                rem[u] -= 1
+                rem[v] -= 1
+            elif node.kind == FORGET:
+                del rem[node.vertex]
+        out.append(rem)
     return out
 
 
@@ -375,67 +366,50 @@ def _introduce(child: _Table, shift: np.uint64, rem_v: int, keep: bool) -> _Tabl
     return _Table(rows, extras)
 
 
-def _introduce_edge(
-    child: _Table,
+class _Lookup(NamedTuple):
+    """An introduce-edge node as one lookup over a key read from each child
+    row: per outcome, whether a row with that key survives and its
+    increment, and whether the outcome includes the edge.  Outcomes run
+    excluded branch first, so the candidate rows come out in the order of
+    the nice form and dedupe keeps the same rows."""
+
+    ok: np.ndarray  # (outcomes, keys) bool
+    step: np.ndarray  # outcomes * keys uint64, at outcome * keys + key
+    took: np.ndarray  # (outcomes,) bool
+
+
+# (id(rules), rem_x, x_is_v, su, sv) -> (rules, fused lookup).  Keying on
+# the rules object itself means a lookup always comes from the rules in use;
+# each entry holds its rules, so no other object can take that id while the
+# entry lives.  Emptied when it reaches 4,096 entries.
+_FUSED: dict[tuple, tuple[_EdgeRules, _Lookup]] = {}
+
+# one more solution edge also lowers amax - alpha by one; uint64 wraps, and
+# the sum with the row is never below 0 because alpha <= n - 1
+_ONE_MORE = np.array([[0], [1]], dtype=np.uint64)
+_TOOK = np.array([False, True])  # per branch
+
+
+def _edge_lookup(
+    rules: _EdgeRules,
     su: np.uint64,
     sv: np.uint64,
-    rules: _EdgeRules,
-    amask: np.uint64,
-    keep: bool,
-) -> _Table:
-    ex_step = (rules.ex_du << su) + (rules.ex_dv << sv)
-    # one more solution edge also lowers amax - alpha by one; uint64 wraps,
-    # and the sum with the row is never below 0 because alpha <= n - 1
-    in_step = (rules.in_du << su) + (rules.in_dv << sv) - np.uint64(1)
-
-    rows = child.rows
-    # the fields are below 32, so the int64 view reads them unchanged and
-    # indexes without a cast
-    pair = ((rows >> su) & 31).view(np.int64)
-    pair <<= 5
-    pair |= ((rows >> sv) & 31).view(np.int64)
-    ex = rules.ex_ok[pair]
-    inc = rules.in_ok[pair]
-    ex_rows = rows[ex]
-    ex_rows += ex_step[pair[ex]]
-    in_rows = rows[inc]
-    in_rows += in_step[pair[inc]]
-    extras: dict[str, np.ndarray] = {}
-    if keep:
-        extras["back"] = np.concatenate(
-            [np.flatnonzero(ex), np.flatnonzero(inc)]
-        ).astype(np.int32)
-        extras["took"] = np.arange(len(ex_rows) + len(in_rows)) >= len(ex_rows)
-    return _dedupe(np.concatenate([ex_rows, in_rows]), extras, amask)
-
-
-class _Fused(NamedTuple):
-    """An introduce of x and the introduce-edge on xw above it as one
-    lookup over code_w: per (branch, color of x) outcome, excluded branch
-    first, whether a row survives and its increment (x's color, both
-    fields' edge increments and, on the included branch, one more edge)."""
-
-    ok: np.ndarray  # (outcomes, 32) bool
-    step: np.ndarray  # outcomes * 32 uint64, at outcome * 32 + code_w
-    excluded: int  # outcomes of the excluded branch
-
-
-# (id(rules), rem_x, x_is_v, su, sv) -> (rules, lookup).  Keying on the rules
-# object itself means a lookup always comes from the rules in use; each entry
-# holds its rules, so no other object can take that id while the entry
-# lives.  Emptied when it reaches 4,096 entries.
-_FUSED: dict[tuple, tuple[_EdgeRules, _Fused]] = {}
-
-
-def _fused_rules(
-    rules: _EdgeRules, rem_x: int, x_is_v: bool, su: np.uint64, sv: np.uint64
-) -> _Fused:
-    """The lookup of an edge uv whose endpoint x (v when x_is_v, else u) is
-    introduced right below it with rem_x edges left, clamped to 2."""
-    key = (id(rules), rem_x, x_is_v, su, sv)
+    fused: tuple[int, bool] | None = None,
+) -> _Lookup:
+    """The lookup of an edge uv.  Without fused, its keys are the code pairs
+    code_u * 32 + code_v and its outcomes the two branches.  With fused =
+    (rem_x, x_is_v), the endpoint x (v when x_is_v, else u) is introduced
+    right below the node with rem_x edges left, clamped to 2: the keys are
+    the codes of the other endpoint, and the outcomes run by branch, then by
+    the color of x, whose field each step also writes."""
+    if fused is None:
+        step = (rules.du << su) + (rules.dv << sv) - _ONE_MORE
+        return _Lookup(rules.ok, step.ravel(), _TOOK)
+    key = (id(rules), *fused, su, sv)
     hit = _FUSED.get(key)
     if hit is not None:
         return hit[1]
+    rem_x, x_is_v = fused
     colors = np.array(_live_colors(rem_x), dtype=np.int64)
     codes = _CODES.view(np.int64)[None, :]
     if x_is_v:
@@ -443,37 +417,34 @@ def _fused_rules(
     else:
         pair, sx = colors[:, None] * 32 + codes, su
     put = colors.astype(np.uint64)[:, None] << sx
-    fused = _Fused(
-        np.concatenate([rules.ex_ok[pair], rules.in_ok[pair]]),
-        np.concatenate([
-            (rules.ex_du[pair] << su) + (rules.ex_dv[pair] << sv) + put,
-            (rules.in_du[pair] << su) + (rules.in_dv[pair] << sv) + put - np.uint64(1),
-        ]).ravel(),
-        len(colors),
+    step = (rules.du[:, pair] << su) + (rules.dv[:, pair] << sv) + put
+    step -= _ONE_MORE[:, :, None]
+    lookup = _Lookup(
+        rules.ok[:, pair].reshape(-1, 32),
+        step.ravel(),
+        np.repeat(_TOOK, len(colors)),
     )
     if len(_FUSED) >= 4096:
         _FUSED.clear()
-    _FUSED[key] = (rules, fused)
-    return fused
+    _FUSED[key] = (rules, lookup)
+    return lookup
 
 
-def _introduce_edge_fused(
-    child: _Table, sw: np.uint64, fused: _Fused, amask: np.uint64, keep: bool
+def _apply(
+    child: _Table, key: np.ndarray, lookup: _Lookup, amask: np.uint64, keep: bool
 ) -> _Table:
-    """An introduce-edge node on xw over the child of x's introduce, which
-    builds no table; sw is the shift of w.  Outcome-major order matches the
-    separate nodes: excluded rows, then included ones, each by x's color and
-    then by child row."""
+    """Every surviving (outcome, child row), outcome-major, with the
+    outcome's increment for the row's key added."""
     rows = child.rows
-    code = ((rows >> sw) & 31).view(np.int64)
-    # np.take keeps the (outcome, row) result C-ordered, unlike ok[:, code]
-    outcome, r = np.divmod(np.flatnonzero(np.take(fused.ok, code, axis=1)), len(rows))
+    keys = lookup.ok.shape[1]
+    # np.take keeps the (outcome, row) result C-ordered, unlike ok[:, key]
+    outcome, r = np.divmod(np.flatnonzero(np.take(lookup.ok, key, axis=1)), len(rows))
     out = rows[r]
-    out += fused.step[outcome * 32 + code[r]]
+    out += lookup.step[outcome * keys + key[r]]
     extras: dict[str, np.ndarray] = {}
     if keep:
         extras["back"] = r.astype(np.int32)
-        extras["took"] = outcome >= fused.excluded
+        extras["took"] = lookup.took[outcome]
     return _dedupe(out, extras, amask)
 
 
@@ -653,18 +624,20 @@ def run_dp(
             rem = remaining[idx]
             rules = _edge_rules(min(rem[u], 2), min(rem[v], 2))
             c = node.children[0]
+            rows = tables[c].rows
             if folded[c]:
                 x = nd.nodes[c].vertex
-                fused = _fused_rules(
-                    rules, min(remaining[c][x], 2), x == v, shift[u], shift[v]
-                )
-                table = _introduce_edge_fused(
-                    tables[c], shift[u if x == v else v], fused, amask, keep_tables
-                )
+                fused = (min(remaining[c][x], 2), x == v)
+                key = ((rows >> shift[u if x == v else v]) & 31).view(np.int64)
             else:
-                table = _introduce_edge(
-                    tables[c], shift[u], shift[v], rules, amask, keep_tables
-                )
+                fused = None
+                # the fields are below 32, so the int64 view reads them
+                # unchanged and indexes without a cast
+                key = ((rows >> shift[u]) & 31).view(np.int64)
+                key <<= 5
+                key |= ((rows >> shift[v]) & 31).view(np.int64)
+            lookup = _edge_lookup(rules, shift[u], shift[v], fused)
+            table = _apply(tables[c], key, lookup, amask, keep_tables)
         elif node.kind == FORGET:
             table = _forget(
                 tables[node.children[0]], shift[node.vertex], amask, keep_tables

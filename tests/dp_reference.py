@@ -3,7 +3,9 @@ five-role recurrences literally, one Python tuple per state, and
 ``ueds.dp.run_dp`` must give the same gamma' on every nice decomposition.
 ``run_eager`` drives the packed transitions of ``ueds.dp`` over every node
 of the nice form, an introduce table included, and must give the same
-node_stats, gamma' and witness as ``run_dp``, which folds introduces.
+node_stats, gamma' and witness as ``run_dp``, which folds introduces.  Its
+introduce-edge nodes run ``packed_introduce_edge``, by boolean masks, which
+shares no code with the outcome lookup of ``run_dp``.
 
 A state is (f, y, n_r, n_r1, n_c, alpha, beta): the color vector f and the
 saturating incidence vector y (0, 1 or "2 meaning >= 2") over the current bag,
@@ -323,6 +325,37 @@ def reference_witness(nd: NiceDecomposition, result: ReferenceResult) -> EdgeSet
     return EdgeSet(mask)
 
 
+def packed_introduce_edge(
+    child: dp._Table,
+    su: np.uint64,
+    sv: np.uint64,
+    rules: dp._EdgeRules,
+    amask: np.uint64,
+    keep: bool,
+) -> dp._Table:
+    """A packed introduce-edge node by boolean masks, apart from the outcome
+    lookup of ueds.dp: the excluded branch's rows, then the included
+    branch's, each in child order, then dedupe."""
+    (ex_ok, in_ok), (ex_du, in_du), (ex_dv, in_dv) = rules.ok, rules.du, rules.dv
+    ex_step = (ex_du << su) + (ex_dv << sv)
+    # one more solution edge also lowers amax - alpha by one (uint64 wraps)
+    in_step = (in_du << su) + (in_dv << sv) - np.uint64(1)
+
+    rows = child.rows
+    pair = ((rows >> su) & 31).astype(np.int64) << 5 | ((rows >> sv) & 31).astype(np.int64)
+    ex = ex_ok[pair]
+    inc = in_ok[pair]
+    ex_rows = rows[ex] + ex_step[pair[ex]]
+    in_rows = rows[inc] + in_step[pair[inc]]
+    extras: dict[str, np.ndarray] = {}
+    if keep:
+        extras["back"] = np.concatenate(
+            [np.flatnonzero(ex), np.flatnonzero(inc)]
+        ).astype(np.int32)
+        extras["took"] = np.arange(len(ex_rows) + len(in_rows)) >= len(ex_rows)
+    return dp._dedupe(np.concatenate([ex_rows, in_rows]), extras, amask)
+
+
 def run_eager(g: Graph, nd: NiceDecomposition, keep_tables: bool = False) -> DPResult:
     """run_dp without folded introduces: every node of the nice form builds
     its table, and every join pairs all bag slots."""
@@ -342,7 +375,7 @@ def run_eager(g: Graph, nd: NiceDecomposition, keep_tables: bool = False) -> DPR
         elif node.kind == INTRODUCE_EDGE:
             u, v = node.edge
             rules = dp._edge_rules(min(rem[u], 2), min(rem[v], 2))
-            table = dp._introduce_edge(
+            table = packed_introduce_edge(
                 tables[node.children[0]], shift[u], shift[v], rules, amask, keep_tables
             )
         elif node.kind == FORGET:

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ueds.decomposition import (
     FORGET,
@@ -23,6 +24,7 @@ from ueds.generate import GenSpec, gen
 from ueds.graph import Graph, greedy_maximal_matching, vertex_cover_from_matching
 
 from conftest import graphs, minimum_vertex_cover
+from decomposition_reference import validate_td_reference
 
 
 class TestFromCover:
@@ -145,6 +147,81 @@ class TestValidateTd:
             n=3, bags=((0, 1, 2), (0, 1, 2)), tree_edges=()
         )
         assert any("tree" in v for v in validate_td(k3, broken))
+
+
+@st.composite
+def broken_decompositions(draw):
+    """Hypothesis strategy: (graph, decomposition) from a valid min-fill or
+    cover-path decomposition with up to three faults: a vertex dropped from
+    every bag or from one, a vertex added to a bag (which may split its
+    holders) or repeated in it, a new edge in the graph, a tree edge dropped
+    or added, a vertex out of range and a tree edge to a missing bag."""
+    g = draw(graphs(max_n=8))
+    if draw(st.booleans()):
+        td = td_min_fill(g)
+    else:
+        td = td_from_vertex_cover(g, minimum_vertex_cover(g))
+    n, edges = g.n, list(g.edges)
+    bags = [list(bag) for bag in td.bags]
+    tree = list(td.tree_edges)
+    kinds = [
+        "drop-vertex", "drop-from-bag", "add-to-bag", "repeat", "add-edge",
+        "drop-tree-edge", "add-tree-edge", "out-of-range", "missing-bag",
+    ]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        v = draw(st.integers(0, n - 1))
+        i = draw(st.integers(0, len(bags) - 1)) if bags else None
+        if kind == "drop-vertex":
+            bags = [[u for u in bag if u != v] for bag in bags]
+        elif kind == "drop-from-bag" and i is not None and v in bags[i]:
+            bags[i].remove(v)
+        elif kind == "add-to-bag" and i is not None and v not in bags[i]:
+            bags[i] = sorted(bags[i] + [v])
+        elif kind == "repeat" and i is not None and bags[i]:
+            bags[i].append(draw(st.sampled_from(bags[i])))
+        elif kind == "add-edge":
+            free = [
+                (a, c) for a in range(n) for c in range(a + 1, n)
+                if (a, c) not in edges
+            ]
+            if free:
+                edges = sorted(edges + [draw(st.sampled_from(free))])
+        elif kind == "drop-tree-edge" and tree:
+            tree.pop(draw(st.integers(0, len(tree) - 1)))
+        elif kind == "add-tree-edge" and i is not None:
+            tree.append((i, draw(st.integers(0, len(bags) - 1))))
+        elif kind == "out-of-range" and i is not None:
+            bags[i].append(n + draw(st.integers(0, 1)))
+        elif kind == "missing-bag":
+            tree.append((len(bags), 0))
+    broken = TreeDecomposition(
+        n=n, bags=tuple(tuple(bag) for bag in bags), tree_edges=tuple(tree)
+    )
+    return Graph(n, edges), broken
+
+
+class TestValidateTdReference:
+    """validate_td against the per-vertex search it replaced, violation for
+    violation in order."""
+
+    @given(broken_decompositions())
+    @settings(max_examples=300, deadline=None)
+    def test_same_violations(self, case):
+        g, td = case
+        assert validate_td(g, td) == validate_td_reference(g, td)
+
+    def test_split_holders_on_a_long_path(self):
+        # vertex 0 also in the bag of vertices 198 and 199, at the far end
+        # of the path of bags
+        g = gen(GenSpec("path", 200))
+        td = td_min_fill(g)
+        far = td.bags.index((198, 199))
+        bags = list(td.bags)
+        bags[far] = tuple(sorted(bags[far] + (0,)))
+        broken = TreeDecomposition(n=g.n, bags=tuple(bags), tree_edges=td.tree_edges)
+        violations = validate_td(g, broken)
+        assert violations == validate_td_reference(g, broken)
+        assert violations == ["bags containing vertex 1 are disconnected in the tree"]
 
 
 class TestMakeNice:

@@ -46,6 +46,7 @@ from dp_reference import (
     dp_introduce_vertex,
     dp_join,
     dp_leaf,
+    packed_introduce_edge,
     reference_witness,
     run_eager,
     run_reference,
@@ -350,12 +351,12 @@ class TestPackingBoundary:
         # have no joins), so record the tables those nodes build, with or
         # without the introduce below folded in
         tables = []
-        for name in ("_introduce_edge", "_introduce_edge_fused"):
-            def recorded(*args, _build=getattr(ueds.dp, name)):
-                tables.append(_build(*args))
-                return tables[-1]
 
-            monkeypatch.setattr(ueds.dp, name, recorded)
+        def recorded(*args, _build=ueds.dp._apply):
+            tables.append(_build(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(ueds.dp, "_apply", recorded)
         self._check(g, td)
         # some row holds the center green with incidence 2 in the top field
         code = GREEN | 2 << 3
@@ -492,40 +493,63 @@ SHIFT8 = [np.uint64(3 + 5 * s) for s in range(3)]
 
 
 class TestFusedIntroduceEdge:
-    """An introduce of x at slot 1 with its first edge xw, w at slot 0 and a
-    bystander at slot 2: _introduce_edge_fused on the introduce's child
-    against _introduce followed by _introduce_edge."""
+    """_apply against the mask-based reference node of dp_reference.  The
+    plain lookup reads the codes of u at slot 0 and v at slot 1.  The folded
+    one is an introduce of x at slot 1 with its first edge xw, w at slot 0,
+    and runs on the introduce's child against _introduce followed by the
+    reference node.  A bystander holds slot 2."""
+
+    @staticmethod
+    def _assert_same(got, want, back, keep):
+        assert got.rows.tolist() == want.rows.tolist()
+        if keep:
+            assert got.extras["took"].tolist() == want.extras["took"].tolist()
+            assert got.extras["back"].tolist() == back.tolist()
+
+    @given(packed_tables({0: CODES, 1: CODES, 2: CODES}))
+    @settings(max_examples=25, deadline=None)
+    def test_plain_matches_the_reference_node(self, child):
+        su, sv = SHIFT8[0], SHIFT8[1]
+        rows = child.rows
+        key = ((rows >> su) & 31).astype(np.int64) << 5 | ((rows >> sv) & 31).astype(np.int64)
+        for rem_u, rem_v in itertools.product(range(3), repeat=2):
+            rules = ueds.dp._edge_rules(rem_u, rem_v)
+            lookup = ueds.dp._edge_lookup(rules, su, sv)
+            for keep in (False, True):
+                want = packed_introduce_edge(child, su, sv, rules, AMASK8, keep)
+                got = ueds.dp._apply(child, key, lookup, AMASK8, keep)
+                self._assert_same(got, want, want.extras.get("back"), keep)
 
     @given(packed_tables({0: CODES, 2: CODES}))
     @settings(max_examples=25, deadline=None)
     def test_matches_the_separate_nodes(self, child):
         sw, sx = SHIFT8[0], SHIFT8[1]
+        key = ((child.rows >> sw) & 31).astype(np.int64)
         for rem_x, rem_u, rem_v in itertools.product(range(3), repeat=3):
             rules = ueds.dp._edge_rules(rem_u, rem_v)
             for x_is_v in (False, True):
                 su, sv = (sw, sx) if x_is_v else (sx, sw)
-                fused = ueds.dp._fused_rules(rules, rem_x, x_is_v, su, sv)
+                lookup = ueds.dp._edge_lookup(rules, su, sv, (rem_x, x_is_v))
                 for keep in (False, True):
                     intro = ueds.dp._introduce(child, sx, rem_x, keep)
-                    want = ueds.dp._introduce_edge(intro, su, sv, rules, AMASK8, keep)
-                    got = ueds.dp._introduce_edge_fused(child, sw, fused, AMASK8, keep)
-                    assert got.rows.tolist() == want.rows.tolist()
-                    if keep:
-                        took, back = want.extras["took"], want.extras["back"]
-                        assert got.extras["took"].tolist() == took.tolist()
-                        composed = intro.extras["back"][back]
-                        assert got.extras["back"].tolist() == composed.tolist()
+                    want = packed_introduce_edge(intro, su, sv, rules, AMASK8, keep)
+                    got = ueds.dp._apply(child, key, lookup, AMASK8, keep)
+                    back = intro.extras["back"][want.extras["back"]] if keep else None
+                    self._assert_same(got, want, back, keep)
 
     def test_the_lookup_follows_the_rules_object(self):
         # equal remaining counts and shifts, another rules object: the
         # cached lookup must not be reused
         rules = ueds.dp._edge_rules(2, 2)
-        broken = rules._replace(ex_ok=np.zeros_like(rules.ex_ok))
-        args = (2, True, SHIFT8[0], SHIFT8[1])
-        fused = ueds.dp._fused_rules(rules, *args)
-        assert fused.ok[: fused.excluded].any()
-        assert not ueds.dp._fused_rules(broken, *args).ok[: fused.excluded].any()
-        assert ueds.dp._fused_rules(rules, *args) is fused
+        ok = rules.ok.copy()
+        ok[0] = False  # no row survives the excluded branch
+        broken = rules._replace(ok=ok)
+        args = (SHIFT8[0], SHIFT8[1], (2, True))
+        lookup = ueds.dp._edge_lookup(rules, *args)
+        excluded = ~lookup.took
+        assert lookup.ok[excluded].any()
+        assert not ueds.dp._edge_lookup(broken, *args).ok[excluded].any()
+        assert ueds.dp._edge_lookup(rules, *args) is lookup
 
 
 # the shared vertices hold slots 0 and 2 and the one-sided vertex v slot 1
@@ -733,25 +757,46 @@ class TestAboveTwelveVertices:
         assert witness.size == gamma and is_minimal_eds(g, witness)
 
 
+def edges_left(g, nd, idx):
+    """Per vertex, its edges introduced outside node idx's subtree."""
+    left = [g.degree(v) for v in range(g.n)]
+    stack = [idx]
+    while stack:
+        node = nd.nodes[stack.pop()]
+        if node.edge is not None:
+            for v in node.edge:
+                left[v] -= 1
+        stack.extend(node.children)
+    return left
+
+
+class TestRemainingAbove:
+    """_remaining_above against a direct count of each vertex's edges
+    introduced outside the node's subtree.  run_dp reads the count of an
+    introduce's vertex, of an edge node's endpoints and of a join's bag;
+    every node holds exactly its bag's counts."""
+
+    @given(st.one_of(graphs(max_n=8), sparse_graphs(min_n=6, max_n=16, extra=4)))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_a_direct_count(self, g):
+        td = td_min_fill(g)
+        degree = [len(adj) for adj in td.neighbors()]
+        hub = degree.index(max(degree, default=0)) if td.bags else 0
+        for tree in (td, rooted_at(td, hub)):
+            for placement in ("early", "late"):
+                nd = make_nice(g, tree, edge_placement=placement)
+                remaining = ueds.dp._remaining_above(g, nd)
+                for idx, node in enumerate(nd.nodes):
+                    left = edges_left(g, nd, idx)
+                    assert remaining[idx] == {v: left[v] for v in node.bag}
+
+
 class TestStarForestTables:
     """Every table of run_dp, on min-fill and re-rooted decompositions with
     both edge placements: each field holds one of the 10 codes with purple
     and red at incidence 1 or below, alpha <= n - 1, at most 10^(w+1) rows,
     and after a join every bag vertex can still reach its target with the
     edges introduced outside the join's subtree."""
-
-    @staticmethod
-    def _edges_left(g, nd, idx):
-        """Per vertex, its edges introduced outside node idx's subtree."""
-        left = [g.degree(v) for v in range(g.n)]
-        stack = [idx]
-        while stack:
-            node = nd.nodes[stack.pop()]
-            if node.edge is not None:
-                for v in node.edge:
-                    left[v] -= 1
-            stack.extend(node.children)
-        return left
 
     @staticmethod
     def _folded(nd):
@@ -784,10 +829,7 @@ class TestStarForestTables:
         above it builds its table from the introduce's child."""
         built = []
         with pytest.MonkeyPatch.context() as monkeypatch:
-            for name in (
-                "_introduce", "_introduce_edge", "_introduce_edge_fused", "_forget",
-                "_join",
-            ):
+            for name in ("_introduce", "_apply", "_forget", "_join"):
                 def recorded(*args, _build=getattr(ueds.dp, name)):
                     built.append(_build(*args))
                     return built[-1]
@@ -810,7 +852,7 @@ class TestStarForestTables:
             rows = [int(r) for r in table.rows]
             assert len(rows) <= state_space_bound(nd.width)
             assert len(set(rows)) == len(rows)
-            left = self._edges_left(g, nd, idx) if node.kind == JOIN else None
+            left = edges_left(g, nd, idx) if node.kind == JOIN else None
             for row in rows:
                 assert amask - (row & amask) <= g.n - 1
                 fields = row >> a

@@ -30,9 +30,9 @@ class TestSelfcheck:
 
         def no_upgrade(rem_u, rem_v):
             rules = build(rem_u, rem_v)
-            return rules._replace(
-                ex_du=np.zeros_like(rules.ex_du), ex_dv=np.zeros_like(rules.ex_dv)
-            )
+            du, dv = rules.du.copy(), rules.dv.copy()
+            du[0] = dv[0] = 0  # the excluded branch's increments
+            return rules._replace(du=du, dv=dv)
 
         monkeypatch.setattr(ueds.dp, "_edge_rules", no_upgrade)
         report = selfcheck(count=25, nmax=7, seed=1)
