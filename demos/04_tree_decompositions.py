@@ -3,8 +3,9 @@ Tree decompositions
 ===================
 
 A vertex cover C yields a path of bags C + {v}, one per vertex outside C, of
-width at most |C|.  The min-fill elimination heuristic follows the graph's
-treewidth instead, and it is the decomposition the solver runs on.
+width at most |C|.  The min-fill elimination heuristic and the greedy path
+follow the graph's treewidth instead; the solver runs on the narrower of the
+two, and a tie goes to the path, which has no join nodes.
 The nice form rewrites any valid decomposition into leaf, introduce,
 introduce-edge, forget and join nodes with empty root and leaf bags,
 introducing every edge exactly once.
@@ -19,6 +20,7 @@ from ueds import (
     parse_graph,
     parse_td,
     td_from_vertex_cover,
+    td_greedy_path,
     td_min_fill,
     validate_nice,
     validate_td,
@@ -50,10 +52,18 @@ print("violations:", validate_nice(p4, nd))
 broken = parse_td("s td 1 3 4\nb 1 1 2 3\n")
 print("broken decomposition:", validate_td(p4, broken))
 
-# On a tree the cover path is as wide as the cover, while the min-fill
-# decomposition, the one the solver uses, has width 1.
+# On a tree the cover path is as wide as the cover, and the greedy path is
+# wider than min-fill, which has width 1: the solver picks min-fill.
 tree = gen(GenSpec("tree", 30))
 cover = vertex_cover_from_matching(tree, greedy_maximal_matching(tree))
 td = td_min_fill(tree)
 print("\ntree-30: cover path width", td_from_vertex_cover(tree, cover).width,
+      "greedy path width", td_greedy_path(tree).width,
       "min-fill width", td.width, "with", make_nice(tree, td).count("join"), "join nodes")
+
+# On this random graph the two tie at width 4, and the solver picks the
+# path, whose nice form has no joins.
+g = gen(GenSpec("gnp", 12, 0.3, 24))
+for name, td in (("greedy path", td_greedy_path(g)), ("min-fill", td_min_fill(g))):
+    print(f"gnp-12: {name} width", td.width, "with",
+          make_nice(g, td).count("join"), "join nodes")

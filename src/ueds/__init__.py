@@ -4,8 +4,8 @@ largest inclusion-minimal edge dominating set of a simple undirected graph.
 The toolkit combines a brute-force enumeration oracle for small instances, a
 polynomial-time kernelization that shrinks an instance to O(k^2) vertices or
 decides it outright, and an exact dynamic program over nice tree
-decompositions built by min-fill elimination.  Everything is
-deterministic for fixed inputs and seeds.
+decompositions, built by min-fill elimination or as a greedy path, whichever
+is narrower.  Everything is deterministic for fixed inputs and seeds.
 """
 
 from .errors import (
@@ -52,6 +52,7 @@ from .decomposition import (
     make_nice,
     parse_td,
     td_from_vertex_cover,
+    td_greedy_path,
     td_min_fill,
     validate_nice,
     validate_td,

@@ -28,7 +28,7 @@ from .generate import FAMILIES, GenSpec, gen
 from .graph import Graph, emit_graph, parse_graph
 from .kernel import DecidedYes, kernelize
 from .oracle import DEFAULT_EDGE_LIMIT, upper_eds_exact
-from .pipeline import DEFAULT_WIDTH_CAP, decompose, gamma_prime, solve
+from .pipeline import DEFAULT_WIDTH_CAP, choose_decomposition, gamma_prime, solve
 from .selfcheck import selfcheck
 
 __all__ = ["main", "build_parser"]
@@ -233,7 +233,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_decomp(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    td = decompose(g, args.max_width)
+    source, td = choose_decomposition(g, args.max_width)
     nd = make_nice(g, td)
     td_ok = validate_td(g, td) == []
     nice_ok = validate_nice(g, nd) == []
@@ -242,6 +242,7 @@ def _cmd_decomp(args: argparse.Namespace) -> int:
     payload = {
         "n": g.n,
         "m": g.m,
+        "source": source,
         "bags": len(td.bags),
         "width": td.width,
         "nice_nodes": len(nd.nodes),
@@ -250,7 +251,7 @@ def _cmd_decomp(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for key in ("n", "m", "bags", "width", "nice_nodes", "valid"):
+        for key in ("n", "m", "source", "bags", "width", "nice_nodes", "valid"):
             print(f"{key}: {payload[key]}")
     return 0
 

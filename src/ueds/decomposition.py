@@ -1,14 +1,18 @@
 """Tree decompositions and their nice form.
 
-Two builders give a decomposition of a graph.  The cover path places the
+Three builders give a decomposition of a graph.  The cover path places the
 bags C + {v} for every vertex v outside a vertex cover C on a path, which
 gives width |C| at worst.  The min-fill elimination decomposition eliminates
 vertices one by one, always the one whose neighborhood misses the fewest
 edges, and gives width close to the treewidth on sparse graphs (Bodlaender &
-Koster, "Treewidth computations I. Upper bounds", 2010).  Every solver path
-runs on min-fill: on the graphs sampled so far it was never wider than the
-path over the greedy-matching cover, and where the two tie its DP tables were
-no larger.
+Koster, "Treewidth computations I. Upper bounds", 2010).  The greedy path
+places vertices one by one in an order of small vertex separation and has no
+join nodes.  The solver runs on the narrower of the greedy path and min-fill,
+a tie going to the path (pipeline.choose_decomposition): min-fill hangs
+one-vertex leaf bags off its spine, so its nice form has joins at full width,
+the DP's most expensive nodes, while on trees a path is far wider.  The cover
+path is kept for the tests and the benchmark's tracer; on the graphs sampled
+so far it was never narrower than the solver's choice.
 
 The nice form rewrites any valid decomposition into a rooted tree of leaf,
 introduce-vertex, introduce-edge, forget and join nodes with empty root and
@@ -43,6 +47,7 @@ __all__ = [
     "JOIN",
     "td_from_vertex_cover",
     "td_min_fill",
+    "td_greedy_path",
     "validate_td",
     "make_nice",
     "validate_nice",
@@ -240,6 +245,76 @@ def td_min_fill(g: Graph, max_bag: int | None = None) -> TreeDecomposition | Non
         n=g.n,
         bags=tuple(tuple(sorted(bags[i])) for i in keep),
         tree_edges=tuple(tree_edges),
+    )
+
+
+def td_greedy_path(g: Graph, max_bag: int | None = None) -> TreeDecomposition | None:
+    """Path decomposition from a greedy vertex-separation order.
+
+    The order starts at a vertex of minimum degree (the lowest id among
+    them).  A placed vertex stays active while it has unplaced neighbors.
+    The next vertex is the unplaced neighbor of an active vertex that closes
+    the most active vertices (is their last unplaced neighbor), then the one
+    with the fewest unplaced neighbors, then the lowest id; with no active
+    vertex left, the next component starts at its minimum-degree vertex.
+    Bag i is vertex i plus the vertices active when it is placed, and bag i
+    hangs below bag i - 1, so the width is the order's vertex separation
+    (Kinnersley, IPL 42, 1992).  Selection pops a heap that gets one entry
+    per change of a vertex's counts, so the order takes O((n + m) log n)
+    time.
+
+    Given max_bag, it stops at its first bag of more than max_bag vertices
+    and returns None, as td_min_fill does.
+    """
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    unplaced = [len(nb) for nb in adj]  # unplaced neighbors of each vertex
+    closes = [0] * g.n  # active vertices whose last unplaced neighbor it is
+    placed = [False] * g.n
+    starts = iter(sorted(range(g.n), key=lambda v: (unplaced[v], v)))
+    frontier: list[tuple[int, int, int]] = []  # (-closes, unplaced, vertex)
+    active: set[int] = set()
+    bags: list[tuple[int, ...]] = []
+
+    def push(v: int) -> None:
+        heapq.heappush(frontier, (-closes[v], unplaced[v], v))
+
+    def close_last(a: int) -> None:
+        last = next(w for w in adj[a] if not placed[w])
+        closes[last] += 1
+        push(last)
+
+    while len(bags) < g.n:
+        # a key only improves while its vertex waits, so the first entry
+        # popped for a vertex is current, and later ones find it placed
+        while frontier and placed[frontier[0][2]]:
+            heapq.heappop(frontier)
+        if frontier:
+            x = heapq.heappop(frontier)[2]
+        else:  # no active vertex: a new component
+            x = next(v for v in starts if not placed[v])
+        if max_bag is not None and len(active) >= max_bag:
+            return None
+        bags.append(tuple(sorted(active | {x})))
+        placed[x] = True
+        for a in adj[x]:
+            unplaced[a] -= 1
+            if not placed[a]:
+                push(a)
+            elif unplaced[a] == 0:
+                active.discard(a)
+            elif unplaced[a] == 1:
+                close_last(a)
+        if unplaced[x]:
+            active.add(x)
+            if unplaced[x] == 1:
+                close_last(x)
+    return TreeDecomposition(
+        n=g.n,
+        bags=tuple(bags),
+        tree_edges=tuple((i, i + 1) for i in range(len(bags) - 1)),
     )
 
 

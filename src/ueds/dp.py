@@ -437,8 +437,9 @@ def _apply(
     outcome's increment for the row's key added."""
     rows = child.rows
     keys = lookup.ok.shape[1]
-    # np.take keeps the (outcome, row) result C-ordered, unlike ok[:, key]
-    outcome, r = np.divmod(np.flatnonzero(np.take(lookup.ok, key, axis=1)), len(rows))
+    # np.take keeps the (outcome, row) mask C-ordered, unlike ok[:, key], and
+    # nonzero lists its entries in that order
+    outcome, r = np.take(lookup.ok, key, axis=1).nonzero()
     out = rows[r]
     out += lookup.step[outcome * keys + key[r]]
     extras: dict[str, np.ndarray] = {}

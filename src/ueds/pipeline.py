@@ -2,8 +2,9 @@
 then the dynamic program over a tree decomposition; plus the exact-value
 entry point that picks between the enumeration oracle and the DP.
 
-The DP runs over the min-fill elimination decomposition (decompose), the
-same one `ueds decomp` reports."""
+The DP runs over the narrower of two decompositions, the greedy path and
+the min-fill elimination decomposition, a tie going to the path
+(choose_decomposition); `ueds decomp` reports the same choice."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .decomposition import TreeDecomposition, make_nice, td_min_fill
+from .decomposition import TreeDecomposition, make_nice, td_greedy_path, td_min_fill
 from .dp import extract_witness, run_dp
 from .errors import WidthCapExceeded
 from .graph import (
@@ -23,7 +24,14 @@ from .graph import (
 from .kernel import DecidedYes, kernelize
 from .oracle import DEFAULT_EDGE_LIMIT, upper_eds_exact
 
-__all__ = ["DEFAULT_WIDTH_CAP", "SolveReport", "decompose", "solve", "gamma_prime"]
+__all__ = [
+    "DEFAULT_WIDTH_CAP",
+    "SolveReport",
+    "choose_decomposition",
+    "decompose",
+    "solve",
+    "gamma_prime",
+]
 
 DEFAULT_WIDTH_CAP = 14  # reject decompositions with width + 1 above this
 
@@ -79,16 +87,33 @@ def _witness_pairs(g: Graph, solution: EdgeSet) -> list[tuple[int, int]]:
     return [(u + 1, v + 1) for u, v in (g.edges[e] for e in solution)]
 
 
-def decompose(g: Graph, max_width: int = DEFAULT_WIDTH_CAP) -> TreeDecomposition:
-    """The decomposition the DP runs on: min-fill, refused with
-    WidthCapExceeded when it needs a bag of more than max_width vertices."""
-    td = td_min_fill(g, max_bag=max_width)
-    if td is None:
+def choose_decomposition(
+    g: Graph, max_width: int = DEFAULT_WIDTH_CAP
+) -> tuple[str, TreeDecomposition]:
+    """The decomposition the DP runs on, with its source: "min-fill" when
+    the min-fill decomposition is narrower than the greedy path, else
+    "greedy-path".  A path has no join nodes, the DP's most expensive kind,
+    so a tie goes to it; min-fill wins on trees, where a path is wide.
+
+    The path is built first, and min-fill stops as soon as it cannot be
+    strictly narrower, so a tie costs only part of an elimination.  Raises
+    WidthCapExceeded when both need a bag of more than max_width vertices.
+    """
+    path = td_greedy_path(g, max_bag=max_width)
+    fill = td_min_fill(g, max_bag=max_width if path is None else path.width)
+    if fill is not None and (path is None or fill.width < path.width):
+        return "min-fill", fill
+    if path is None:
         raise WidthCapExceeded(
-            f"the min-fill decomposition needs bags above the cap {max_width}; "
-            "raise --max-width to proceed"
+            "both the greedy path and the min-fill decomposition need bags "
+            f"above the cap {max_width}; raise --max-width to proceed"
         )
-    return td
+    return "greedy-path", path
+
+
+def decompose(g: Graph, max_width: int = DEFAULT_WIDTH_CAP) -> TreeDecomposition:
+    """The decomposition choose_decomposition picks, without its source."""
+    return choose_decomposition(g, max_width)[1]
 
 
 def _dp_stage(
@@ -99,10 +124,10 @@ def _dp_stage(
     diagnostics: bool = False,
     td: TreeDecomposition | None = None,
 ) -> tuple[int, EdgeSet | None, dict[str, Any]]:
-    """Run the DP over td, or over decompose(work) when td is None."""
+    """Run the DP over td, or over the chosen decomposition when td is None."""
     if td is None:
-        source = "min-fill"
-        nd = make_nice(work, decompose(work, max_width))
+        source, chosen = choose_decomposition(work, max_width)
+        nd = make_nice(work, chosen)
     else:
         source = "given"
         nd = make_nice(work, td)  # an invalid td is an input error, checked first
@@ -218,8 +243,8 @@ def gamma_prime(
     """Exact upper edge domination number.
 
     method "oracle" enumerates (m <= oracle_limit), "dp" runs the dynamic
-    program over the min-fill elimination decomposition, or over td when
-    one is given, "auto" picks the oracle for small edge counts and the DP
+    program over the decomposition choose_decomposition picks, or over td
+    when one is given, "auto" picks the oracle for small edge counts and the DP
     otherwise (always the DP when td is given).  Both methods agree
     wherever both apply; the test suite enforces that.
     """

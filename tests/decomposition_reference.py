@@ -1,8 +1,10 @@
-"""Reference decomposition check for tests.  ``validate_td_reference``
+"""Reference decomposition code for tests.  ``validate_td_reference``
 searches each vertex's holder bags for connectivity one vertex at a time,
 which takes time quadratic in the decomposition's size.
 ``ueds.decomposition.validate_td`` must report the same violations in the
-same order.
+same order.  ``greedy_path_reference`` follows the greedy path's selection
+rule by scanning every candidate at every step;
+``ueds.decomposition.td_greedy_path`` must build the same decomposition.
 """
 
 from __future__ import annotations
@@ -79,3 +81,37 @@ def validate_td_reference(g: Graph, td: TreeDecomposition) -> list[str]:
                     f"bags containing vertex {v + 1} are disconnected in the tree"
                 )
     return violations
+
+
+def greedy_path_reference(g: Graph) -> TreeDecomposition:
+    """The greedy path decomposition, recomputing every count at every step:
+    the next vertex is the unplaced neighbor of an active vertex (a placed
+    vertex with unplaced neighbors) that is the last unplaced neighbor of the
+    most active vertices, then has the fewest unplaced neighbors, then the
+    lowest id; with no active vertex, the unplaced vertex of the lowest
+    degree and id.  Bag i is vertex i plus the vertices active before it."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    placed: list[int] = []
+    bags: list[tuple[int, ...]] = []
+    while len(placed) < g.n:
+        unplaced = [nb.difference(placed) for nb in adj]
+        active = [a for a in placed if unplaced[a]]
+        frontier = set().union(*(unplaced[a] for a in active))
+        if frontier:
+            def rank(x: int) -> tuple[int, int, int]:
+                closes = sum(unplaced[a] == {x} for a in active)
+                return (-closes, len(unplaced[x]), x)
+
+            x = min(frontier, key=rank)
+        else:
+            x = min(set(range(g.n)).difference(placed), key=lambda v: (len(adj[v]), v))
+        bags.append(tuple(sorted(active + [x])))
+        placed.append(x)
+    return TreeDecomposition(
+        n=g.n,
+        bags=tuple(bags),
+        tree_edges=tuple((i, i + 1) for i in range(len(bags) - 1)),
+    )

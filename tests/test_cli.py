@@ -12,6 +12,7 @@ from ueds.decomposition import (
     emit_td,
     parse_td,
     td_from_vertex_cover,
+    td_greedy_path,
     td_min_fill,
 )
 from ueds.oracle import upper_eds_exact
@@ -144,7 +145,19 @@ class TestDecompositionCommands:
         payload = json.loads(capsys.readouterr().out)
         td = td_min_fill(gen(spec))
         assert payload["width"] == td.width == 1 and payload["valid"] is True
+        assert payload["source"] == "min-fill"
         assert parse_td(out.read_text()) == td
+
+    def test_decomp_names_the_greedy_path(self, tmp_path, capsys):
+        spec = GenSpec("cycle", 25)
+        out = tmp_path / "cycle.td"
+        path = _write_graph(tmp_path, spec)
+        assert main(["decomp", path, "--emit-td", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "source: greedy-path\n" in text and "width: 2\n" in text
+        assert parse_td(out.read_text()) == td_greedy_path(gen(spec))
+        assert main(["gamma", path, "--method", "dp", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["dp"]["source"] == "greedy-path"
 
     def test_decomp_refuses_above_the_cap_like_solve(self, tmp_path, capsys):
         path = _write_graph(tmp_path, GenSpec("gnp", 16, 0.9, 5))

@@ -15,16 +15,23 @@ from ueds.decomposition import (
     make_nice,
     parse_td,
     td_from_vertex_cover,
+    td_greedy_path,
     td_min_fill,
     validate_nice,
     validate_td,
 )
-from ueds.errors import DecompositionFormatError, InvalidDecomposition, NotACover
+from ueds.errors import (
+    DecompositionFormatError,
+    InvalidDecomposition,
+    NotACover,
+    WidthCapExceeded,
+)
 from ueds.generate import GenSpec, gen
 from ueds.graph import Graph, greedy_maximal_matching, vertex_cover_from_matching
+from ueds.pipeline import choose_decomposition, decompose
 
 from conftest import graphs, minimum_vertex_cover
-from decomposition_reference import validate_td_reference
+from decomposition_reference import greedy_path_reference, validate_td_reference
 
 
 class TestFromCover:
@@ -124,6 +131,92 @@ class TestMinFill:
         # on a sparse graph of high treewidth the elimination stops early
         big = gen(GenSpec("gnp", 1000, 3 / 999, 1))
         assert td_min_fill(big, max_bag=14) is None
+
+
+def grid(rows: int, cols: int) -> Graph:
+    return Graph(rows * cols, [
+        (v, w)
+        for v in range(rows * cols)
+        for w in (v + 1 if (v + 1) % cols else -1, v + cols)
+        if 0 <= w < rows * cols
+    ])
+
+
+# the empty graph, and graphs with isolated vertices and several components
+any_graphs = st.one_of(st.just(Graph(0, [])), graphs(max_n=10))
+
+
+class TestGreedyPath:
+    @given(any_graphs)
+    @settings(max_examples=150, deadline=None)
+    def test_valid_and_equal_to_the_reference(self, g):
+        td = td_greedy_path(g)
+        assert td == greedy_path_reference(g)
+        assert validate_td(g, td) == validate_td_reference(g, td) == []
+        assert len(td.bags) == g.n
+        for placement in ("early", "late"):
+            nd = make_nice(g, td, edge_placement=placement)
+            assert validate_nice(g, nd) == [] and nd.count(JOIN) == 0
+
+    @given(any_graphs)
+    @settings(max_examples=80, deadline=None)
+    def test_stops_at_the_cap(self, g):
+        full = td_greedy_path(g)
+        for max_bag in range(g.n + 2):
+            capped = td_greedy_path(g, max_bag=max_bag)
+            assert (capped is None) == (full.width > max_bag - 1)
+            assert capped in (None, full)
+
+    def test_closing_outranks_fewer_unplaced_neighbors(self):
+        # K(2,3) with sides {0, 4} and {1, 2, 3}: the order starts at 1, the
+        # lowest id of the lowest degree, and 0 and 4 tie on the lower id.
+        # Then 4 is the last unplaced neighbor of the active vertex 1, so it
+        # goes before 2 and 3, which have fewer unplaced neighbors
+        g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        td = td_greedy_path(g)
+        assert td.bags == ((1,), (0, 1), (0, 1, 4), (0, 2, 4), (0, 3, 4))
+        assert td.tree_edges == ((0, 1), (1, 2), (2, 3), (3, 4))
+
+    def test_low_treewidth_families(self):
+        star = Graph(2000, [(0, v) for v in range(1, 2000)])
+        for g, width in (
+            (star, 1),
+            (gen(GenSpec("path", 40)), 1),
+            (gen(GenSpec("cycle", 25)), 2),
+            (grid(5, 40), 5),
+            (grid(6, 30), 6),
+        ):
+            td = td_greedy_path(g)
+            assert td.width == width and validate_td(g, td) == []
+        # a grid of six rows is where it beats min-fill; a tree, where it loses
+        assert td_min_fill(grid(6, 30)).width == 7
+        tree = gen(GenSpec("tree", 200, seed=3))
+        assert td_greedy_path(tree).width > td_min_fill(tree).width == 1
+
+
+class TestChooseDecomposition:
+    @given(any_graphs)
+    @settings(max_examples=80, deadline=None)
+    def test_the_narrower_wins_and_a_tie_goes_to_the_path(self, g):
+        path, fill = td_greedy_path(g), td_min_fill(g)
+        want = ("min-fill", fill) if fill.width < path.width else ("greedy-path", path)
+        for max_width in range(g.n + 2):
+            if min(path.width, fill.width) + 1 > max_width:
+                with pytest.raises(WidthCapExceeded, match="min-fill"):
+                    choose_decomposition(g, max_width)
+            else:
+                assert choose_decomposition(g, max_width) == want
+                assert decompose(g, max_width) == want[1]
+
+    def test_sources(self):
+        tree = gen(GenSpec("tree", 30))
+        assert choose_decomposition(tree)[0] == "min-fill"
+        assert choose_decomposition(gen(GenSpec("cycle", 9)))[0] == "greedy-path"
+        # one of the two is refused at the cap, the other fits
+        tree = gen(GenSpec("tree", 200, seed=3))
+        assert choose_decomposition(tree, 2) == ("min-fill", td_min_fill(tree))
+        six = grid(6, 30)
+        assert choose_decomposition(six, 7) == ("greedy-path", td_greedy_path(six))
 
 
 class TestValidateTd:

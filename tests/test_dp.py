@@ -13,6 +13,7 @@ from ueds.decomposition import (
     TreeDecomposition,
     make_nice,
     td_from_vertex_cover,
+    td_greedy_path,
     td_min_fill,
 )
 from ueds.dp import (
@@ -916,6 +917,15 @@ class TestPinnedOutput:
         edges = [g.edges[e] for e in extract_witness(g, nd, result)]
         assert [(u + 1, v + 1) for u, v in edges] == witness
 
+    @staticmethod
+    def _assert_pinned(report, joins, gamma, nodes, rows_sum, rows_max, witness):
+        lines = [line for line in report.dp["diagnostics"] if "tuples=" in line]
+        sizes = [int(line.rsplit("tuples=", 1)[1]) for line in lines]
+        assert sum(" type=join " in line for line in lines) == joins
+        assert report.gamma_prime == gamma
+        assert (len(sizes), sum(sizes), max(sizes)) == (nodes, rows_sum, rows_max)
+        assert report.witness == witness
+
     @pytest.mark.parametrize(
         "spec,joins,gamma,nodes,rows_sum,rows_max,witness",
         [
@@ -928,17 +938,29 @@ class TestPinnedOutput:
         ],
         ids=PINNED_IDS,
     )
+    def test_min_fill(self, spec, joins, gamma, nodes, rows_sum, rows_max, witness):
+        g = gen(spec)
+        report = gamma_prime(g, method="dp", diagnostics=True, td=td_min_fill(g))
+        self._assert_pinned(report, joins, gamma, nodes, rows_sum, rows_max, witness)
+
+    @pytest.mark.parametrize(
+        "spec,source,joins,gamma,nodes,rows_sum,rows_max,witness",
+        [
+            (GenSpec("cycle", 9), "greedy-path", 0, 4, 28, 992, 132,
+             [(2, 3), (4, 5), (7, 8), (8, 9)]),
+            (GenSpec("tree", 11, seed=5), "greedy-path", 0, 4, 33, 241, 20,
+             [(7, 6), (1, 5), (10, 2), (9, 8)]),
+            (GenSpec("gnp", 12, 0.3, 24), "greedy-path", 0, 6, 45, 37333, 5296,
+             [(2, 3), (2, 4), (2, 8), (5, 6), (7, 11), (10, 12)]),
+        ],
+        ids=PINNED_IDS,
+    )
     def test_pipeline_choice(
-        self, spec, joins, gamma, nodes, rows_sum, rows_max, witness
+        self, spec, source, joins, gamma, nodes, rows_sum, rows_max, witness
     ):
         report = gamma_prime(gen(spec), method="dp", diagnostics=True)
-        lines = [line for line in report.dp["diagnostics"] if "tuples=" in line]
-        sizes = [int(line.rsplit("tuples=", 1)[1]) for line in lines]
-        assert report.dp["source"] == "min-fill"
-        assert sum(" type=join " in line for line in lines) == joins
-        assert report.gamma_prime == gamma
-        assert (len(sizes), sum(sizes), max(sizes)) == (nodes, rows_sum, rows_max)
-        assert report.witness == witness
+        assert report.dp["source"] == source
+        self._assert_pinned(report, joins, gamma, nodes, rows_sum, rows_max, witness)
 
 
 class TestMinFillDecompositions:
@@ -979,6 +1001,23 @@ class TestMinFillDecompositions:
                     assert is_minimal_eds(g, witness)
 
 
+class TestGreedyPathDecompositions:
+    """The DP, the reference and the oracle on the greedy path, the
+    pipeline's other decomposition, with both edge placements."""
+
+    @given(graphs(max_n=8))
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_fast_and_tuple_agree(self, g):
+        want = upper_eds_exact(g, limit=28).gamma_prime  # every pair at n = 8
+        td = td_greedy_path(g)
+        for placement in ("early", "late"):
+            nd = make_nice(g, td, edge_placement=placement)
+            for gamma, witness in solved_by_both(g, nd):
+                assert gamma == witness.size == want, placement
+                if g.m:
+                    assert is_minimal_eds(g, witness)
+
+
 class TestFoldedIntroduces:
     """run_dp folds introduces into the node above; run_eager builds every
     table of the nice form.  Both must give the same node_stats, gamma' and
@@ -1001,7 +1040,7 @@ class TestFoldedIntroduces:
         td = td_min_fill(g)
         degree = [len(adj) for adj in td.neighbors()]
         hub = degree.index(max(degree, default=0)) if td.bags else 0
-        for tree in (td, rooted_at(td, hub)):
+        for tree in (td, rooted_at(td, hub), td_greedy_path(g)):
             for placement in ("early", "late"):
                 self._assert_same(g, make_nice(g, tree, edge_placement=placement))
 
