@@ -26,7 +26,7 @@ from .errors import (
 )
 from .generate import FAMILIES, GenSpec, gen
 from .graph import Graph, emit_graph, parse_graph
-from .kernel import DecidedYes, kernelize
+from .kernel import kernelize
 from .oracle import DEFAULT_EDGE_LIMIT, upper_eds_exact
 from .pipeline import DEFAULT_WIDTH_CAP, choose_decomposition, gamma_prime, solve
 from .selfcheck import selfcheck
@@ -173,22 +173,9 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
 def _cmd_kernelize(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     outcome = kernelize(g, args.k)
-    if isinstance(outcome, DecidedYes):
-        payload = {
-            "decided": True,
-            "rule": outcome.rule,
-            "hint": outcome.hint,
-            "trace": list(outcome.trace),
-        }
-    else:
-        payload = {
-            "decided": False,
-            "n": outcome.graph.n,
-            "m": outcome.graph.m,
-            "k": outcome.k,
-            "trace": list(outcome.trace),
-            "graph": emit_graph(outcome.graph),
-        }
+    payload = outcome.summary()
+    if not payload["decided"]:
+        payload["graph"] = emit_graph(outcome.graph)
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

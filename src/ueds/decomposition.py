@@ -16,7 +16,11 @@ so far it was never narrower than the solver's choice.
 
 The nice form rewrites any valid decomposition into a rooted tree of leaf,
 introduce-vertex, introduce-edge, forget and join nodes with empty root and
-leaf bags, introducing every edge of the graph exactly once.
+leaf bags, introducing every edge of the graph exactly once.  make_nice
+builds it in one postorder pass over the decomposition tree: each child's
+chain turns the child's bag into its parent's by forgets, then introduces;
+a bag without children grows the same way from an empty leaf; and the
+chains of several children meet in joins.
 
 Nodes of a NiceDecomposition are stored in evaluation order: every node's
 children have smaller indices, the root is the last node.
@@ -388,89 +392,6 @@ def validate_td(g: Graph, td: TreeDecomposition) -> list[str]:
     return violations
 
 
-class _NiceBuilder:
-    """Accumulates nice nodes bottom-up; children always precede parents."""
-
-    def __init__(self, g: Graph, edge_placement: str):
-        self.g = g
-        self.nodes: list[NiceNode] = []
-        self.introduced: set[int] = set()
-        self.edge_placement = edge_placement
-        # edge id lookup by endpoint pair
-        self.eid: dict[tuple[int, int], int] = {}
-        for i, (u, v) in enumerate(g.edges):
-            self.eid[(u, v)] = i
-            self.eid[(v, u)] = i
-
-    def add(self, node: NiceNode) -> int:
-        self.nodes.append(node)
-        return len(self.nodes) - 1
-
-    def leaf(self) -> int:
-        return self.add(NiceNode(kind=LEAF, bag=()))
-
-    def introduce(self, top: int, bag: tuple[int, ...], v: int) -> int:
-        new_bag = tuple(sorted(bag + (v,)))
-        idx = self.add(
-            NiceNode(kind=INTRODUCE, bag=new_bag, children=(top,), vertex=v)
-        )
-        if self.edge_placement == "early":
-            idx = self._introduce_edges_at(idx, new_bag, v)
-        return idx
-
-    def _introduce_edges_at(self, top: int, bag: tuple[int, ...], v: int) -> int:
-        """Introduce all pending edges between v and the rest of the bag."""
-        bag_set = set(bag)
-        pending = [
-            (eid, u)
-            for u, eid in self.g.adj[v]
-            if u in bag_set and eid not in self.introduced
-        ]
-        for eid, u in sorted(pending):
-            self.introduced.add(eid)
-            top = self.add(
-                NiceNode(
-                    kind=INTRODUCE_EDGE,
-                    bag=bag,
-                    children=(top,),
-                    edge=self.g.edges[eid],
-                    edge_id=eid,
-                )
-            )
-        return top
-
-    def forget(self, top: int, bag: tuple[int, ...], v: int) -> tuple[int, tuple[int, ...]]:
-        if self.edge_placement == "late":
-            top = self._introduce_edges_at(top, bag, v)
-        new_bag = tuple(x for x in bag if x != v)
-        idx = self.add(
-            NiceNode(kind=FORGET, bag=new_bag, children=(top,), vertex=v)
-        )
-        return idx, new_bag
-
-    def adapt(self, top: int, from_bag: tuple[int, ...], to_bag: tuple[int, ...]) -> int:
-        """Morph the bag from from_bag to to_bag with forgets then introduces."""
-        bag = from_bag
-        target = set(to_bag)
-        for v in sorted(set(from_bag) - target):
-            top, bag = self.forget(top, bag, v)
-        for v in sorted(target - set(from_bag)):
-            top = self.introduce(top, bag, v)
-            bag = tuple(sorted(bag + (v,)))
-        return top
-
-    def chain_from_empty(self, bag: tuple[int, ...]) -> int:
-        top = self.leaf()
-        built: tuple[int, ...] = ()
-        for v in bag:
-            top = self.introduce(top, built, v)
-            built = tuple(sorted(built + (v,)))
-        return top
-
-    def join(self, left: int, right: int, bag: tuple[int, ...]) -> int:
-        return self.add(NiceNode(kind=JOIN, bag=bag, children=(left, right)))
-
-
 def make_nice(
     g: Graph, td: TreeDecomposition, edge_placement: str = "early"
 ) -> NiceDecomposition:
@@ -493,10 +414,46 @@ def make_nice(
         raise InvalidDecomposition(
             "input decomposition is invalid: " + "; ".join(violations[:5])
         )
-    builder = _NiceBuilder(g, edge_placement)
+    early = edge_placement == "early"
+    nodes: list[NiceNode] = []  # children always precede their parent
+    introduced: set[int] = set()
+
+    def edges_at(top: int, bag: tuple[int, ...], v: int) -> int:
+        """Introduce every pending edge between v and the rest of the bag."""
+        held = set(bag)
+        for eid in sorted(e for u, e in g.adj[v] if u in held and e not in introduced):
+            introduced.add(eid)
+            nodes.append(
+                NiceNode(
+                    kind=INTRODUCE_EDGE,
+                    bag=bag,
+                    children=(top,),
+                    edge=g.edges[eid],
+                    edge_id=eid,
+                )
+            )
+            top = len(nodes) - 1
+        return top
+
+    def adapt(top: int, bag: tuple[int, ...], target: tuple[int, ...]) -> int:
+        """Morph the bag into target with forgets, then introduces."""
+        want = set(target)
+        for v in sorted(set(bag) - want):
+            if not early:
+                top = edges_at(top, bag, v)
+            bag = tuple(x for x in bag if x != v)
+            nodes.append(NiceNode(kind=FORGET, bag=bag, children=(top,), vertex=v))
+            top = len(nodes) - 1
+        for v in sorted(want - set(bag)):
+            bag = tuple(sorted(bag + (v,)))
+            nodes.append(NiceNode(kind=INTRODUCE, bag=bag, children=(top,), vertex=v))
+            top = len(nodes) - 1
+            if early:
+                top = edges_at(top, bag, v)
+        return top
+
     if not td.bags:
-        builder.leaf()
-        return NiceDecomposition(nodes=builder.nodes)
+        return NiceDecomposition(nodes=[NiceNode(kind=LEAF, bag=())])
 
     # Iterative postorder over the decomposition tree rooted at bag 0.
     adj = td.neighbors()
@@ -513,28 +470,25 @@ def make_nice(
     tops: dict[int, int] = {}
     for node, parent in reversed(order):
         bag = td.bags[node]
-        child_tops = [
-            builder.adapt(tops[c], td.bags[c], bag)
-            for c in adj[node]
-            if c != parent and c in tops
-        ]
-        if not child_tops:
-            top = builder.chain_from_empty(bag)
-        else:
-            top = child_tops[0]
-            for other in child_tops[1:]:
-                top = builder.join(top, other, bag)
+        child_tops = [adapt(tops[c], td.bags[c], bag) for c in adj[node] if c != parent]
+        if not child_tops:  # a leaf chain
+            nodes.append(NiceNode(kind=LEAF, bag=()))
+            child_tops = [adapt(len(nodes) - 1, (), bag)]
+        top = child_tops[0]
+        for other in child_tops[1:]:
+            nodes.append(NiceNode(kind=JOIN, bag=bag, children=(top, other)))
+            top = len(nodes) - 1
         tops[node] = top
 
-    top = builder.adapt(tops[0], td.bags[0], ())
-    if len(builder.introduced) != g.m:
-        missing = sorted(set(range(g.m)) - builder.introduced)
+    adapt(tops[0], td.bags[0], ())
+    if len(introduced) != g.m:
+        missing = sorted(set(range(g.m)) - introduced)
         raise InvalidDecomposition(
             f"internal: edges never introduced: {missing[:5]}"
         )
-    if builder.nodes[-1].bag:
+    if nodes[-1].bag:
         raise InvalidDecomposition("internal: root bag not empty")
-    return NiceDecomposition(nodes=builder.nodes)
+    return NiceDecomposition(nodes=nodes)
 
 
 def validate_nice(g: Graph, nd: NiceDecomposition) -> list[str]:

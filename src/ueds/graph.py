@@ -62,9 +62,6 @@ class EdgeSet:
             yield low.bit_length() - 1
             mask ^= low
 
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
     def add(self, edge_id: int) -> "EdgeSet":
         return EdgeSet(self.mask | 1 << edge_id)
 
@@ -73,9 +70,6 @@ class EdgeSet:
 
     def issubset(self, other: "EdgeSet") -> bool:
         return self.mask & ~other.mask == 0
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(self)
 
 
 class Graph:
@@ -129,13 +123,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def endpoints(self, edge_id: int) -> tuple[int, int]:
-        return self.edges[edge_id]
-
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
 
     @cached_property
     def edge_neighborhood_masks(self) -> tuple[int, ...]:

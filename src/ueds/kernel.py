@@ -37,9 +37,11 @@ functions and recoloring from scratch after every application.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress
+from typing import Any
 
 from .errors import IsolatedVertexPresent, PreconditionViolated
 from .graph import Graph, induced_subgraph
@@ -125,6 +127,16 @@ class Reduced:
     k: int
     trace: tuple[str, ...] = ()
 
+    def summary(self) -> dict[str, Any]:
+        """The report fields of this outcome, without the graph itself."""
+        return {
+            "decided": False,
+            "n": self.graph.n,
+            "m": self.graph.m,
+            "k": self.k,
+            "trace": list(self.trace),
+        }
+
 
 @dataclass(frozen=True)
 class DecidedYes:
@@ -137,6 +149,15 @@ class DecidedYes:
     rule: int
     hint: str
     trace: tuple[str, ...] = ()
+
+    def summary(self) -> dict[str, Any]:
+        """The report fields of this outcome."""
+        return {
+            "decided": True,
+            "rule": self.rule,
+            "hint": self.hint,
+            "trace": list(self.trace),
+        }
 
 
 KernelOutcome = Reduced | DecidedYes
@@ -270,10 +291,11 @@ def rule7_size_bound(g: Graph, k: int) -> DecidedYes | None:
 
 
 class _Worklist:
-    """A graph under vertex deletion: per-vertex neighbor maps, alive flags
-    with a rank tree for current labels, the coloring, and the worklists the
-    rules draw from.  Worklists are lazy heaps: an entry is pushed when its
-    item may have started to qualify and checked again when popped."""
+    """A graph under vertex deletion: per-vertex neighbor maps, alive flags,
+    the deleted ids in ascending order for current labels, the coloring, and
+    the worklists the rules draw from.  Worklists are lazy heaps: an entry is
+    pushed when its item may have started to qualify and checked again when
+    popped."""
 
     def __init__(self, g: Graph):
         n = g.n
@@ -282,8 +304,7 @@ class _Worklist:
         self.n = n  # live vertices
         self.adj = adj
         self.alive = [True] * n
-        # Fenwick tree over the alive flags, all set: node i covers i & -i flags.
-        self._rank_tree = [i & -i for i in range(n + 1)]
+        self.deleted: list[int] = []  # ascending
         self.colors: list[str | None] = [None] * n
         self.by_color: dict[str, set[int]] = {c: set() for c in (BLUE, PURPLE, RED, GREEN)}
         self.colored = False
@@ -297,22 +318,12 @@ class _Worklist:
     def label(self, v: int) -> int:
         """The 1-based label of live vertex v in the current graph, which
         numbers the live vertices in original order: its rank among them."""
-        tree = self._rank_tree
-        rank = 0
-        i = v + 1
-        while i:
-            rank += tree[i]
-            i &= i - 1
-        return rank
+        return v + 1 - bisect_left(self.deleted, v)
 
     def delete(self, v: int) -> None:
         self.alive[v] = False
         self.n -= 1
-        tree = self._rank_tree
-        i = v + 1
-        while i < len(tree):
-            tree[i] -= 1
-            i += i & -i
+        insort(self.deleted, v)
         self._set_color(v, None)
         adj = self.adj
         for u in adj[v]:

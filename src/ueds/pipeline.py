@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .decomposition import TreeDecomposition, make_nice, td_greedy_path, td_min_fill
@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_WIDTH_CAP",
     "SolveReport",
     "choose_decomposition",
-    "decompose",
     "solve",
     "gamma_prime",
 ]
@@ -59,23 +58,11 @@ class SolveReport:
     timings_ms: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self, include_timings: bool = True) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "instance": self.instance,
-            "stage": self.stage,
-            "k": self.k,
-            "decision": self.decision,
-            "gamma_prime": self.gamma_prime,
-            "reduced_gamma_prime": self.reduced_gamma_prime,
-            "reduced_k": self.reduced_k,
-            "witness": [list(e) for e in self.witness] if self.witness is not None else None,
-            "witness_on_reduced": self.witness_on_reduced,
-            "method": self.method,
-            "kernel": self.kernel,
-            "dp": self.dp,
-            "oracle": self.oracle,
-        }
-        if include_timings:
-            out["timings_ms"] = self.timings_ms
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.witness is not None:
+            out["witness"] = [list(e) for e in self.witness]
+        if not include_timings:
+            del out["timings_ms"]
         return out
 
     def to_json(self, include_timings: bool = True) -> str:
@@ -109,11 +96,6 @@ def choose_decomposition(
             f"above the cap {max_width}; raise --max-width to proceed"
         )
     return "greedy-path", path
-
-
-def decompose(g: Graph, max_width: int = DEFAULT_WIDTH_CAP) -> TreeDecomposition:
-    """The decomposition choose_decomposition picks, without its source."""
-    return choose_decomposition(g, max_width)[1]
 
 
 def _dp_stage(
@@ -170,65 +152,52 @@ def solve(
     """
     report = SolveReport(instance=instance, stage="", k=k)
     t_total = time.perf_counter()
-
-    t0 = time.perf_counter()
-    matching = greedy_maximal_matching(g)
-    report.timings_ms["matching"] = (time.perf_counter() - t0) * 1000
-    if matching.size >= k:
-        report.stage = "matching-early-yes"
-        report.decision = True
-        report.witness = _witness_pairs(g, matching)
-        report.timings_ms["total"] = (time.perf_counter() - t_total) * 1000
-        return report
-
-    work, work_k = g, k
-    transformed = False
-    if use_kernel:
+    try:
         t0 = time.perf_counter()
-        outcome = kernelize(g, k)
-        report.timings_ms["kernel"] = (time.perf_counter() - t0) * 1000
-        if isinstance(outcome, DecidedYes):
-            report.kernel = {
-                "decided": True,
-                "rule": outcome.rule,
-                "hint": outcome.hint,
-                "trace": list(outcome.trace),
-            }
-            if not want_witness:
-                report.stage = "kernel-decided"
-                report.decision = True
-                report.timings_ms["total"] = (time.perf_counter() - t_total) * 1000
-                return report
-            # fall through to the DP on the original graph for a witness
-        else:
-            report.kernel = {
-                "decided": False,
-                "n": outcome.graph.n,
-                "m": outcome.graph.m,
-                "k": outcome.k,
-                "trace": list(outcome.trace),
-            }
-            work, work_k = outcome.graph, outcome.k
-            transformed = bool(outcome.trace)
+        matching = greedy_maximal_matching(g)
+        report.timings_ms["matching"] = (time.perf_counter() - t0) * 1000
+        if matching.size >= k:
+            report.stage = "matching-early-yes"
+            report.decision = True
+            report.witness = _witness_pairs(g, matching)
+            return report
 
-    t0 = time.perf_counter()
-    gamma, witness, stats = _dp_stage(
-        work, max_width=max_width, want_witness=want_witness, diagnostics=diagnostics
-    )
-    report.timings_ms["dp"] = (time.perf_counter() - t0) * 1000
-    report.stage = "dp"
-    report.dp = stats
-    report.decision = gamma >= work_k
-    if transformed:
-        report.reduced_gamma_prime = gamma
-        report.reduced_k = work_k
-    else:
-        report.gamma_prime = gamma
-    if witness is not None:
-        report.witness = _witness_pairs(work, witness)
-        report.witness_on_reduced = transformed
-    report.timings_ms["total"] = (time.perf_counter() - t_total) * 1000
-    return report
+        work, work_k = g, k
+        transformed = False
+        if use_kernel:
+            t0 = time.perf_counter()
+            outcome = kernelize(g, k)
+            report.timings_ms["kernel"] = (time.perf_counter() - t0) * 1000
+            report.kernel = outcome.summary()
+            if isinstance(outcome, DecidedYes):
+                if not want_witness:
+                    report.stage = "kernel-decided"
+                    report.decision = True
+                    return report
+                # fall through to the DP on the original graph for a witness
+            else:
+                work, work_k = outcome.graph, outcome.k
+                transformed = bool(outcome.trace)
+
+        t0 = time.perf_counter()
+        gamma, witness, stats = _dp_stage(
+            work, max_width=max_width, want_witness=want_witness, diagnostics=diagnostics
+        )
+        report.timings_ms["dp"] = (time.perf_counter() - t0) * 1000
+        report.stage = "dp"
+        report.dp = stats
+        report.decision = gamma >= work_k
+        if transformed:
+            report.reduced_gamma_prime = gamma
+            report.reduced_k = work_k
+        else:
+            report.gamma_prime = gamma
+        if witness is not None:
+            report.witness = _witness_pairs(work, witness)
+            report.witness_on_reduced = transformed
+        return report
+    finally:
+        report.timings_ms["total"] = (time.perf_counter() - t_total) * 1000
 
 
 def gamma_prime(

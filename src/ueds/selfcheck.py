@@ -3,8 +3,10 @@
 Runs, on a deterministic stream of gnp instances:
 
   * oracle-vs-DP equality of the exact value, over the same decomposition
-    solve() uses (decomposition.td_min_fill), with the decomposition validated
-    and every per-node table measured against the state-space bound;
+    solve() uses (pipeline.choose_decomposition), with the decomposition and
+    its nice form validated first (an invalid one is reported, and its DP
+    checks are skipped) and every per-node table measured against the
+    state-space bound;
   * greedy maximal matchings are minimal edge dominating sets;
   * every enumerated minimal edge dominating set induces a star forest and
     carries its privacy certificates (a single-edge star is dominated by
@@ -23,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .decomposition import make_nice, td_min_fill, validate_nice, validate_td
+from .decomposition import make_nice, validate_nice, validate_td
 from .dp import run_dp, state_space_bound
 from .generate import GenSpec, SplitMix64, gen
 from .graph import (
@@ -36,6 +38,7 @@ from .graph import (
 )
 from .kernel import DecidedYes, kernelize
 from .oracle import enumerate_minimal_eds, upper_eds_exact
+from .pipeline import choose_decomposition
 
 __all__ = ["SelfCheckFailure", "SelfCheckReport", "star_privacy_violations", "selfcheck"]
 
@@ -148,28 +151,28 @@ def _check_instance(
     exact = upper_eds_exact(g, limit=oracle_limit)
 
     # oracle vs DP through the pipeline's own decomposition
-    td = td_min_fill(g)
-    td_violations = validate_td(g, td)
-    if td_violations:
-        fail("decomposition-valid", "; ".join(td_violations[:3]))
-    nd = make_nice(g, td)
-    nice_violations = validate_nice(g, nd)
-    if nice_violations:
-        fail("decomposition-valid", "; ".join(nice_violations[:3]))
-    dp_result = run_dp(g, nd, check=False)
-    report.checks_run += 1
-    if dp_result.gamma_prime != exact.gamma_prime:
-        fail(
-            "oracle-dp-equality",
-            f"dp={dp_result.gamma_prime} oracle={exact.gamma_prime}",
-        )
-    bound = state_space_bound(nd.width)
-    report.checks_run += 1
-    if dp_result.max_table_size > bound:
-        fail(
-            "state-space-bound",
-            f"table {dp_result.max_table_size} exceeds bound {bound}",
-        )
+    td = choose_decomposition(g)[1]
+    violations = validate_td(g, td)
+    if not violations:
+        nd = make_nice(g, td)
+        violations = validate_nice(g, nd)
+    if violations:
+        fail("decomposition-valid", "; ".join(violations[:3]))
+    else:
+        dp_result = run_dp(g, nd, check=False)
+        report.checks_run += 1
+        if dp_result.gamma_prime != exact.gamma_prime:
+            fail(
+                "oracle-dp-equality",
+                f"dp={dp_result.gamma_prime} oracle={exact.gamma_prime}",
+            )
+        bound = state_space_bound(nd.width)
+        report.checks_run += 1
+        if dp_result.max_table_size > bound:
+            fail(
+                "state-space-bound",
+                f"table {dp_result.max_table_size} exceeds bound {bound}",
+            )
 
     # maximal matchings are minimal edge dominating sets
     matching = greedy_maximal_matching(g)

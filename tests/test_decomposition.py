@@ -28,7 +28,7 @@ from ueds.errors import (
 )
 from ueds.generate import GenSpec, gen
 from ueds.graph import Graph, greedy_maximal_matching, vertex_cover_from_matching
-from ueds.pipeline import choose_decomposition, decompose
+from ueds.pipeline import choose_decomposition
 
 from conftest import graphs, minimum_vertex_cover
 from decomposition_reference import greedy_path_reference, validate_td_reference
@@ -206,7 +206,6 @@ class TestChooseDecomposition:
                     choose_decomposition(g, max_width)
             else:
                 assert choose_decomposition(g, max_width) == want
-                assert decompose(g, max_width) == want[1]
 
     def test_sources(self):
         tree = gen(GenSpec("tree", 30))

@@ -1,6 +1,8 @@
 import numpy as np
 
 import ueds.dp
+import ueds.pipeline
+from ueds.decomposition import TreeDecomposition
 from ueds.selfcheck import selfcheck, star_privacy_violations
 from ueds.oracle import enumerate_minimal_eds
 
@@ -40,6 +42,17 @@ class TestSelfcheck:
         failed_checks = {f.check for f in report.failures}
         assert "oracle-dp-equality" in failed_checks
         assert any("gen --family gnp" in f.reproducer() for f in report.failures)
+
+    def test_invalid_decomposition_is_reported_with_reproducer(self, monkeypatch):
+        # a path with no bags wins the width race and fails validation
+        monkeypatch.setattr(
+            ueds.pipeline,
+            "td_greedy_path",
+            lambda g, max_bag=None: TreeDecomposition(n=g.n, bags=(), tree_edges=()),
+        )
+        report = selfcheck(count=6, nmax=6, seed=1)
+        assert {f.check for f in report.failures} == {"decomposition-valid"}
+        assert all(f.reproducer().startswith("gen ") for f in report.failures)
 
     def test_privacy_helper_flags_broken_structure(self, k13):
         # two star edges of the claw: the leaves have no untouched neighbor
