@@ -40,7 +40,6 @@ from .graph import (
 )
 from .oracle import (
     OracleResult,
-    decide,
     enumerate_minimal_eds,
     upper_eds_exact,
 )

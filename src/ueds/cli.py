@@ -15,7 +15,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .decomposition import emit_td, make_nice, parse_td, validate_nice, validate_td
+from .decomposition import emit_td, make_nice, parse_td, validate_nice
 from .errors import (
     DecompositionFormatError,
     GenSpecError,
@@ -221,9 +221,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_decomp(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     source, td = choose_decomposition(g, args.max_width)
-    nd = make_nice(g, td)
-    td_ok = validate_td(g, td) == []
-    nice_ok = validate_nice(g, nd) == []
+    nd = make_nice(g, td)  # raises on an invalid td
     if args.emit_td:
         Path(args.emit_td).write_text(emit_td(td))
     payload = {
@@ -233,7 +231,7 @@ def _cmd_decomp(args: argparse.Namespace) -> int:
         "bags": len(td.bags),
         "width": td.width,
         "nice_nodes": len(nd.nodes),
-        "valid": td_ok and nice_ok,
+        "valid": validate_nice(g, nd) == [],
     }
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))

@@ -27,12 +27,12 @@ fixpoint; an undecided fixpoint is an instance within the size bound.
 
 The rule functions below each take a Graph and build a new one.
 ``kernelize`` instead edits one mutable copy of the adjacency in place and
-builds a Graph once, at the end.  Rules 1-3 draw their next vertex or edge
-from worklists that the deletions feed.  The coloring is computed once,
-when rules 1 and 2 are first exhausted, and never changes for a surviving
-vertex afterwards (see ``_Worklist.color``).  The rules fire in the same
-order, and the trace reads line for line the same, as chaining the rule
-functions and recoloring from scratch after every application.
+builds a Graph once, at the end.  It colors the vertices once, when rules 1
+and 2 are first exhausted, and reads rules 1, 3, 5 and 6 off that coloring
+and the vertices isolated at the start, because no surviving vertex changes
+color afterwards (the argument is in its docstring).  The rules fire in the
+same order, and the trace reads line for line the same, as chaining the
+rule functions and computing the coloring anew after every application.
 """
 
 from __future__ import annotations
@@ -290,157 +290,6 @@ def rule7_size_bound(g: Graph, k: int) -> DecidedYes | None:
     return _size_bound_yes(g.n, k)
 
 
-class _Worklist:
-    """A graph under vertex deletion: per-vertex neighbor maps, alive flags,
-    the deleted ids in ascending order for current labels, the coloring, and
-    the worklists the rules draw from.  Worklists are lazy heaps: an entry is
-    pushed when its item may have started to qualify and checked again when
-    popped."""
-
-    def __init__(self, g: Graph):
-        n = g.n
-        adj = [dict(a) for a in g.adj]  # neighbor -> edge id
-        self.g = g
-        self.n = n  # live vertices
-        self.adj = adj
-        self.alive = [True] * n
-        self.deleted: list[int] = []  # ascending
-        self.colors: list[str | None] = [None] * n
-        self.by_color: dict[str, set[int]] = {c: set() for c in (BLUE, PURPLE, RED, GREEN)}
-        self.colored = False
-        # ascending lists are already heaps
-        self.isolated = [v for v in range(n) if not adj[v]]
-        self.isolated_edges = [
-            e for e, (u, v) in enumerate(g.edges) if len(adj[u]) == 1 and len(adj[v]) == 1
-        ]
-        self.twin_hosts: list[int] = []  # purple vertices seen with >= 2 blue neighbors
-
-    def label(self, v: int) -> int:
-        """The 1-based label of live vertex v in the current graph, which
-        numbers the live vertices in original order: its rank among them."""
-        return v + 1 - bisect_left(self.deleted, v)
-
-    def delete(self, v: int) -> None:
-        self.alive[v] = False
-        self.n -= 1
-        insort(self.deleted, v)
-        self._set_color(v, None)
-        adj = self.adj
-        for u in adj[v]:
-            nbrs = adj[u]
-            del nbrs[v]
-            if not nbrs:
-                heappush(self.isolated, u)
-            elif len(nbrs) == 1:
-                ((w, e),) = nbrs.items()
-                if len(adj[w]) == 1:
-                    heappush(self.isolated_edges, e)
-        adj[v] = {}
-
-    def delete_batch(self, rule: int, doomed: list[int], k: int) -> list[str]:
-        """Delete the vertices, given in ascending order, with one trace line
-        each that names the vertex by its label from before the batch."""
-        labels = [self.label(v) for v in doomed]
-        n = self.n
-        for v in doomed:
-            self.delete(v)
-        return [
-            _line(rule, f"delete-vertex {label}", n - i, k)
-            for i, label in enumerate(labels, start=1)
-        ]
-
-    def next_isolated(self) -> int | None:
-        """The lowest isolated vertex (rule 1).  A degree never rises, so a
-        pushed vertex stays isolated while it lives."""
-        while self.isolated:
-            v = heappop(self.isolated)
-            if self.alive[v]:
-                return v
-        return None
-
-    def next_isolated_edge(self) -> int | None:
-        """The lowest-id edge whose endpoints both have degree 1 (rule 2).  It
-        is pushed when the second endpoint drops to degree 1 and qualifies
-        until one endpoint is deleted."""
-        edges, alive = self.g.edges, self.alive
-        while self.isolated_edges:
-            e = heappop(self.isolated_edges)
-            u, v = edges[e]
-            if alive[u] and alive[v]:
-                return e
-        return None
-
-    def color(self) -> None:
-        """Color the live vertices once; the graph must have no isolated
-        vertex, so the first call comes after rules 1 and 2 are exhausted.
-
-        Later calls do nothing, because no surviving vertex changes color.
-        Afterwards vertices leave by rules 2, 3 and 6 only.  Rule 3 deletes
-        blue vertices and rule 6 red ones, and every neighbor of those is
-        purple.  Such a purple neighbor keeps a blue neighbor (rule 3 keeps
-        one, rule 6 deletes no blue), so it stays purple, or it drops to
-        degree 1 and leaves with that blue neighbor as an isolated edge
-        under rule 2 before the coloring is read again.  Rule 2 deletes an
-        isolated edge, which has no other neighbor.  So the only survivors
-        that lose neighbors are purple, and they stay purple; every other
-        survivor keeps its neighbors, and these keep their colors.  Hence no
-        vertex becomes isolated, no red vertex appears once rule 6 has
-        removed them all, and no purple vertex gains a blue neighbor, so the
-        rule-3 hosts found here are all there ever are."""
-        if self.colored:
-            return
-        self.colored = True
-        adj, colors = self.adj, self.colors
-        live = [v for v in range(self.g.n) if self.alive[v]]
-        for v in live:
-            nbrs = adj[v]
-            if len(nbrs) == 1:
-                self._set_color(v, BLUE)
-                continue
-            blues = sum(len(adj[u]) == 1 for u in nbrs)
-            if blues > 1:
-                heappush(self.twin_hosts, v)
-            if blues:
-                self._set_color(v, PURPLE)
-        for v in live:
-            if colors[v] is None:
-                red = all(colors[u] == PURPLE for u in adj[v])
-                self._set_color(v, RED if red else GREEN)
-
-    def _set_color(self, v: int, color: str | None) -> None:
-        old = self.colors[v]
-        if old == color:
-            return
-        if old is not None:
-            self.by_color[old].discard(v)
-        if color is not None:
-            self.by_color[color].add(v)
-        self.colors[v] = color
-
-    def next_blue_twins(self) -> list[int] | None:
-        """The blue neighbors, ascending, of the lowest purple vertex with
-        more than one (rule 3), from the hosts that color pushed."""
-        adj, colors = self.adj, self.colors
-        while self.twin_hosts:
-            p = heappop(self.twin_hosts)
-            if colors[p] == PURPLE:
-                blues = sorted(u for u in adj[p] if colors[u] == BLUE)
-                if len(blues) > 1:
-                    return blues
-        return None
-
-    def big_green(self, k: int) -> int | None:
-        """The lowest green vertex of degree >= 2k (rule 4)."""
-        adj = self.adj
-        return min((v for v in self.by_color[GREEN] if len(adj[v]) >= 2 * k), default=None)
-
-    def graph(self) -> Graph:
-        """The current graph; g itself when nothing was deleted."""
-        if self.n == self.g.n:
-            return self.g
-        return induced_subgraph(self.g, compress(range(self.g.n), self.alive))
-
-
 def kernelize(g: Graph, k: int) -> KernelOutcome:
     """Apply the lowest-numbered applicable rule and repeat to a fixpoint.
     k <= 0 at any point decides yes immediately.  An undecided fixpoint is an
@@ -448,54 +297,132 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
     vertices or edges and k >= 1.
 
     Each trace line names a vertex by its 1-based label in the graph of that
-    moment, which numbers the surviving vertices in their original order.
-    The reduction runs on worklists with a single coloring (see the module
-    docstring); its outcome and trace equal those of applying the rule
-    functions one at a time and recoloring from scratch after each.  The
-    reduced graph is g itself when no vertex was deleted.
+    moment, which numbers the surviving vertices in their original order:
+    its rank among them.  The outcome and trace equal those of applying the
+    rule functions one at a time and computing the coloring anew after
+    each; the reduced graph is g itself when no vertex was deleted.
+
+    That holds with one coloring, taken when rules 1 and 2 are first
+    exhausted, because no surviving vertex changes color afterwards.  From
+    then on vertices leave by rules 2, 3 and 6 only.  Rule 3 deletes blue
+    vertices and rule 6 red ones, and every neighbor of those is purple.
+    Such a purple neighbor keeps a blue neighbor (rule 3 keeps one, rule 6
+    deletes no blue), so it stays purple, or it drops to degree 1 and leaves
+    with that blue neighbor as an isolated edge under rule 2 before the
+    coloring is read again.  Rule 2 deletes an isolated edge, which has no
+    other neighbor.  So the only survivors that lose neighbors are purple,
+    and they stay purple; every other survivor keeps its neighbors, and
+    these keep their colors.  Hence:
+
+    * no deletion isolates a survivor, so rule 1 takes exactly the vertices
+      isolated at the start, in ascending order;
+    * no purple vertex gains a blue neighbor, and a blue vertex has one
+      host, so rule 3 takes the blue neighbors each purple vertex has at
+      coloring time, in ascending order of the purple vertex;
+    * green vertices keep their degrees and stay, rule 5 counts the blue
+      vertices still alive, and rule 6 deletes every red vertex at once,
+      after which none appears.
+
+    An edge becomes isolated when the second of its endpoints drops to
+    degree 1, and it then has no other neighbor, so it enters the heap of
+    isolated edges once and leaves it only by rule 2.  A batch of rule 3 or
+    rule 6 can isolate several edges, which rule 2 takes by edge id.
     """
-    w = _Worklist(g)
+    adj = [dict(a) for a in g.adj]  # neighbor -> edge id
+    alive = [True] * g.n
+    deleted: list[int] = []  # ascending
+    isolated = iter([v for v in range(g.n) if not adj[v]])
+    # an ascending list is already a heap
+    isolated_edges = [
+        e for e, (u, v) in enumerate(g.edges) if len(adj[u]) == 1 and len(adj[v]) == 1
+    ]
+    blues: list[int] | None = None  # the coloring, once taken
     trace: list[str] = []
+
+    def label(v: int) -> int:
+        return v + 1 - bisect_left(deleted, v)
+
+    def delete(rule: int, doomed: list[int]) -> None:
+        """Delete the vertices, given in ascending order, with one trace line
+        each that names the vertex by its label from before the batch."""
+        n = g.n - len(deleted)
+        labels = [label(v) for v in doomed]
+        for v in doomed:
+            alive[v] = False
+            insort(deleted, v)
+            for u in adj[v]:
+                nbrs = adj[u]
+                del nbrs[v]
+                if len(nbrs) == 1:
+                    ((w, e),) = nbrs.items()
+                    if len(adj[w]) == 1:
+                        heappush(isolated_edges, e)
+            adj[v] = {}
+        trace.extend(
+            _line(rule, f"delete-vertex {lab}", n - i, k)
+            for i, lab in enumerate(labels, start=1)
+        )
+
     while True:
         if k <= 0:
             decision = DecidedYes(
                 rule=0, hint="k <= 0: the empty edge set is a minimal solution of size >= k"
             )
             break
-        v = w.next_isolated()
+        v = next(isolated, None)
         if v is not None:
-            trace += w.delete_batch(1, [v], k)
+            delete(1, [v])
             continue
-        e = w.next_isolated_edge()
-        if e is not None:
-            u, v = g.edges[e]
-            action = f"delete-edge ({w.label(u)},{w.label(v)})"
-            w.delete(u)
-            w.delete(v)
+        if isolated_edges:
+            u, v = g.edges[heappop(isolated_edges)]
+            action = f"delete-edge ({label(u)},{label(v)})"
+            for w in (u, v):
+                alive[w] = False
+                insort(deleted, w)
+                adj[w] = {}
             k -= 1
-            trace.append(_line(2, action, w.n, k))
+            trace.append(_line(2, action, g.n - len(deleted), k))
             continue
-        if w.n == 0:
-            return Reduced(graph=w.graph(), k=k, trace=tuple(trace))
-        w.color()
-        blues = w.next_blue_twins()
-        if blues:
-            trace += w.delete_batch(3, blues[1:], k)
-            continue
-        v = w.big_green(k)
-        if v is not None:
-            decision = _big_green_yes(w.label(v), len(w.adj[v]), k)
+        if len(deleted) == g.n:
+            decision = None
             break
-        blue_count = len(w.by_color[BLUE])
+        if blues is None:
+            purple = [False] * g.n
+            blues, greens, reds, twin_lists = [], [], [], []
+            live = list(compress(range(g.n), alive))
+            for v in live:
+                if len(adj[v]) == 1:
+                    blues.append(v)
+                    continue
+                twins = [u for u in adj[v] if len(adj[u]) == 1]
+                if twins:
+                    purple[v] = True
+                    if len(twins) > 1:
+                        twin_lists.append(sorted(twins))
+            for v in live:
+                if len(adj[v]) > 1 and not purple[v]:
+                    (reds if all(purple[u] for u in adj[v]) else greens).append(v)
+            pending_twins = iter(twin_lists)
+        twins = next(pending_twins, None)
+        if twins is not None:
+            delete(3, twins[1:])
+            continue
+        v = next((v for v in greens if len(adj[v]) >= 2 * k), None)
+        if v is not None:
+            decision = _big_green_yes(label(v), len(adj[v]), k)
+            break
+        blue_count = sum(alive[b] for b in blues)
         if blue_count >= k:
             decision = _many_blue_yes(blue_count, k)
             break
-        if w.by_color[RED]:
-            trace += w.delete_batch(6, sorted(w.by_color[RED]), k)
+        if reds:
+            delete(6, reds)
+            reds = []
             continue
-        decision = _size_bound_yes(w.n, k)
-        if decision is None:
-            return Reduced(graph=w.graph(), k=k, trace=tuple(trace))
+        decision = _size_bound_yes(g.n - len(deleted), k)
         break
-    trace.append(_line(decision.rule, "decide-yes", w.n, k))
+    if decision is None:
+        graph = induced_subgraph(g, compress(range(g.n), alive)) if deleted else g
+        return Reduced(graph=graph, k=k, trace=tuple(trace))
+    trace.append(_line(decision.rule, "decide-yes", g.n - len(deleted), k))
     return DecidedYes(rule=decision.rule, hint=decision.hint, trace=tuple(trace))

@@ -44,7 +44,6 @@ __all__ = [
     "OracleResult",
     "enumerate_minimal_eds",
     "upper_eds_exact",
-    "decide",
     "bitforce_minimal_masks",
 ]
 
@@ -174,12 +173,3 @@ def upper_eds_exact(g: Graph, limit: int = DEFAULT_EDGE_LIMIT) -> OracleResult:
         count_minimal=len(masks),
     )
 
-
-def decide(g: Graph, k: int, limit: int = DEFAULT_EDGE_LIMIT) -> bool:
-    """Does g have a minimal edge dominating set of size at least k?
-
-    k <= 0 is vacuously true (the empty set never needs checking).
-    """
-    if k <= 0:
-        return True
-    return upper_eds_exact(g, limit).gamma_prime >= k

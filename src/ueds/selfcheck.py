@@ -25,8 +25,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .decomposition import make_nice, validate_nice, validate_td
+from .decomposition import make_nice, validate_nice
 from .dp import run_dp, state_space_bound
+from .errors import InvalidDecomposition
 from .generate import GenSpec, SplitMix64, gen
 from .graph import (
     EdgeSet,
@@ -43,6 +44,7 @@ from .pipeline import choose_decomposition
 __all__ = ["SelfCheckFailure", "SelfCheckReport", "star_privacy_violations", "selfcheck"]
 
 _P_VALUES = (0.2, 0.4, 0.6)
+ORACLE_LIMIT = 64  # the oracle's uint64 edge masks allow no more
 
 
 @dataclass(frozen=True)
@@ -142,19 +144,18 @@ def star_privacy_violations(g: Graph, solution: EdgeSet) -> list[str]:
     return problems
 
 
-def _check_instance(
-    g: Graph, spec: GenSpec, report: SelfCheckReport, oracle_limit: int
-) -> None:
+def _check_instance(g: Graph, spec: GenSpec, report: SelfCheckReport) -> None:
     def fail(check: str, detail: str, k: int | None = None) -> None:
         report.failures.append(SelfCheckFailure(check, spec, k, detail))
 
-    exact = upper_eds_exact(g, limit=oracle_limit)
+    exact = upper_eds_exact(g, limit=ORACLE_LIMIT)
 
     # oracle vs DP through the pipeline's own decomposition
-    td = choose_decomposition(g)[1]
-    violations = validate_td(g, td)
-    if not violations:
-        nd = make_nice(g, td)
+    try:
+        nd = make_nice(g, choose_decomposition(g)[1])
+    except InvalidDecomposition as exc:
+        violations = [str(exc)]
+    else:
         violations = validate_nice(g, nd)
     if violations:
         fail("decomposition-valid", "; ".join(violations[:3]))
@@ -182,7 +183,7 @@ def _check_instance(
 
     # star structure + privacy certificates of every minimal solution
     report.checks_run += 1
-    for solution in enumerate_minimal_eds(g, limit=oracle_limit):
+    for solution in enumerate_minimal_eds(g, limit=ORACLE_LIMIT):
         problems = star_privacy_violations(g, solution)
         if problems:
             fail("star-privacy", f"{sorted(solution)}: {problems[0]}")
@@ -198,7 +199,7 @@ def _check_instance(
                 fail("kernel-preserves", f"decided yes but oracle says no", k)
             continue
         reduced = outcome
-        got = upper_eds_exact(reduced.graph, limit=oracle_limit).gamma_prime >= reduced.k
+        got = upper_eds_exact(reduced.graph, limit=ORACLE_LIMIT).gamma_prime >= reduced.k
         if got != want:
             fail("kernel-preserves", f"reduced answer {got} != {want}", k)
         size_bound = 4 * reduced.k * reduced.k - 2
@@ -217,9 +218,7 @@ def _check_instance(
             fail("kernel-clean", "reduced graph keeps an isolated edge", k)
 
 
-def selfcheck(
-    count: int, nmax: int = 8, seed: int = 1, oracle_limit: int = 64
-) -> SelfCheckReport:
+def selfcheck(count: int, nmax: int = 8, seed: int = 1) -> SelfCheckReport:
     """Run all invariant suites on `count` seeded random instances with up to
     nmax vertices.  nmax <= 10 keeps the oracle comfortable."""
     report = SelfCheckReport(count=count, nmax=nmax, seed=seed)
@@ -231,5 +230,5 @@ def selfcheck(
         spec = GenSpec("gnp", int(n), p, sub_seed)
         g = gen(spec)
         report.instances += 1
-        _check_instance(g, spec, report, oracle_limit)
+        _check_instance(g, spec, report)
     return report

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,8 @@ from ueds.decomposition import (
     td_min_fill,
 )
 from ueds.oracle import upper_eds_exact
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -246,10 +250,15 @@ class TestDecompositionCommands:
 
 class TestEntryPoint:
     def test_module_invocation(self, p4_file):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "ueds", "solve", p4_file, "-k", "2"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "decision: yes" in proc.stdout

@@ -226,6 +226,19 @@ class TestKernelize:
                 assert out.k == k - drops
 
 
+SPARSE_FAMILIES = [
+    GenSpec("tree", 300, None, 4),
+    GenSpec("path", 300),
+    GenSpec("star", 300),
+    GenSpec("gnp", 300, 0.005, 2),
+    GenSpec("gnp", 300, 0.01, 3),
+]
+
+
+def _sparse_ks(g):
+    return (1, 5, greedy_maximal_matching(g).size + 1, 1000)
+
+
 class TestWorklistKernel:
     """kernelize must equal the reference driver, which rebuilds the graph
     and recolors from scratch after every rule application."""
@@ -239,21 +252,10 @@ class TestWorklistKernel:
                 k,
             )
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            GenSpec("tree", 300, None, 4),
-            GenSpec("path", 300),
-            GenSpec("star", 300),
-            GenSpec("gnp", 300, 0.005, 2),
-            GenSpec("gnp", 300, 0.01, 3),
-        ],
-        ids=lambda spec: spec.instance_id,
-    )
+    @pytest.mark.parametrize("spec", SPARSE_FAMILIES, ids=lambda spec: spec.instance_id)
     def test_matches_reference_on_sparse_families(self, spec):
         g = gen(spec)
-        matching = greedy_maximal_matching(g).size
-        for k in (1, 5, matching + 1, 1000):
+        for k in _sparse_ks(g):
             assert _outcome(kernelize(g, k)) == _outcome(kernelize_reference(g, k)), k
 
     def test_builds_one_graph(self, monkeypatch):
@@ -275,3 +277,33 @@ class TestWorklistKernel:
         out = kernelize(c4, 3)
         assert isinstance(out, Reduced) and out.trace == ()
         assert out.graph is c4
+
+
+def _assert_rule_order(trace):
+    """Rule-1 lines come first, and the rule-6 lines form one run with no
+    rule-3 line after it: kernelize relies on both to color only once."""
+    rules = [int(line.split()[0].removeprefix("rule=")) for line in trace]
+    ones = [i for i, rule in enumerate(rules) if rule == 1]
+    assert ones == list(range(len(ones))), trace
+    sixes = [i for i, rule in enumerate(rules) if rule == 6]
+    if sixes:
+        assert sixes == list(range(sixes[0], sixes[-1] + 1)), trace
+        assert 3 not in rules[sixes[-1] :], trace
+
+
+class TestReferenceRuleOrder:
+    """The order of rules in the traces of kernelize_reference, which
+    recolors after every application: what the single coloring in kernelize
+    assumes."""
+
+    @given(graphs(max_n=9))
+    @settings(max_examples=150, deadline=None)
+    def test_small_graphs(self, g):
+        for k in range(0, g.m + 2):
+            _assert_rule_order(kernelize_reference(g, k).trace)
+
+    @pytest.mark.parametrize("spec", SPARSE_FAMILIES, ids=lambda spec: spec.instance_id)
+    def test_sparse_families(self, spec):
+        g = gen(spec)
+        for k in _sparse_ks(g):
+            _assert_rule_order(kernelize_reference(g, k).trace)

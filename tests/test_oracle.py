@@ -11,7 +11,6 @@ from ueds.graph import Graph, greedy_maximal_matching, is_minimal_eds
 from ueds.oracle import (
     BITFORCE_EDGE_LIMIT,
     bitforce_minimal_masks,
-    decide,
     enumerate_minimal_eds,
     upper_eds_exact,
 )
@@ -162,17 +161,3 @@ class TestExactValue:
         r = upper_eds_exact(g)
         assert r.gamma_prime >= greedy_maximal_matching(g).size
 
-
-class TestDecide:
-    def test_p4(self, p4):
-        assert decide(p4, 2)
-        assert not decide(p4, 3)
-
-    def test_k_nonpositive_is_vacuous(self, p4):
-        assert decide(p4, 0) and decide(p4, -3)
-
-    @given(graphs(max_n=5))
-    @settings(max_examples=40)
-    def test_monotone_in_k(self, g):
-        answers = [decide(g, k) for k in range(1, g.m + 2)]
-        assert all(a or not b for a, b in zip(answers, answers[1:]))
