@@ -196,21 +196,28 @@ def td_min_fill(g: Graph, max_bag: int | None = None) -> TreeDecomposition | Non
         position[v] = len(bags)
         bags.append(nb | {v})
         later.append(nb)
+        # a neighbor a loses v, and with it the missing pairs vx for the x in
+        # N(a) outside N(v); each set intersection below runs over its
+        # smaller side, so a hub costs no more than its small neighbors
         for a in nb:
-            adj[a].discard(v)
+            adj_a = adj[a]
+            adj_a.discard(v)
+            fill[a] -= len(adj_a) - len(adj_a & nb)
         # a fill edge ab completes one more pair in the neighborhood of each
-        # common neighbor of a and b; the neighborhoods of v's neighbors
-        # change outright, so their fill is recounted
+        # common neighbor of a and b, and a gains the pairs bx for the x in
+        # N(a) outside N(b), as b does the other way round
         changed = set()
         for a, b in itertools.combinations(sorted(nb), 2):
-            if b not in adj[a]:
-                for w in adj[a] & adj[b]:
+            adj_a, adj_b = adj[a], adj[b]
+            if b not in adj_a:
+                common = adj_a & adj_b
+                for w in common:
                     fill[w] -= 1
                     changed.add(w)
-                adj[a].add(b)
-                adj[b].add(a)
-        for a in nb:
-            fill[a] = fill_of(a)
+                fill[a] += len(adj_a) - len(common)
+                fill[b] += len(adj_b) - len(common)
+                adj_a.add(b)
+                adj_b.add(a)
         for w in changed | nb:
             heapq.heappush(heap, (fill[w], len(adj[w]), w))
 

@@ -75,14 +75,18 @@ class EdgeSet:
 class Graph:
     """Immutable simple undirected graph.
 
-    Construction validates simplicity (no loops, no parallel edges) and builds
-    the adjacency structure once; all methods afterwards are pure, so a Graph
-    can be shared freely between threads.  parse_graph and induced_subgraph
-    have already established simplicity and build through _simple, which
-    skips the second check.
+    Construction validates simplicity (no loops, no parallel edges) and
+    stores the edge list; parse_graph and induced_subgraph have already
+    established simplicity and build through _simple, which skips the second
+    check.  The adjacency structure ``adj`` is built from the edge list on its
+    first read and cached, so a caller that reads only ``edges`` (the kernel,
+    emit_graph) never pays for it.  A Graph can still be shared freely between
+    threads: the edges never change, so two threads racing on the first read
+    of ``adj`` each build an equal value, and whichever lands in the cache
+    serves every later read.
     """
 
-    __slots__ = ("n", "m", "edges", "adj", "__dict__")
+    __slots__ = ("n", "m", "edges", "__dict__")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n < 0:
@@ -110,16 +114,18 @@ class Graph:
         return g
 
     def _build(self, n: int, edges: list[tuple[int, int]]) -> None:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(edges):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
         self.n = n
         self.m = len(edges)
         self.edges: tuple[tuple[int, int], ...] = tuple(edges)
-        self.adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(lst) for lst in adj
-        )
+
+    @cached_property
+    def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each vertex, its (neighbor, edge id) pairs in edge-id order."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for eid, (u, v) in enumerate(self.edges):
+            adj[u].append((v, eid))
+            adj[v].append((u, eid))
+        return tuple(map(tuple, adj))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -190,37 +196,40 @@ def parse_graph(text: str | Iterable[str]) -> Graph:
     n = -1
     m_declared = -1
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()  # (lower - 1) * n + higher - 1 per edge
     for lineno, raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "c":
             continue
-        parts = line.split()
         if parts[0] == "p":
             if n >= 0:
                 raise GraphFormatError("duplicate header", lineno)
             if len(parts) != 4 or parts[1] != "gr":
-                raise GraphFormatError(f"malformed header {line!r}", lineno)
+                raise GraphFormatError(f"malformed header {raw.strip()!r}", lineno)
             try:
                 n, m_declared = int(parts[2]), int(parts[3])
             except ValueError:
-                raise GraphFormatError(f"non-integer header field in {line!r}", lineno)
+                raise GraphFormatError(
+                    f"non-integer header field in {raw.strip()!r}", lineno
+                )
             if n < 0 or m_declared < 0:
                 raise GraphFormatError("negative counts in header", lineno)
             continue
         if n < 0:
             raise GraphFormatError("edge line before header", lineno)
         if len(parts) != 2:
-            raise GraphFormatError(f"malformed edge line {line!r}", lineno)
+            raise GraphFormatError(f"malformed edge line {raw.strip()!r}", lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"non-integer vertex in {line!r}", lineno)
+            raise GraphFormatError(f"non-integer vertex in {raw.strip()!r}", lineno)
         if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphFormatError(f"vertex index out of range in {line!r}", lineno)
+            raise GraphFormatError(
+                f"vertex index out of range in {raw.strip()!r}", lineno
+            )
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+        key = (u - 1) * n + v - 1 if u < v else (v - 1) * n + u - 1
         if key in seen:
             raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
         seen.add(key)

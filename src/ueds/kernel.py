@@ -26,13 +26,15 @@ Every application strictly shrinks |V| + k or decides, so the rules reach a
 fixpoint; an undecided fixpoint is an instance within the size bound.
 
 The rule functions below each take a Graph and build a new one.
-``kernelize`` instead edits one mutable copy of the adjacency in place and
-builds a Graph once, at the end.  It colors the vertices once, when rules 1
-and 2 are first exhausted, and reads rules 1, 3, 5 and 6 off that coloring
-and the vertices isolated at the start, because no surviving vertex changes
-color afterwards (the argument is in its docstring).  The rules fire in the
-same order, and the trace reads line for line the same, as chaining the
-rule functions and computing the coloring anew after every application.
+``kernelize`` instead builds one mutable adjacency straight from the edge
+list, edits it in place and builds a Graph once, at the end; it never reads
+``Graph.adj``, so neither the input nor the reduced graph builds one.  It
+colors the vertices once, when rules 1 and 2 are first exhausted, and reads
+rules 1, 3, 5 and 6 off that coloring and the vertices isolated at the
+start, because no surviving vertex changes color afterwards (the argument
+is in its docstring).  The rules fire in the same order, and the trace
+reads line for line the same, as chaining the rule functions and computing
+the coloring anew after every application.
 """
 
 from __future__ import annotations
@@ -328,7 +330,10 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
     isolated edges once and leaves it only by rule 2.  A batch of rule 3 or
     rule 6 can isolate several edges, which rule 2 takes by edge id.
     """
-    adj = [dict(a) for a in g.adj]  # neighbor -> edge id
+    adj: list[dict[int, int]] = [{} for _ in range(g.n)]  # neighbor -> edge id
+    for e, (u, v) in enumerate(g.edges):
+        adj[u][v] = e
+        adj[v][u] = e
     alive = [True] * g.n
     deleted: list[int] = []  # ascending
     isolated = iter([v for v in range(g.n) if not adj[v]])

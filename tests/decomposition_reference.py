@@ -5,9 +5,16 @@ which takes time quadratic in the decomposition's size.
 same order.  ``greedy_path_reference`` follows the greedy path's selection
 rule by scanning every candidate at every step;
 ``ueds.decomposition.td_greedy_path`` must build the same decomposition.
+``min_fill_reference`` recounts the fill of every neighbor of an eliminated
+vertex from scratch, which takes time quadratic in a hub's degree;
+``ueds.decomposition.td_min_fill`` keeps the counts up to date instead and
+must build the same decomposition, bag for bag.
 """
 
 from __future__ import annotations
+
+import heapq
+import itertools
 
 from ueds.decomposition import TreeDecomposition
 from ueds.graph import Graph
@@ -114,4 +121,90 @@ def greedy_path_reference(g: Graph) -> TreeDecomposition:
         n=g.n,
         bags=tuple(bags),
         tree_edges=tuple((i, i + 1) for i in range(len(bags) - 1)),
+    )
+
+
+def min_fill_reference(g: Graph, max_bag: int | None = None) -> TreeDecomposition | None:
+    """The min-fill elimination decomposition, with the same selection rule,
+    tree, pruning and max_bag stop as ``td_min_fill``."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def fill_of(v: int) -> int:
+        # each present pair in the neighborhood is seen from both ends
+        nb = adj[v]
+        present = sum(map(len, map(nb.intersection, map(adj.__getitem__, nb))))
+        return (len(nb) * (len(nb) - 1) - present) // 2
+
+    fill = [fill_of(v) for v in range(g.n)]
+    heap = [(fill[v], len(adj[v]), v) for v in range(g.n)]
+    heapq.heapify(heap)
+    position = [-1] * g.n
+    bags: list[set[int]] = []
+    later: list[set[int]] = []  # the remaining neighbors at elimination
+    while heap:
+        f, degree, v = heapq.heappop(heap)
+        if position[v] >= 0 or f != fill[v] or degree != len(adj[v]):
+            continue  # eliminated, or a stale entry
+        nb = adj[v]
+        if max_bag is not None and len(nb) >= max_bag:
+            return None
+        position[v] = len(bags)
+        bags.append(nb | {v})
+        later.append(nb)
+        for a in nb:
+            adj[a].discard(v)
+        # a fill edge ab completes one more pair in the neighborhood of each
+        # common neighbor of a and b; the neighborhoods of v's neighbors
+        # change outright, so their fill is recounted
+        changed = set()
+        for a, b in itertools.combinations(sorted(nb), 2):
+            if b not in adj[a]:
+                for w in adj[a] & adj[b]:
+                    fill[w] -= 1
+                    changed.add(w)
+                adj[a].add(b)
+                adj[b].add(a)
+        for a in nb:
+            fill[a] = fill_of(a)
+        for w in changed | nb:
+            heapq.heappush(heap, (fill[w], len(adj[w]), w))
+
+    tree: list[set[int]] = [set() for _ in bags]
+    last = -1
+    for i, nb in enumerate(later):
+        j = min((position[a] for a in nb), default=-1)
+        if j < 0:  # the last bag of a component
+            j, last = last, i
+        if j >= 0:
+            tree[i].add(j)
+            tree[j].add(i)
+
+    alive = [True] * len(bags)
+    work = list(range(len(bags)))
+    while work:
+        i = work.pop()
+        if not alive[i]:
+            continue
+        into = next((j for j in sorted(tree[i]) if bags[i] <= bags[j]), -1)
+        if into < 0:
+            continue
+        alive[i] = False
+        for k in tree[i]:
+            tree[k].discard(i)
+            if k != into:
+                tree[k].add(into)
+                tree[into].add(k)
+        work.append(into)
+    keep = [i for i in range(len(bags)) if alive[i]]
+    index = {old: new for new, old in enumerate(keep)}
+    tree_edges = sorted(
+        (index[i], index[j]) for i in keep for j in tree[i] if i < j
+    )
+    return TreeDecomposition(
+        n=g.n,
+        bags=tuple(tuple(sorted(bags[i])) for i in keep),
+        tree_edges=tuple(tree_edges),
     )

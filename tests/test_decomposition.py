@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +34,13 @@ from ueds.graph import Graph, greedy_maximal_matching, vertex_cover_from_matchin
 from ueds.pipeline import choose_decomposition
 
 from conftest import graphs, minimum_vertex_cover
-from decomposition_reference import greedy_path_reference, validate_td_reference
+from decomposition_reference import (
+    greedy_path_reference,
+    min_fill_reference,
+    validate_td_reference,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestFromCover:
@@ -144,6 +153,81 @@ def grid(rows: int, cols: int) -> Graph:
 
 # the empty graph, and graphs with isolated vertices and several components
 any_graphs = st.one_of(st.just(Graph(0, [])), graphs(max_n=10))
+
+
+def spider(legs: int, length: int) -> Graph:
+    """A center (vertex 0) with ``legs`` paths of ``length`` edges each."""
+    edges = []
+    for leg in range(legs):
+        prev = 0
+        for step in range(length):
+            v = 1 + leg * length + step
+            edges.append((prev, v))
+            prev = v
+    return Graph(1 + legs * length, edges)
+
+
+def pool_graphs(workload: str, per_stratum: int) -> list[Graph]:
+    """The first graphs of each stratum of a benchmark pool, regenerated from
+    the GenSpecs its expected-answers file records."""
+    data = json.loads((ROOT / "perfbench" / "expected" / f"{workload}.json").read_text())
+    strata = data["strata"]
+    taken = [0] * len(strata)
+    out = []
+    for inst in data["instances"]:
+        s = strata[inst["stratum"]]
+        if taken[inst["stratum"]] == per_stratum:
+            continue
+        taken[inst["stratum"]] += 1
+        n = s["n"]
+        if s["m"] is not None:
+            p = s["m"] / (n * (n - 1) / 2)
+        else:
+            p = None if s["degree"] is None else s["degree"] / (n - 1)
+        out.append(gen(GenSpec(s["family"], n, p, inst["seed"])))
+    return out
+
+
+def assert_min_fill_matches_reference(g: Graph, max_bags) -> None:
+    for max_bag in max_bags:
+        assert td_min_fill(g, max_bag) == min_fill_reference(g, max_bag), max_bag
+
+
+class TestMinFillAgainstReference:
+    """td_min_fill keeps each vertex's fill up to date as neighborhoods
+    change; the reference recounts it from scratch.  Bag for bag the same."""
+
+    @given(st.one_of(st.just(Graph(0, [])), graphs(max_n=12)))
+    @settings(max_examples=150, deadline=None)
+    def test_small_graphs(self, g):
+        assert_min_fill_matches_reference(g, [None, *range(g.n + 2)])
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(300, [(0, v) for v in range(1, 300)]),
+            Graph(300, [(v, 299) for v in range(299)]),
+            spider(100, 2),
+            spider(30, 5),
+            grid(3, 20),
+            grid(4, 15),
+            grid(6, 10),
+        ],
+        ids=["star", "star-high-center", "spider-100x2", "spider-30x5",
+             "grid-3x20", "grid-4x15", "grid-6x10"],
+    )
+    def test_stars_spiders_and_grids(self, g):
+        assert_min_fill_matches_reference(g, [None, *range(1, 9)])
+
+    @pytest.mark.parametrize("workload", ["gamma-auto", "solve-decide"])
+    def test_small_pool_graphs(self, workload):
+        for g in pool_graphs(workload, per_stratum=10):
+            assert_min_fill_matches_reference(g, [None, *range(1, g.n + 1)])
+
+    def test_sparse_pool_graphs(self):
+        # the reference takes seconds on the wide gnp graphs without a cap
+        for g in pool_graphs("kernelize-sparse", per_stratum=1):
+            assert_min_fill_matches_reference(g, (2, 5, 12) if g.m >= g.n else (None, 2))
 
 
 class TestGreedyPath:

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ueds.errors import CoverViolation, GraphFormatError, NotStarForest
 from ueds.graph import (
@@ -17,6 +18,27 @@ from ueds.graph import (
 )
 
 from conftest import graphs
+
+
+def _eager_adj(n, edges):
+    """Each vertex's (neighbor, edge id) pairs in edge-id order, scanned
+    from the edge list vertex by vertex."""
+    return tuple(
+        tuple((v if u == x else u, e) for e, (u, v) in enumerate(edges) if x in (u, v))
+        for x in range(n)
+    )
+
+
+# the messages of test_errors_carry_line_numbers, without their line prefix
+LINE_ERRORS = {
+    "p gr x 1\n1 2\n": "non-integer header field in 'p gr x 1'",
+    "p tw 2 1\n1 2\n": "malformed header 'p tw 2 1'",
+    "p gr 2 1\n1 3\n": "vertex index out of range in '1 3'",
+    "p gr 2 1\n1 1\n": "self-loop at vertex 1",
+    "p gr 3 2\n1 2\n1 2\n": "duplicate edge (1, 2)",
+    "p gr 3 2\n1 2\n2 1\n": "duplicate edge (2, 1)",
+    "1 2\n": "edge line before header",
+}
 
 
 class TestParse:
@@ -54,18 +76,68 @@ class TestParse:
         with pytest.raises(GraphFormatError) as err:
             parse_graph(text)
         assert err.value.line == line
+        assert str(err.value) == f"line {line}: {LINE_ERRORS[text]}"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p gr 2 1\np gr 2 1\n", "line 2: duplicate header"),
+            ("  p\tgr 2  \r\n", "line 1: malformed header 'p\\tgr 2'"),
+            ("p gr 2 -1\n", "line 1: negative counts in header"),
+            ("p gr 3 1\n\t1 2 3 \n", "line 2: malformed edge line '1 2 3'"),
+            ("p gr 3 1\n 1  x\n", "line 2: non-integer vertex in '1  x'"),
+            ("p gr 3 1\n\n0 1\r\n", "line 3: vertex index out of range in '0 1'"),
+            ("p gr 3 1\n1 2\n2 3\n", "line 3: more edge lines than declared"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        # a message quotes its line stripped of surrounding whitespace
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(text)
+        assert str(err.value) == message
 
     def test_declared_count_mismatch(self):
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError, match=r"^declared 2 edges but found 1$"):
             parse_graph("p gr 3 2\n1 2\n")
 
     def test_missing_header(self):
-        with pytest.raises(GraphFormatError):
-            parse_graph("c only comments\n")
+        for text in ("c only comments\n", "", "\n  \n"):
+            with pytest.raises(GraphFormatError, match=r"^missing header$"):
+                parse_graph(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p\tgr\t3\t2\n1\t2\n2 \t 3\n",
+            "  c note\np gr 3 2\n\tc tabbed note\n1 2\n2 3\n",
+            "cc not a header\nc\np gr 3 2\n1 2\ncomment 9 9\n2 3\n",
+            "p gr 3 2\r\n1 2\r\n2 3\r\n",
+            "p gr 3 2\n1 2\n2 3\n\n   \n\t\n",
+            "\n \np gr 3 2\n  1 2  \n2 3",
+            ["p gr 3 2\n", "1 2\n", "c note\n", "2 3\n", "\n"],
+            ["p gr 3 2\r\n", "1 2\r\n", "2 3\r\n"],
+            ("p gr 3 2", "1 2", "2 3"),
+        ],
+    )
+    def test_whitespace_comment_and_line_end_variants(self, text):
+        assert parse_graph(text) == Graph(3, [(0, 1), (1, 2)])
 
     def test_round_trip(self):
         g = parse_graph("p gr 4 3\n1 2\n2 3\n3 4\n")
         assert parse_graph(emit_graph(g)) == g
+
+    @given(graphs(max_n=10), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_any_edge_order(self, g, data):
+        # edges in any order, either way round, keep their ids through text
+        order = data.draw(st.permutations(range(g.m)))
+        flips = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+        edges = [g.edges[e][::-1] if flip else g.edges[e] for e, flip in zip(order, flips)]
+        h = Graph(g.n, edges)
+        text = emit_graph(h)
+        assert parse_graph(text) == h
+        assert parse_graph(text.splitlines(keepends=True)) == h
+        assert emit_graph(parse_graph(text)) == text
 
 
 class TestEdgeSet:
@@ -230,6 +302,24 @@ class TestGraphBasics:
         h = induced_subgraph(p4, [1, 2, 3])
         assert h.n == 2 or h.n == 3
         assert h.edges == ((0, 1), (1, 2))
+
+    @given(graphs(max_n=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_adj_matches_an_eager_build(self, g, data):
+        order = data.draw(st.permutations(range(g.m)))
+        edges = [g.edges[e] for e in order]
+        keep = data.draw(st.sets(st.integers(0, g.n - 1)))
+        for built in (
+            Graph(g.n, edges),
+            Graph._simple(g.n, edges),
+            induced_subgraph(Graph(g.n, edges), keep),
+        ):
+            assert "adj" not in built.__dict__
+            assert built.adj == _eager_adj(built.n, built.edges)
+            assert built.adj is built.adj  # built once, then cached
+            assert [built.degree(v) for v in range(built.n)] == [
+                sum(v in e for e in built.edges) for v in range(built.n)
+            ]
 
     @given(graphs(max_n=8))
     @settings(max_examples=40, deadline=None)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from ueds.errors import IsolatedVertexPresent, PreconditionViolated
 from ueds.generate import GenSpec, gen
-from ueds.graph import Graph, greedy_maximal_matching
+from ueds.graph import Graph, emit_graph, greedy_maximal_matching, parse_graph
 from ueds.kernel import (
     BLUE,
     GREEN,
@@ -277,6 +277,31 @@ class TestWorklistKernel:
         out = kernelize(c4, 3)
         assert isinstance(out, Reduced) and out.trace == ()
         assert out.graph is c4
+
+
+class TestLazyAdjacency:
+    """kernelize builds its adjacency from the edge list: neither the graph
+    it is given nor the one it returns builds ``Graph.adj``."""
+
+    @pytest.mark.parametrize("spec", SPARSE_FAMILIES, ids=lambda spec: spec.instance_id)
+    def test_parse_match_kernelize_build_no_adj(self, spec):
+        kinds = set()
+        for k in _sparse_ks(gen(spec)):
+            g = parse_graph(emit_graph(gen(spec)))
+            greedy_maximal_matching(g)
+            out = kernelize(g, k)
+            kinds.add(type(out))
+            assert "adj" not in g.__dict__
+            if isinstance(out, Reduced):
+                assert "adj" not in out.graph.__dict__
+        assert kinds == {Reduced, DecidedYes}
+
+    def test_reduced_graph_adj_on_first_read(self):
+        g = parse_graph(emit_graph(gen(GenSpec("tree", 300, None, 4))))
+        out = kernelize(g, greedy_maximal_matching(g).size + 1)
+        assert isinstance(out, Reduced) and out.graph.n < g.n
+        assert out.graph.adj == Graph(out.graph.n, list(out.graph.edges)).adj
+        assert "adj" in out.graph.__dict__ and "adj" not in g.__dict__
 
 
 def _assert_rule_order(trace):
