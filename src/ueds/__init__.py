@@ -9,9 +9,9 @@ is narrower.  Everything is deterministic for fixed inputs and seeds.
 """
 
 from .errors import (
-    BagMismatch,
     CoverViolation,
     DecompositionFormatError,
+    FormatError,
     GenSpecError,
     GraphFormatError,
     InstanceTooLarge,
@@ -20,6 +20,7 @@ from .errors import (
     NotACover,
     NotStarForest,
     PreconditionViolated,
+    ResourceCapExceeded,
     UedsError,
     WidthCapExceeded,
 )

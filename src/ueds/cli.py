@@ -1,10 +1,10 @@
 """Command-line driver.
 
 Exit codes: 0 = yes (or success for non-decision commands), 1 = no (or
-selfcheck failures), 2 = usage or input-format error, 3 = a resource cap was
-exceeded (decomposition width, the DP's 64-bit row or oracle instance size)
-or memory ran out, 4 = internal error (an unexpected exception, reported with
-its traceback).
+selfcheck failures), 2 = usage or input error (any other UedsError, or a path
+that cannot be read or written), 3 = a ResourceCapExceeded or out of memory,
+4 = internal error (an unexpected exception, reported with its traceback).
+main has one except clause per exit code; a failure never exits 1.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ import traceback
 from pathlib import Path
 
 from .decomposition import emit_td, make_nice, parse_td, validate_nice
-from .errors import (
-    DecompositionFormatError,
-    GenSpecError,
-    GraphFormatError,
-    InstanceTooLarge,
-    UedsError,
-    WidthCapExceeded,
-)
+from .errors import ResourceCapExceeded, UedsError
 from .generate import FAMILIES, GenSpec, gen
 from .graph import Graph, emit_graph, parse_graph
 from .kernel import kernelize
@@ -266,21 +259,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (GraphFormatError, DecompositionFormatError, GenSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (WidthCapExceeded, InstanceTooLarge) as exc:
+    except ResourceCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except UedsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 3
+    except (UedsError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # a fault, not an answer: never exit 1 ("no")
         traceback.print_exc()
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)

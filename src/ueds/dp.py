@@ -55,9 +55,9 @@ vertex's code, color | incidence << 3, and a slot without a bag vertex holds
 puts each key's best alpha first.  Every row's partial solution is a star
 forest (no node keeps a purple or red vertex above incidence one, see
 Pruning), so alpha <= n - 1 <= amax and alpha never borrows from the fields.
-A row fits when 5 * (width + 1) + a <= 64: bags of up to 12 vertices for
-n <= 16 and up to 10 for n <= 16,384.  run_dp refuses wider decompositions
-with WidthCapExceeded before it builds a table.
+A row fits when 5 * (width + 1) + a <= 64 (row_bag_limit): bags of up to 12
+vertices for n <= 16, 11 for n <= 512 and 10 for n <= 16,384.  run_dp
+refuses wider decompositions with WidthCapExceeded before it builds a table.
 
 Transitions.  A node changes the field of one vertex, or of two for an
 edge, so it is a lookup on their codes: liveness for introduce and
@@ -141,6 +141,7 @@ __all__ = [
     "RED1",
     "DPResult",
     "assign_slots",
+    "row_bag_limit",
     "run_dp",
     "extract_witness",
     "state_space_bound",
@@ -186,6 +187,12 @@ def state_space_bound(width: int) -> int:
     introduce-edge node never lifts one there, and a join drops the pairs
     whose incidences add up to 2."""
     return 10 ** (width + 1)
+
+
+def row_bag_limit(n: int) -> int:
+    """The most bag vertices a 64-bit row holds for a graph on n vertices:
+    5 bits per vertex above (n - 1).bit_length() alpha bits."""
+    return (64 - (n - 1).bit_length()) // 5
 
 
 def assign_slots(nd: NiceDecomposition, n: int) -> list[int]:
@@ -262,11 +269,13 @@ _SATISFIED = (
 )
 
 
-class _EdgeRules(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _EdgeRules:
     """An introduce-edge node's rules, indexed [branch, code_u * 32 + code_v]
     with the excluded branch 0 and the included branch 1: whether a row with
     those codes survives, and the increments to the fields of u and v (in
-    field units, before shifting into place)."""
+    field units, before shifting into place).  It hashes by identity, so a
+    cached lookup always comes from the rules object in use."""
 
     ok: np.ndarray  # (2, 1024) bool
     du: np.ndarray  # (2, 1024) uint64
@@ -378,12 +387,6 @@ class _Lookup(NamedTuple):
     took: np.ndarray  # (outcomes,) bool
 
 
-# (id(rules), rem_x, x_is_v, su, sv) -> (rules, fused lookup).  Keying on
-# the rules object itself means a lookup always comes from the rules in use;
-# each entry holds its rules, so no other object can take that id while the
-# entry lives.  Emptied when it reaches 4,096 entries.
-_FUSED: dict[tuple, tuple[_EdgeRules, _Lookup]] = {}
-
 # one more solution edge also lowers amax - alpha by one; uint64 wraps, and
 # the sum with the row is never below 0 because alpha <= n - 1
 _ONE_MORE = np.array([[0], [1]], dtype=np.uint64)
@@ -401,15 +404,18 @@ def _edge_lookup(
     (rem_x, x_is_v), the endpoint x (v when x_is_v, else u) is introduced
     right below the node with rem_x edges left, clamped to 2: the keys are
     the codes of the other endpoint, and the outcomes run by branch, then by
-    the color of x, whose field each step also writes."""
+    the color of x, whose field each step also writes.  Only fused lookups
+    are cached: caching plain ones costs more memory than it saves time."""
     if fused is None:
         step = (rules.du << su) + (rules.dv << sv) - _ONE_MORE
         return _Lookup(rules.ok, step.ravel(), _TOOK)
-    key = (id(rules), *fused, su, sv)
-    hit = _FUSED.get(key)
-    if hit is not None:
-        return hit[1]
-    rem_x, x_is_v = fused
+    return _fused_lookup(rules, *fused, su, sv)
+
+
+@lru_cache(maxsize=4096)
+def _fused_lookup(
+    rules: _EdgeRules, rem_x: int, x_is_v: bool, su: np.uint64, sv: np.uint64
+) -> _Lookup:
     colors = np.array(_live_colors(rem_x), dtype=np.int64)
     codes = _CODES.view(np.int64)[None, :]
     if x_is_v:
@@ -419,15 +425,11 @@ def _edge_lookup(
     put = colors.astype(np.uint64)[:, None] << sx
     step = (rules.du[:, pair] << su) + (rules.dv[:, pair] << sv) + put
     step -= _ONE_MORE[:, :, None]
-    lookup = _Lookup(
+    return _Lookup(
         rules.ok[:, pair].reshape(-1, 32),
         step.ravel(),
         np.repeat(_TOOK, len(colors)),
     )
-    if len(_FUSED) >= 4096:
-        _FUSED.clear()
-    _FUSED[key] = (rules, lookup)
-    return lookup
 
 
 def _apply(
@@ -594,7 +596,7 @@ def run_dp(
             raise InvalidDecomposition("; ".join(violations[:5]))
     width = nd.width
     alpha_bits = (g.n - 1).bit_length()  # alpha <= n - 1
-    if 5 * (width + 1) + alpha_bits > 64:
+    if width + 1 > row_bag_limit(g.n):
         raise WidthCapExceeded(
             f"the DP packs a bag of {width + 1} vertices into "
             f"{5 * (width + 1)} bits plus {alpha_bits} alpha bits for n = "

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+The command line maps them to exit codes by class: a ResourceCapExceeded
+exits 3, any other UedsError 2 (see ueds.cli)."""
 
 from __future__ import annotations
 
@@ -7,8 +10,8 @@ class UedsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class GraphFormatError(UedsError):
-    """Malformed .gr input; carries the offending line number when known."""
+class FormatError(UedsError):
+    """Malformed input; carries the offending line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -17,16 +20,32 @@ class GraphFormatError(UedsError):
         super().__init__(message)
 
 
+class GraphFormatError(FormatError):
+    """Malformed .gr input."""
+
+
+class DecompositionFormatError(FormatError):
+    """Malformed .td input."""
+
+
+class ResourceCapExceeded(UedsError):
+    """A well-formed instance is beyond a limit of the solver."""
+
+
+class WidthCapExceeded(ResourceCapExceeded):
+    """Decomposition is wider than the configured cap or the DP's row."""
+
+
+class InstanceTooLarge(ResourceCapExceeded):
+    """Instance exceeds the configured limit for exhaustive enumeration."""
+
+
 class NotStarForest(UedsError):
     """The given edge set does not induce a disjoint union of stars."""
 
 
 class CoverViolation(UedsError):
     """Endpoints of the given matching do not cover every edge."""
-
-
-class InstanceTooLarge(UedsError):
-    """Instance exceeds the configured limit for exhaustive enumeration."""
 
 
 class IsolatedVertexPresent(UedsError):
@@ -41,26 +60,8 @@ class NotACover(UedsError):
     """The vertex set handed to the decomposition builder misses an edge."""
 
 
-class DecompositionFormatError(UedsError):
-    """Malformed .td input; carries the offending line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
 class InvalidDecomposition(UedsError):
     """A (nice) tree decomposition failed validation."""
-
-
-class BagMismatch(UedsError):
-    """Join children disagree on the bag."""
-
-
-class WidthCapExceeded(UedsError):
-    """Decomposition is wider than the configured safety cap."""
 
 
 class GenSpecError(UedsError):

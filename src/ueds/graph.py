@@ -62,15 +62,6 @@ class EdgeSet:
             yield low.bit_length() - 1
             mask ^= low
 
-    def add(self, edge_id: int) -> "EdgeSet":
-        return EdgeSet(self.mask | 1 << edge_id)
-
-    def remove(self, edge_id: int) -> "EdgeSet":
-        return EdgeSet(self.mask & ~(1 << edge_id))
-
-    def issubset(self, other: "EdgeSet") -> bool:
-        return self.mask & ~other.mask == 0
-
 
 class Graph:
     """Immutable simple undirected graph.

@@ -392,20 +392,21 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
             decision = None
             break
         if blues is None:
+            degree = [len(nbrs) for nbrs in adj]
             purple = [False] * g.n
             blues, greens, reds, twin_lists = [], [], [], []
             live = list(compress(range(g.n), alive))
             for v in live:
-                if len(adj[v]) == 1:
+                if degree[v] == 1:
                     blues.append(v)
                     continue
-                twins = [u for u in adj[v] if len(adj[u]) == 1]
+                twins = [u for u in adj[v] if degree[u] == 1]
                 if twins:
                     purple[v] = True
                     if len(twins) > 1:
                         twin_lists.append(sorted(twins))
             for v in live:
-                if len(adj[v]) > 1 and not purple[v]:
+                if degree[v] > 1 and not purple[v]:
                     (reds if all(purple[u] for u in adj[v]) else greens).append(v)
             pending_twins = iter(twin_lists)
         twins = next(pending_twins, None)

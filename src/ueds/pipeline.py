@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .decomposition import TreeDecomposition, make_nice, td_greedy_path, td_min_fill
-from .dp import extract_witness, run_dp
+from .dp import extract_witness, row_bag_limit, run_dp
 from .errors import WidthCapExceeded
 from .graph import (
     EdgeSet,
@@ -74,6 +74,15 @@ def _witness_pairs(g: Graph, solution: EdgeSet) -> list[tuple[int, int]]:
     return [(u + 1, v + 1) for u, v in (g.edges[e] for e in solution)]
 
 
+def _cap_advice(need: int, n: int) -> str:
+    """Advice for a decomposition refused for needing bags of need or more
+    vertices: a higher --max-width helps only up to the DP's row limit."""
+    limit = row_bag_limit(n)
+    if need > limit:
+        return f"the DP's 64-bit row holds at most {limit} bag vertices for n = {n}"
+    return "raise --max-width to proceed"
+
+
 def choose_decomposition(
     g: Graph, max_width: int = DEFAULT_WIDTH_CAP
 ) -> tuple[str, TreeDecomposition]:
@@ -84,7 +93,8 @@ def choose_decomposition(
 
     The path is built first, and min-fill stops as soon as it cannot be
     strictly narrower, so a tie costs only part of an elimination.  Raises
-    WidthCapExceeded when both need a bag of more than max_width vertices.
+    WidthCapExceeded when both need a bag of more than max_width vertices;
+    at or above the DP's row limit for g, the message names that limit.
     """
     path = td_greedy_path(g, max_bag=max_width)
     fill = td_min_fill(g, max_bag=max_width if path is None else path.width)
@@ -93,7 +103,7 @@ def choose_decomposition(
     if path is None:
         raise WidthCapExceeded(
             "both the greedy path and the min-fill decomposition need bags "
-            f"above the cap {max_width}; raise --max-width to proceed"
+            f"above the cap {max_width}; {_cap_advice(max_width + 1, g.n)}"
         )
     return "greedy-path", path
 
@@ -116,7 +126,7 @@ def _dp_stage(
         if td.width + 1 > max_width:
             raise WidthCapExceeded(
                 f"the given decomposition needs bags of size {td.width + 1}, "
-                f"above the cap {max_width}; raise --max-width to proceed"
+                f"above the cap {max_width}; {_cap_advice(td.width + 1, work.n)}"
             )
     # make_nice has validated td and checks its own output
     result = run_dp(work, nd, keep_tables=want_witness, check=False)

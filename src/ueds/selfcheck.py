@@ -38,13 +38,12 @@ from .graph import (
     star_decomposition,
 )
 from .kernel import DecidedYes, kernelize
-from .oracle import enumerate_minimal_eds, upper_eds_exact
+from .oracle import MASK_BITS, enumerate_minimal_eds, upper_eds_exact
 from .pipeline import choose_decomposition
 
 __all__ = ["SelfCheckFailure", "SelfCheckReport", "star_privacy_violations", "selfcheck"]
 
 _P_VALUES = (0.2, 0.4, 0.6)
-ORACLE_LIMIT = 64  # the oracle's uint64 edge masks allow no more
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def _check_instance(g: Graph, spec: GenSpec, report: SelfCheckReport) -> None:
     def fail(check: str, detail: str, k: int | None = None) -> None:
         report.failures.append(SelfCheckFailure(check, spec, k, detail))
 
-    exact = upper_eds_exact(g, limit=ORACLE_LIMIT)
+    exact = upper_eds_exact(g, limit=MASK_BITS)
 
     # oracle vs DP through the pipeline's own decomposition
     try:
@@ -183,7 +182,7 @@ def _check_instance(g: Graph, spec: GenSpec, report: SelfCheckReport) -> None:
 
     # star structure + privacy certificates of every minimal solution
     report.checks_run += 1
-    for solution in enumerate_minimal_eds(g, limit=ORACLE_LIMIT):
+    for solution in enumerate_minimal_eds(g, limit=MASK_BITS):
         problems = star_privacy_violations(g, solution)
         if problems:
             fail("star-privacy", f"{sorted(solution)}: {problems[0]}")
@@ -199,7 +198,7 @@ def _check_instance(g: Graph, spec: GenSpec, report: SelfCheckReport) -> None:
                 fail("kernel-preserves", f"decided yes but oracle says no", k)
             continue
         reduced = outcome
-        got = upper_eds_exact(reduced.graph, limit=ORACLE_LIMIT).gamma_prime >= reduced.k
+        got = upper_eds_exact(reduced.graph, limit=MASK_BITS).gamma_prime >= reduced.k
         if got != want:
             fail("kernel-preserves", f"reduced answer {got} != {want}", k)
         size_bound = 4 * reduced.k * reduced.k - 2

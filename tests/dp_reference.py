@@ -39,7 +39,7 @@ import numpy as np
 
 from ueds import dp
 from ueds.dp import BLACK, GREEN, PURPLE, RED0, RED1, DPResult
-from ueds.errors import BagMismatch, UedsError
+from ueds.errors import InvalidDecomposition, UedsError
 from ueds.graph import EdgeSet, Graph
 
 _INTRODUCIBLE = (BLACK, PURPLE, GREEN, RED0)  # an isolated vertex cannot be r1
@@ -214,7 +214,7 @@ def dp_join(left: NodeTable, right: NodeTable) -> NodeTable:
     bag overlap subtracted so that each shared red vertex is counted once.
     """
     if left.bag != right.bag:
-        raise BagMismatch(f"join bags differ: {left.bag} vs {right.bag}")
+        raise InvalidDecomposition(f"join bags differ: {left.bag} vs {right.bag}")
     k = len(left.bag)
     red_set = (RED0, RED1)
 

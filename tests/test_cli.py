@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ueds.cli import main
+from ueds.errors import InstanceTooLarge, ResourceCapExceeded, WidthCapExceeded
 from ueds.generate import GenSpec, gen
 from ueds.graph import EdgeSet, emit_graph, is_minimal_eds
 from ueds.decomposition import (
@@ -18,6 +19,7 @@ from ueds.decomposition import (
     td_min_fill,
 )
 from ueds.oracle import upper_eds_exact
+from ueds.pipeline import choose_decomposition
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -246,6 +248,96 @@ class TestDecompositionCommands:
         if oracle_checked:
             want = upper_eds_exact(g, limit=64).gamma_prime
             assert payload["gamma_prime"] == want
+
+
+def _write(tmp_path, name, content):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return str(path)
+
+
+def _p4(tmp_path):
+    return _write_graph(tmp_path, GenSpec("path", 4))
+
+
+K13_TD = "s td 1 13 13\nb 1 " + " ".join(map(str, range(1, 14))) + "\n"
+
+# (expected exit code, argv for a scratch directory, exception the patched
+# solve raises or None)
+FAILURES = {
+    "malformed-gr": (2, lambda t: ["solve", _write(t, "bad.gr", "not a graph\n"), "-k", "1"], None),
+    "malformed-td": (
+        2,
+        lambda t: ["gamma", _p4(t), "--td", _write(t, "bad.td", "b 1 1 2\n")],
+        None,
+    ),
+    "bad-gen-spec": (2, lambda t: ["gen", "--family", "cycle", "--n", "2"], None),
+    "missing-file": (2, lambda t: ["solve", str(t / "nope.gr"), "-k", "1"], None),
+    "directory-graph": (2, lambda t: ["solve", str(t), "-k", "1"], None),
+    "undecodable-graph": (
+        2,
+        lambda t: ["solve", _write(t, "bytes.gr", b"p gr \xff\xfe\x96\n"), "-k", "1"],
+        None,
+    ),
+    "directory-td": (2, lambda t: ["gamma", _p4(t), "--td", str(t)], None),
+    "directory-gen-out": (
+        2,
+        lambda t: ["gen", "--family", "path", "--n", "4", "--out", str(t)],
+        None,
+    ),
+    "directory-emit-td": (2, lambda t: ["decomp", _p4(t), "--emit-td", str(t)], None),
+    "width-cap": (
+        3,
+        lambda t: [
+            "solve", _write_graph(t, GenSpec("gnp", 16, 0.9, 5)), "-k", "50",
+            "--max-width", "4",
+        ],
+        None,
+    ),
+    "row-packing": (
+        3,
+        lambda t: [
+            "gamma", _write_graph(t, GenSpec("gnp", 13, 1.0, 1)),
+            "--td", _write(t, "k13.td", K13_TD),
+        ],
+        None,
+    ),
+    "oracle-limit": (3, lambda t: ["oracle", _p4(t), "--limit", "2"], None),
+    "memory": (3, lambda t: ["solve", _p4(t), "-k", "3"], MemoryError()),
+    "internal": (4, lambda t: ["solve", _p4(t), "-k", "3"], RuntimeError("boom")),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("code,argv,injected", FAILURES.values(), ids=FAILURES)
+    def test_each_failure_kind_exits_its_code(
+        self, tmp_path, monkeypatch, capsys, code, argv, injected
+    ):
+        if injected is not None:
+            def failing(*args, **kwargs):
+                raise injected
+
+            monkeypatch.setattr("ueds.cli.solve", failing)
+        assert main(argv(tmp_path)) == code
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert ("Traceback" in err) == (code == 4)
+
+    def test_resource_cap_exceeded_catches_both_subclasses(self):
+        refusals = (
+            lambda: choose_decomposition(gen(GenSpec("gnp", 16, 1.0, 1)), 4),
+            lambda: upper_eds_exact(gen(GenSpec("path", 4)), limit=2),
+        )
+        caught = []
+        for refuse in refusals:
+            try:
+                refuse()
+            except ResourceCapExceeded as exc:
+                caught.append(type(exc))
+        assert caught == [WidthCapExceeded, InstanceTooLarge]
 
 
 class TestEntryPoint:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -27,7 +28,7 @@ from ueds.dp import (
     run_dp,
     state_space_bound,
 )
-from ueds.errors import BagMismatch, WidthCapExceeded
+from ueds.errors import InvalidDecomposition, WidthCapExceeded
 from ueds.generate import GenSpec, gen
 from ueds.graph import (
     Graph,
@@ -206,7 +207,7 @@ class TestJoin:
     def test_bag_mismatch(self):
         left = table_over((0,), [((PURPLE,), (0,), 0, 0, 0, 0, 0)])
         right = table_over((1,), [((PURPLE,), (0,), 0, 0, 0, 0, 0)])
-        with pytest.raises(BagMismatch):
+        with pytest.raises(InvalidDecomposition):
             dp_join(left, right)
 
 
@@ -544,7 +545,7 @@ class TestFusedIntroduceEdge:
         rules = ueds.dp._edge_rules(2, 2)
         ok = rules.ok.copy()
         ok[0] = False  # no row survives the excluded branch
-        broken = rules._replace(ok=ok)
+        broken = dataclasses.replace(rules, ok=ok)
         args = (SHIFT8[0], SHIFT8[1], (2, True))
         lookup = ueds.dp._edge_lookup(rules, *args)
         excluded = ~lookup.took

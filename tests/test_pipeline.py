@@ -83,6 +83,22 @@ class TestSolve:
         with pytest.raises(WidthCapExceeded, match="the given decomposition"):
             gamma_prime(p4, method="dp", max_width=3, td=td)
 
+    @pytest.mark.parametrize("max_width", [11, 12, 14])
+    def test_width_refusal_advises_a_raise_only_below_the_row_limit(self, max_width):
+        # K16: the row holds 12 bag vertices for n = 16, so a cap of 12 or
+        # more cannot be raised into a decomposition the DP can run
+        k16 = gen(GenSpec("gnp", 16, 1.0, 1))
+        with pytest.raises(WidthCapExceeded) as err:
+            solve(k16, 9, max_width=max_width)
+        if max_width < 12:
+            advice = "raise --max-width to proceed"
+        else:
+            advice = "the DP's 64-bit row holds at most 12 bag vertices for n = 16"
+        assert str(err.value).endswith(f"above the cap {max_width}; {advice}")
+        td = TreeDecomposition(n=16, bags=(tuple(range(16)),), tree_edges=())
+        with pytest.raises(WidthCapExceeded, match="holds at most 12 bag vertices"):
+            gamma_prime(k16, method="dp", max_width=max_width, td=td)
+
     def test_decision_matches_gamma_when_present(self, p4, k3, c5):
         for g in (p4, k3, c5):
             for k in range(1, g.m + 2):

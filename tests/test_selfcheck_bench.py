@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 
 import ueds.dp
@@ -34,7 +36,7 @@ class TestSelfcheck:
             rules = build(rem_u, rem_v)
             du, dv = rules.du.copy(), rules.dv.copy()
             du[0] = dv[0] = 0  # the excluded branch's increments
-            return rules._replace(du=du, dv=dv)
+            return dataclasses.replace(rules, du=du, dv=dv)
 
         monkeypatch.setattr(ueds.dp, "_edge_rules", no_upgrade)
         report = selfcheck(count=25, nmax=7, seed=1)
