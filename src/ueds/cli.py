@@ -4,7 +4,8 @@ Exit codes: 0 = yes (or success for non-decision commands), 1 = no (or
 selfcheck failures), 2 = usage or input error (any other UedsError, or a path
 that cannot be read or written), 3 = a ResourceCapExceeded or out of memory,
 4 = internal error (an unexpected exception, reported with its traceback).
-main has one except clause per exit code; a failure never exits 1.
+main has one except clause per exit code; a failure never exits 1.  An input
+file that is not UTF-8 or not in its format is named in front of the message.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import json
 import sys
 import traceback
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .decomposition import emit_td, make_nice, parse_td, validate_nice
-from .errors import ResourceCapExceeded, UedsError
+from .errors import FormatError, ResourceCapExceeded, UedsError
 from .generate import FAMILIES, GenSpec, gen
-from .graph import Graph, emit_graph, parse_graph
+from .graph import emit_graph, parse_graph
 from .kernel import kernelize
 from .oracle import DEFAULT_EDGE_LIMIT, upper_eds_exact
 from .pipeline import DEFAULT_WIDTH_CAP, choose_decomposition, gamma_prime, solve
@@ -27,8 +29,16 @@ from .selfcheck import selfcheck
 __all__ = ["main", "build_parser"]
 
 
-def _load_graph(path: str) -> Graph:
-    return parse_graph(Path(path).read_text())
+T = TypeVar("T")
+
+
+def _load(path: str, parse: Callable[[str], T]) -> T:
+    """parse applied to the file's text.  A decoding or format error is
+    raised again as a UedsError whose message starts with the path."""
+    try:
+        return parse(Path(path).read_text())
+    except (UnicodeDecodeError, FormatError) as exc:
+        raise UedsError(f"{path}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     report = solve(
         g,
         args.k,
@@ -133,13 +143,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     td = None
     if args.td:
         if args.method == "oracle":
             print("error: --td needs --method dp or auto", file=sys.stderr)
             return 2
-        td = parse_td(Path(args.td).read_text())
+        td = _load(args.td, parse_td)
     report = gamma_prime(
         g,
         method=args.method,
@@ -164,7 +174,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernelize(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     outcome = kernelize(g, args.k)
     payload = outcome.summary()
     if not payload["decided"]:
@@ -185,7 +195,7 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     result = upper_eds_exact(g, limit=args.limit)
     payload = {
         "gamma_prime": result.gamma_prime,
@@ -212,7 +222,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_decomp(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     source, td = choose_decomposition(g, args.max_width)
     nd = make_nice(g, td)  # raises on an invalid td
     if args.emit_td:
@@ -265,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 3
-    except (UedsError, OSError, UnicodeDecodeError) as exc:
+    except (UedsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault, not an answer: never exit 1 ("no")

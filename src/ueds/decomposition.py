@@ -421,7 +421,13 @@ def make_nice(
         raise InvalidDecomposition(
             "input decomposition is invalid: " + "; ".join(violations[:5])
         )
-    early = edge_placement == "early"
+    return _build_nice(g, td, early=edge_placement == "early")
+
+
+def _build_nice(g: Graph, td: TreeDecomposition, early: bool) -> NiceDecomposition:
+    """make_nice without validating td first: for a decomposition that
+    td_min_fill or td_greedy_path has just built, which are valid by
+    construction.  The checks on its own output still run."""
     nodes: list[NiceNode] = []  # children always precede their parent
     introduced: set[int] = set()
 

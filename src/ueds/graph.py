@@ -8,9 +8,13 @@ iterates edges in id order is reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import CoverViolation, GraphFormatError, NotStarForest
 
@@ -172,23 +176,56 @@ class StarStructure:
     isolated: tuple[int, ...]
 
 
+# The shape emit_graph writes: the header line, then one "u v" line per edge.
+# Fields of at most nine digits keep every duplicate key below 2**63.
+_EMITTED = re.compile(r"p gr ([0-9]{1,9}) ([0-9]{1,9})\n((?:[0-9]{1,9} [0-9]{1,9}\n)*)")
+
+
 def parse_graph(text: str | Iterable[str]) -> Graph:
     """Parse a PACE-style graph: comment lines start with "c", the header is
     "p gr <n> <m>", followed by m lines "<u> <v>" with 1-indexed vertices.
 
-    Raises GraphFormatError (with a line number) on malformed headers,
-    out-of-range vertices, self-loops, and duplicate edges.
+    A string in the exact shape emit_graph writes (the header as the first
+    line, then only lines of two decimal fields, each of at most nine digits,
+    split by one space, every line ending in "\n") is checked in bulk.  Any
+    other input, or one the bulk checks reject, goes to a scan line by line,
+    which gives the same graph, and which alone raises GraphFormatError (with
+    a line number) on malformed headers, out-of-range vertices, self-loops,
+    duplicate edges and a wrong edge count.
     """
     if isinstance(text, str):
-        lines: Iterable[tuple[int, str]] = enumerate(text.splitlines(), start=1)
-    else:
-        lines = enumerate(text, start=1)
+        g = _parse_emitted(text)
+        if g is not None:
+            return g
+        return _parse_lines(text.splitlines())
+    return _parse_lines(text)
 
+
+def _parse_emitted(text: str) -> Graph | None:
+    """The graph of a text in emit_graph's shape that passes every check of
+    _parse_lines, or None when the text has another shape or fails one."""
+    match = _EMITTED.fullmatch(text)
+    if match is None:
+        return None
+    n, m = int(match[1]), int(match[2])
+    ends = np.fromstring(match[3], dtype=np.int64, sep=" ") - 1
+    if len(ends) != 2 * m or m and (ends.min() < 0 or ends.max() >= n):
+        return None
+    u, v = ends[0::2], ends[1::2]
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    keys.sort()
+    if (u == v).any() or (keys[1:] == keys[:-1]).any():
+        return None
+    return Graph._simple(n, list(zip(u.tolist(), v.tolist())))
+
+
+def _parse_lines(raw_lines: Iterable[str]) -> Graph:
+    """parse_graph's line scan, the source of every GraphFormatError."""
     n = -1
     m_declared = -1
     edges: list[tuple[int, int]] = []
     seen: set[int] = set()  # (lower - 1) * n + higher - 1 per edge
-    for lineno, raw in lines:
+    for lineno, raw in enumerate(raw_lines, start=1):
         parts = raw.split()
         if not parts or parts[0][0] == "c":
             continue
@@ -385,14 +422,16 @@ def vertex_cover_from_matching(g: Graph, matching: EdgeSet) -> tuple[int, ...]:
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
-    """Subgraph induced by the kept vertices, relabeled consecutively in
-    ascending original order.  Edge ids are reassigned in original edge order."""
-    kept = sorted(set(keep))
-    relabel = {v: i for i, v in enumerate(kept)}
-    edges = [
-        (relabel[u], relabel[v])
-        for u, v in g.edges
-        if u in relabel and v in relabel
-    ]
+    """Subgraph induced by the kept vertices (vertices of g), relabeled
+    consecutively in ascending original order.  Edge ids are reassigned in
+    original edge order."""
+    keep = list(keep)
+    if keep and not (0 <= min(keep) and max(keep) < g.n):
+        raise ValueError(f"kept vertices must lie in 0..{g.n - 1}")
+    member = [False] * g.n
+    for v in keep:
+        member[v] = True
+    rank = list(accumulate(member, initial=0))  # kept vertices before each one
+    edges = [(rank[u], rank[v]) for u, v in g.edges if member[u] and member[v]]
     # the edges of a simple graph stay simple under an injective relabeling
-    return Graph._simple(len(kept), edges)
+    return Graph._simple(rank[-1], edges)

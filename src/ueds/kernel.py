@@ -26,15 +26,15 @@ Every application strictly shrinks |V| + k or decides, so the rules reach a
 fixpoint; an undecided fixpoint is an instance within the size bound.
 
 The rule functions below each take a Graph and build a new one.
-``kernelize`` instead builds one mutable adjacency straight from the edge
-list, edits it in place and builds a Graph once, at the end; it never reads
+``kernelize`` instead reads the edge list in a few passes, keeps a degree
+per vertex and builds a Graph once, at the end; it never reads
 ``Graph.adj``, so neither the input nor the reduced graph builds one.  It
-colors the vertices once, when rules 1 and 2 are first exhausted, and reads
-rules 1, 3, 5 and 6 off that coloring and the vertices isolated at the
-start, because no surviving vertex changes color afterwards (the argument
-is in its docstring).  The rules fire in the same order, and the trace
-reads line for line the same, as chaining the rule functions and computing
-the coloring anew after every application.
+colors the vertices once, as they are when rules 1 and 2 are first
+exhausted, and reads rules 1, 3, 5 and 6 off that coloring and the vertices
+isolated at the start, because no surviving vertex changes color afterwards
+(the argument is in its docstring).  The rules fire in the same order, and
+the trace reads line for line the same, as chaining the rule functions and
+computing the coloring anew after every application.
 """
 
 from __future__ import annotations
@@ -304,17 +304,20 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
     rule functions one at a time and computing the coloring anew after
     each; the reduced graph is g itself when no vertex was deleted.
 
-    That holds with one coloring, taken when rules 1 and 2 are first
-    exhausted, because no surviving vertex changes color afterwards.  From
-    then on vertices leave by rules 2, 3 and 6 only.  Rule 3 deletes blue
-    vertices and rule 6 red ones, and every neighbor of those is purple.
-    Such a purple neighbor keeps a blue neighbor (rule 3 keeps one, rule 6
-    deletes no blue), so it stays purple, or it drops to degree 1 and leaves
-    with that blue neighbor as an isolated edge under rule 2 before the
-    coloring is read again.  Rule 2 deletes an isolated edge, which has no
-    other neighbor.  So the only survivors that lose neighbors are purple,
-    and they stay purple; every other survivor keeps its neighbors, and
-    these keep their colors.  Hence:
+    That holds with one coloring, the one the graph has when rules 1 and 2
+    are first exhausted, because no surviving vertex changes color
+    afterwards.  Until then rules 1 and 2 delete only the vertices and
+    edges isolated at the start, which touch no other vertex, so that
+    coloring is the input's, read on the vertices of degree >= 1 outside
+    those edges.  From then on vertices leave by rules 2, 3 and 6 only.
+    Rule 3 deletes blue vertices and rule 6 red ones, and every neighbor of
+    those is purple.  Such a purple neighbor keeps a blue neighbor (rule 3
+    keeps one, rule 6 deletes no blue), so it stays purple, or it drops to
+    degree 1 and leaves with that blue neighbor as an isolated edge under
+    rule 2 before the coloring is read again.  Rule 2 deletes an isolated
+    edge, which has no other neighbor.  So the only survivors that lose
+    neighbors are purple, and they stay purple; every other survivor keeps
+    its neighbors, and these keep their colors.  Hence:
 
     * no deletion isolates a survivor, so rule 1 takes exactly the vertices
       isolated at the start, in ascending order;
@@ -326,23 +329,74 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
       after which none appears.
 
     An edge becomes isolated when the second of its endpoints drops to
-    degree 1, and it then has no other neighbor, so it enters the heap of
-    isolated edges once and leaves it only by rule 2.  A batch of rule 3 or
-    rule 6 can isolate several edges, which rule 2 takes by edge id.
+    degree 1.  After the start, that endpoint is a purple vertex left with
+    only the blue neighbor rule 3 kept, so the edge is known without an
+    adjacency structure: it enters the heap of isolated edges once and
+    leaves it only by rule 2.  A batch of rule 3 or rule 6 can isolate
+    several edges, which rule 2 takes by edge id.  So kernelize reads only
+    the edge list, in three passes: degrees, then each blue vertex's host,
+    then which vertices have a non-purple neighbor, plus one pass when red
+    vertices are deleted.  It never reads ``Graph.adj``, so neither the input
+    nor the reduced graph builds one.
     """
-    adj: list[dict[int, int]] = [{} for _ in range(g.n)]  # neighbor -> edge id
-    for e, (u, v) in enumerate(g.edges):
-        adj[u][v] = e
-        adj[v][u] = e
-    alive = [True] * g.n
+    n, edges = g.n, g.edges
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    # Each blue vertex's host, its one neighbor, and the edge between them.
+    # An edge between two vertices of degree 1 is isolated: neither end is blue.
+    host = [-1] * n
+    blue_edge = [-1] * n
+    blues: list[int] = []
+    isolated_edges: list[int] = []  # ascending, so already a heap
+    for e, (u, v) in enumerate(edges):
+        if degree[u] == 1:
+            if degree[v] == 1:
+                isolated_edges.append(e)
+            else:
+                host[u] = v
+                blue_edge[u] = e
+                blues.append(u)
+        elif degree[v] == 1:
+            host[v] = u
+            blue_edge[v] = e
+            blues.append(v)
+    blues.sort()
+    # Purple vertices are the hosts; kept[p] is p's lowest blue neighbor, the
+    # one rule 3 keeps, and twins[p] all of them when p has several.
+    kept = [-1] * n
+    twins: dict[int, list[int]] = {}
+    for b in blues:
+        p = host[b]
+        if kept[p] < 0:
+            kept[p] = b
+        else:
+            twins.setdefault(p, [kept[p]]).append(b)
+    reached = [False] * n  # has a neighbor that is not purple
+    for u, v in edges:
+        if kept[u] < 0:
+            reached[v] = True
+        if kept[v] < 0:
+            reached[u] = True
+    # green: degree >= 2, not purple, reached; red: the same but not reached
+    reds = [v for v in range(n) if not reached[v] and degree[v] > 1 and kept[v] < 0]
+    top_degree = max(degree, default=0)  # bounds every green vertex's degree
+    blues_alive = len(blues)
+    pending_twins = iter([twins[p] for p in sorted(twins)])
+    alive = [True] * n
     deleted: list[int] = []  # ascending
-    isolated = iter([v for v in range(g.n) if not adj[v]])
-    # an ascending list is already a heap
-    isolated_edges = [
-        e for e, (u, v) in enumerate(g.edges) if len(adj[u]) == 1 and len(adj[v]) == 1
-    ]
-    blues: list[int] | None = None  # the coloring, once taken
     trace: list[str] = []
+    if k > 0:
+        # rule 1 takes the isolated vertices one at a time, in ascending
+        # order, so the i-th of them has i deleted vertices below it
+        deleted = [v for v in range(n) if not degree[v]]
+        for v in deleted:
+            alive[v] = False
+        trace = [
+            _line(1, f"delete-vertex {v + 1 - i}", n - 1 - i, k)
+            for i, v in enumerate(deleted)
+        ]
 
     def label(v: int) -> int:
         return v + 1 - bisect_left(deleted, v)
@@ -350,21 +404,13 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
     def delete(rule: int, doomed: list[int]) -> None:
         """Delete the vertices, given in ascending order, with one trace line
         each that names the vertex by its label from before the batch."""
-        n = g.n - len(deleted)
+        n_now = n - len(deleted)
         labels = [label(v) for v in doomed]
         for v in doomed:
             alive[v] = False
             insort(deleted, v)
-            for u in adj[v]:
-                nbrs = adj[u]
-                del nbrs[v]
-                if len(nbrs) == 1:
-                    ((w, e),) = nbrs.items()
-                    if len(adj[w]) == 1:
-                        heappush(isolated_edges, e)
-            adj[v] = {}
         trace.extend(
-            _line(rule, f"delete-vertex {lab}", n - i, k)
+            _line(rule, f"delete-vertex {lab}", n_now - i, k)
             for i, lab in enumerate(labels, start=1)
         )
 
@@ -374,61 +420,54 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
                 rule=0, hint="k <= 0: the empty edge set is a minimal solution of size >= k"
             )
             break
-        v = next(isolated, None)
-        if v is not None:
-            delete(1, [v])
-            continue
         if isolated_edges:
-            u, v = g.edges[heappop(isolated_edges)]
+            u, v = edges[heappop(isolated_edges)]
             action = f"delete-edge ({label(u)},{label(v)})"
             for w in (u, v):
                 alive[w] = False
                 insort(deleted, w)
-                adj[w] = {}
+            blues_alive -= (host[u] >= 0) + (host[v] >= 0)
             k -= 1
-            trace.append(_line(2, action, g.n - len(deleted), k))
+            trace.append(_line(2, action, n - len(deleted), k))
             continue
-        if len(deleted) == g.n:
+        if len(deleted) == n:
             decision = None
             break
-        if blues is None:
-            degree = [len(nbrs) for nbrs in adj]
-            purple = [False] * g.n
-            blues, greens, reds, twin_lists = [], [], [], []
-            live = list(compress(range(g.n), alive))
-            for v in live:
-                if degree[v] == 1:
-                    blues.append(v)
-                    continue
-                twins = [u for u in adj[v] if degree[u] == 1]
-                if twins:
-                    purple[v] = True
-                    if len(twins) > 1:
-                        twin_lists.append(sorted(twins))
-            for v in live:
-                if degree[v] > 1 and not purple[v]:
-                    (reds if all(purple[u] for u in adj[v]) else greens).append(v)
-            pending_twins = iter(twin_lists)
-        twins = next(pending_twins, None)
-        if twins is not None:
-            delete(3, twins[1:])
+        group = next(pending_twins, None)
+        if group is not None:
+            delete(3, group[1:])
+            blues_alive -= len(group) - 1
+            p = host[group[0]]
+            degree[p] -= len(group) - 1
+            if degree[p] == 1:
+                heappush(isolated_edges, blue_edge[group[0]])
             continue
-        v = next((v for v in greens if len(adj[v]) >= 2 * k), None)
-        if v is not None:
-            decision = _big_green_yes(label(v), len(adj[v]), k)
-            break
-        blue_count = sum(alive[b] for b in blues)
-        if blue_count >= k:
-            decision = _many_blue_yes(blue_count, k)
+        if top_degree >= 2 * k:
+            # the green vertices: degree >= 2, not purple, not red; all alive
+            big = [v for v in range(n) if degree[v] >= 2 * k and reached[v] and kept[v] < 0]
+            if big:
+                decision = _big_green_yes(label(big[0]), degree[big[0]], k)
+                break
+        if blues_alive >= k:
+            decision = _many_blue_yes(blues_alive, k)
             break
         if reds:
             delete(6, reds)
+            red = [False] * n
+            for r in reds:
+                red[r] = True
+            for u, v in edges:  # every neighbor of a red vertex is purple
+                if red[u] or red[v]:
+                    p = v if red[u] else u
+                    degree[p] -= 1
+                    if degree[p] == 1:
+                        heappush(isolated_edges, blue_edge[kept[p]])
             reds = []
             continue
-        decision = _size_bound_yes(g.n - len(deleted), k)
+        decision = _size_bound_yes(n - len(deleted), k)
         break
     if decision is None:
-        graph = induced_subgraph(g, compress(range(g.n), alive)) if deleted else g
+        graph = induced_subgraph(g, compress(range(n), alive)) if deleted else g
         return Reduced(graph=graph, k=k, trace=tuple(trace))
-    trace.append(_line(decision.rule, "decide-yes", g.n - len(deleted), k))
+    trace.append(_line(decision.rule, "decide-yes", n - len(deleted), k))
     return DecidedYes(rule=decision.rule, hint=decision.hint, trace=tuple(trace))

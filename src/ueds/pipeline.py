@@ -13,7 +13,13 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-from .decomposition import TreeDecomposition, make_nice, td_greedy_path, td_min_fill
+from .decomposition import (
+    TreeDecomposition,
+    _build_nice,
+    make_nice,
+    td_greedy_path,
+    td_min_fill,
+)
 from .dp import extract_witness, row_bag_limit, run_dp
 from .errors import WidthCapExceeded
 from .graph import (
@@ -119,7 +125,7 @@ def _dp_stage(
     """Run the DP over td, or over the chosen decomposition when td is None."""
     if td is None:
         source, chosen = choose_decomposition(work, max_width)
-        nd = make_nice(work, chosen)
+        nd = _build_nice(work, chosen, early=True)  # valid by construction
     else:
         source = "given"
         nd = make_nice(work, td)  # an invalid td is an input error, checked first
@@ -128,7 +134,7 @@ def _dp_stage(
                 f"the given decomposition needs bags of size {td.width + 1}, "
                 f"above the cap {max_width}; {_cap_advice(td.width + 1, work.n)}"
             )
-    # make_nice has validated td and checks its own output
+    # the nice form is checked as it is built, and a given td was validated
     result = run_dp(work, nd, keep_tables=want_witness, check=False)
     witness = extract_witness(work, nd, result) if want_witness else None
     stats = {

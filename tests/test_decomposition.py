@@ -291,6 +291,24 @@ class TestChooseDecomposition:
             else:
                 assert choose_decomposition(g, max_width) == want
 
+    @pytest.mark.parametrize("workload", ["gamma-auto", "solve-decide"])
+    def test_both_builders_are_valid_on_the_pools(self, workload):
+        # the DP stage builds the nice form of the chosen decomposition
+        # without validate_td, so both builders must give valid ones
+        for g in pool_graphs(workload, per_stratum=10):
+            for td in (td_greedy_path(g), td_min_fill(g)):
+                assert validate_td(g, td) == []
+
+    @pytest.mark.parametrize(
+        "g",
+        [Graph(300, [(0, v) for v in range(1, 300)]), spider(30, 5), grid(6, 30),
+         gen(GenSpec("tree", 200, seed=3))],
+        ids=["star", "spider-30x5", "grid-6x30", "tree-200"],
+    )
+    def test_both_builders_are_valid_on_wide_families(self, g):
+        for td in (td_greedy_path(g), td_min_fill(g)):
+            assert validate_td(g, td) == []
+
     def test_sources(self):
         tree = gen(GenSpec("tree", 30))
         assert choose_decomposition(tree)[0] == "min-fill"

@@ -16,6 +16,7 @@ from ueds.graph import (
     star_decomposition,
     vertex_cover_from_matching,
 )
+from ueds.graph import _parse_emitted, _parse_lines
 
 from conftest import graphs
 
@@ -138,6 +139,113 @@ class TestParse:
         assert parse_graph(text) == h
         assert parse_graph(text.splitlines(keepends=True)) == h
         assert emit_graph(parse_graph(text)) == text
+
+
+def _parsed(parse, text):
+    """What a parser makes of text: its graph, or its error and line."""
+    try:
+        g = parse(text)
+    except GraphFormatError as err:
+        return ("error", str(err), err.line)
+    return ("graph", g.n, g.edges)
+
+
+FAULTS = (
+    "one-token", "three-token", "out-of-range", "twenty-digits", "superscript-two",
+    "plus-sign", "self-loop", "duplicate", "too-many-lines", "too-few-lines",
+)
+
+
+def _add_fault(lines: list[str], n: int, fault: str, data) -> None:
+    """Edit the lines of a valid text, the header first, into one the line
+    scan rejects, or reads although a field has an unusual form.  A line
+    added as the fault is counted in the header, so that the bulk pass gets
+    as far as its own check of that fault."""
+    if fault in ("twenty-digits", "superscript-two", "plus-sign"):
+        token = {
+            "twenty-digits": data.draw(st.sampled_from(["0" * 19 + "1", "9" * 20])),
+            "superscript-two": "\u00b2",  # str.isdigit accepts it, int does not
+            "plus-sign": "+3",
+        }[fault]
+        i = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split()
+        fields[data.draw(st.integers(2 if i == 0 else 0, len(fields) - 1))] = token
+        lines[i] = " ".join(fields)
+    elif fault == "too-few-lines":
+        lines[0] = f"p gr {n} {len(lines)}"
+    elif fault == "too-many-lines":
+        if len(lines) > 1:
+            lines[0] = f"p gr {n} {len(lines) - 2}"
+        else:
+            lines.append("1 2")
+    else:
+        if fault == "out-of-range":
+            line = data.draw(st.sampled_from([f"1 {n + 1}", f"0 {max(n, 1)}"]))
+        elif fault == "duplicate":
+            u, v = data.draw(st.sampled_from(lines[1:] or ["1 2"])).split()
+            line = data.draw(st.sampled_from([f"{u} {v}", f"{v} {u}"]))
+        else:
+            line = {"one-token": "1", "three-token": "1 2 3", "self-loop": f"{n} {n}"}[fault]
+        lines.append(line)
+        lines[0] = f"p gr {n} {len(lines) - 1}"
+
+
+class TestBulkParse:
+    """parse_graph reads emit_graph's shape in bulk; every other text, and
+    every text the bulk checks reject, takes the line scan.  Either way the
+    result is the line scan's: the same graph, or the same error and line."""
+
+    @given(st.one_of(st.just(Graph(0, [])), graphs(max_n=9)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_result_as_the_line_scan(self, g, data):
+        order = data.draw(st.permutations(range(g.m)))
+        flips = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+        lines = [f"p gr {g.n} {g.m}"] + [
+            f"{u + 1} {v + 1}" if flip else f"{v + 1} {u + 1}"
+            for (u, v), flip in zip((g.edges[e] for e in order), flips)
+        ]
+        fault = data.draw(st.sampled_from([None, *FAULTS]))
+        if fault is not None:
+            _add_fault(lines, g.n, fault, data)
+        decorations = data.draw(st.sets(st.sampled_from(
+            ["comments", "tabs", "trailing-spaces", "crlf", "no-final-newline"]
+        ))) if data.draw(st.booleans()) else set()
+        if "comments" in decorations:
+            for _ in range(data.draw(st.integers(1, 3))):
+                at = data.draw(st.integers(0, len(lines)))
+                lines.insert(at, data.draw(st.sampled_from(["c note", "", "  ", "c"])))
+        if "tabs" in decorations:
+            lines = [line.replace(" ", "\t") for line in lines]
+        if "trailing-spaces" in decorations:
+            lines = [line + "  " for line in lines]
+        end = "\r\n" if "crlf" in decorations else "\n"
+        text = end.join(lines) + ("" if "no-final-newline" in decorations else end)
+        got = _parsed(parse_graph, text)
+        assert got == _parsed(_parse_lines, text.splitlines())
+        # the bulk pass takes emit_graph's shape and never a text the scan rejects
+        if fault is None and not decorations:
+            assert _parse_emitted(text) == parse_graph(text)
+        if got[0] == "error":
+            assert _parse_emitted(text) is None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p gr 3 1\n1 ²\n",
+            "p gr ² 1\n1 2\n",
+            "p gr 3 1\n1 +3\n",
+            "p gr 3 1\n00000000000000000001 2\n",
+            "p gr 3 1\n1 99999999999999999999\n",
+            "p gr 3 1\n1 4\n",
+            "p gr 3 2\n1 2\n2 1\n",
+            "p gr 3 0\n",
+            "p gr 0 0\n",
+            "p gr 3 1\n1 2",
+            "c first\np gr 3 1\n1 2\n",
+        ],
+    )
+    def test_edge_cases(self, text):
+        assert _parsed(parse_graph, text) == _parsed(_parse_lines, text.splitlines())
 
 
 class TestEdgeSet:
@@ -299,6 +407,11 @@ class TestGraphBasics:
         h = induced_subgraph(p4, [1, 2, 3])
         assert h.n == 2 or h.n == 3
         assert h.edges == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("keep", [[-1], [0, 4], [4]])
+    def test_induced_subgraph_rejects_a_vertex_out_of_range(self, p4, keep):
+        with pytest.raises(ValueError, match=r"^kept vertices must lie in 0\.\.3$"):
+            induced_subgraph(p4, keep)
 
     @given(graphs(max_n=8), st.data())
     @settings(max_examples=60, deadline=None)

@@ -279,6 +279,61 @@ class TestWorklistKernel:
         assert out.graph is c4
 
 
+def twins_and_reds() -> Graph:
+    """A green 300-cycle with a purple hub on every tenth vertex, each hub
+    with one blue leaf and the first with five; red vertices that see only
+    hubs; a hub whose other neighbors are all red, so deleting them isolates
+    its blue edge; and a separate star, whose twins leave an isolated edge."""
+    core = 300
+    edges = [(i, (i + 1) % core) for i in range(core)]
+    hubs = list(range(0, core, 10))
+    nxt = core
+
+    def add(*ends):
+        nonlocal nxt
+        edges.extend((nxt, end) for end in ends)
+        nxt += 1
+        return nxt - 1
+
+    for hub in hubs:
+        add(hub)
+    for _ in range(4):
+        add(hubs[0])
+    for i in range(6):
+        add(hubs[i], hubs[i + 1])
+    lonely = add()
+    add(lonely)
+    add(lonely, hubs[7])
+    add(lonely, hubs[8])
+    center = add()
+    for _ in range(4):
+        add(center)
+    return Graph(nxt, edges)
+
+
+class TestKernelAtWorkloadSize:
+    """kernelize against the reference driver on graphs of the benchmark's
+    kernelize-sparse size, at the k the benchmark asks: greedy matching + 1."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gen(GenSpec("tree", 250, None, 1)),
+            gen(GenSpec("tree", 500, None, 2)),
+            gen(GenSpec("gnp", 500, 2 / 499, 3)),
+            gen(GenSpec("gnp", 400, 3 / 399, 4)),
+            twins_and_reds(),
+        ],
+        ids=["tree-250", "tree-500", "gnp-500-deg2", "gnp-400-deg3", "twins-and-reds"],
+    )
+    def test_matches_reference(self, g):
+        k = greedy_maximal_matching(g).size + 1
+        out = kernelize(g, k)
+        assert _outcome(out) == _outcome(kernelize_reference(g, k))
+        rules = {line.split()[0] for line in out.trace}
+        assert {"rule=2", "rule=3", "rule=6"} <= rules
+
+
 class TestLazyAdjacency:
     """kernelize builds its adjacency from the edge list: neither the graph
     it is given nor the one it returns builds ``Graph.adj``."""

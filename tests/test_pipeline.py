@@ -3,7 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from ueds.decomposition import TreeDecomposition
+from ueds import decomposition
+from ueds.decomposition import TreeDecomposition, td_greedy_path
 from ueds.errors import WidthCapExceeded
 from ueds.generate import GenSpec, gen
 from ueds.graph import EdgeSet, Graph, is_minimal_eds, parse_graph
@@ -148,6 +149,22 @@ class TestGamma:
     def test_witness_reported(self, c5):
         report = gamma_prime(c5, method="dp")
         assert report.witness is not None and len(report.witness) == 2
+
+    def test_only_a_given_decomposition_is_validated(self, monkeypatch):
+        # the pipeline's own decompositions are valid by construction
+        # (TestChooseDecomposition in test_decomposition.py checks that)
+        checked = []
+        validate = decomposition.validate_td
+        monkeypatch.setattr(
+            decomposition, "validate_td", lambda g, td: checked.append(td) or validate(g, td)
+        )
+        g = gen(GenSpec("cycle", 9))
+        assert solve(g, 5).stage == "dp"
+        assert gamma_prime(g, method="dp").gamma_prime == 4
+        assert checked == []
+        td = td_greedy_path(g)
+        assert gamma_prime(g, td=td).gamma_prime == 4
+        assert checked == [td]
 
 
 class TestReports:
