@@ -46,6 +46,21 @@ class TestSolveCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["gamma_prime"] == 2 and payload["decision"] is False
 
+    def test_parse_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        _check_failure(tmp_path, monkeypatch, capsys, *FAILURES["malformed-gr"])
+
+    def test_missing_file_exits_two(self, tmp_path, monkeypatch, capsys):
+        _check_failure(tmp_path, monkeypatch, capsys, *FAILURES["missing-file"])
+
+    def test_width_cap_exits_three(self, tmp_path, monkeypatch, capsys):
+        _check_failure(tmp_path, monkeypatch, capsys, *FAILURES["width-cap"])
+
+    def test_memory_error_exits_three(self, tmp_path, monkeypatch, capsys):
+        _check_failure(tmp_path, monkeypatch, capsys, *FAILURES["memory"])
+
+    def test_unexpected_exception_exits_four(self, tmp_path, monkeypatch, capsys):
+        _check_failure(tmp_path, monkeypatch, capsys, *FAILURES["internal"])
+
     def test_usage_error_exits_two(self, p4_file):
         with pytest.raises(SystemExit) as err:
             main(["solve", p4_file])  # -k missing
@@ -85,6 +100,9 @@ class TestOtherCommands:
         # determinism: a second run emits identical bytes
         main(["gen", "--family", "gnp", "--n", "8", "--p", "0.3", "--seed", "42"])
         assert capsys.readouterr().out == text
+
+    def test_gen_invalid_spec_exits_two(self, tmp_path, monkeypatch, capsys):
+        _check_failure(tmp_path, monkeypatch, capsys, *FAILURES["bad-gen-spec"])
 
     def test_decomp_emits_valid_td(self, p4_file, tmp_path, capsys):
         out = tmp_path / "p4.td"
@@ -169,6 +187,9 @@ class TestDecompositionCommands:
         td_file.write_text(td_text)
         assert main(["gamma", path, "--td", str(td_file)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_gamma_refuses_a_bag_the_dp_cannot_pack(self, tmp_path, monkeypatch, capsys):
+        _check_failure(tmp_path, monkeypatch, capsys, *FAILURES["row-packing"])
 
     def test_gamma_td_needs_the_dp(self, tmp_path, capsys):
         path = _write_graph(tmp_path, GenSpec("path", 4))
@@ -296,21 +317,25 @@ FAILURES = {
 }
 
 
+def _check_failure(tmp_path, monkeypatch, capsys, code, argv, injected, message):
+    if injected is not None:
+        def failing(*args, **kwargs):
+            raise injected
+
+        monkeypatch.setattr("ueds.cli.solve", failing)
+    assert main(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert ("Traceback" in err) == (code == 4)
+    assert message.format(tmp=tmp_path) in err
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("code,argv,injected,message", FAILURES.values(), ids=FAILURES)
     def test_each_failure_kind_exits_its_code(
         self, tmp_path, monkeypatch, capsys, code, argv, injected, message
     ):
-        if injected is not None:
-            def failing(*args, **kwargs):
-                raise injected
-
-            monkeypatch.setattr("ueds.cli.solve", failing)
-        assert main(argv(tmp_path)) == code
-        err = capsys.readouterr().err
-        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
-        assert ("Traceback" in err) == (code == 4)
-        assert message.format(tmp=tmp_path) in err
+        _check_failure(tmp_path, monkeypatch, capsys, code, argv, injected, message)
 
     def test_resource_cap_exceeded_catches_both_subclasses(self):
         refusals = (
