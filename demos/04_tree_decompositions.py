@@ -13,7 +13,6 @@ introducing every edge exactly once.
 
 from ueds.generate import GenSpec, gen
 from ueds import (
-    emit_nice,
     emit_td,
     greedy_maximal_matching,
     make_nice,
@@ -43,8 +42,9 @@ assert parse_td(text) == td
 
 # Nice form: every edge introduced exactly once, as early as possible.
 nd = make_nice(p4, td)
-print("nice decomposition:")
-print(emit_nice(nd))
+print("nice decomposition:", len(nd.nodes), "nodes")
+for kind in ("leaf", "introduce", "introduce-edge", "forget", "join"):
+    print(f"  {kind}: {nd.count(kind)}")
 print("violations:", validate_nice(p4, nd))
 
 # Validation is data, not exceptions: breaking the decomposition names the

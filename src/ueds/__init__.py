@@ -19,7 +19,6 @@ from .errors import (
     IsolatedVertexPresent,
     NotACover,
     NotStarForest,
-    PreconditionViolated,
     ResourceCapExceeded,
     UedsError,
     WidthCapExceeded,
@@ -47,7 +46,6 @@ from .oracle import (
 from .decomposition import (
     NiceDecomposition,
     TreeDecomposition,
-    emit_nice,
     emit_td,
     make_nice,
     parse_td,

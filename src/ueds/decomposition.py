@@ -57,7 +57,6 @@ __all__ = [
     "validate_nice",
     "parse_td",
     "emit_td",
-    "emit_nice",
 ]
 
 LEAF = "leaf"
@@ -683,30 +682,4 @@ def emit_td(td: TreeDecomposition) -> str:
         out.append("b " + " ".join([str(i)] + [str(v + 1) for v in bag]))
     for a, b in td.tree_edges:
         out.append(f"{a + 1} {b + 1}")
-    return "\n".join(out) + "\n"
-
-
-def emit_nice(nd: NiceDecomposition) -> str:
-    """Serialize a nice decomposition as one line per node in evaluation order.
-
-    Format (not a PACE standard): header "s ntd <#nodes> <width+1>",
-    then lines "<id> leaf", "<id> introduce <v> <child>",
-    "<id> forget <v> <child>", "<id> introduce-edge <u> <v> <child>" or
-    "<id> join <c1> <c2>", all ids 1-indexed.  Bags are implied: a leaf bag is
-    empty and every other node's bag follows from its children and operation.
-    The last node is the root.
-    """
-    out = [f"s ntd {len(nd.nodes)} {nd.width + 1}"]
-    for idx, node in enumerate(nd.nodes, start=1):
-        if node.kind == LEAF:
-            out.append(f"{idx} leaf")
-        elif node.kind == INTRODUCE:
-            out.append(f"{idx} introduce {node.vertex + 1} {node.children[0] + 1}")
-        elif node.kind == FORGET:
-            out.append(f"{idx} forget {node.vertex + 1} {node.children[0] + 1}")
-        elif node.kind == INTRODUCE_EDGE:
-            u, v = node.edge
-            out.append(f"{idx} introduce-edge {u + 1} {v + 1} {node.children[0] + 1}")
-        else:
-            out.append(f"{idx} join {node.children[0] + 1} {node.children[1] + 1}")
     return "\n".join(out) + "\n"

@@ -52,10 +52,6 @@ class IsolatedVertexPresent(UedsError):
     """Vertex coloring requires a graph without isolated vertices."""
 
 
-class PreconditionViolated(UedsError):
-    """A reduction rule was invoked while a lower-numbered rule still applies."""
-
-
 class NotACover(UedsError):
     """The vertex set handed to the decomposition builder misses an edge."""
 

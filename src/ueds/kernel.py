@@ -25,16 +25,19 @@ judged on the coloring of the current graph:
 Every application strictly shrinks |V| + k or decides, so the rules reach a
 fixpoint; an undecided fixpoint is an instance within the size bound.
 
-The rule functions below each take a Graph and build a new one.
-``kernelize`` instead reads the edge list in a few passes, keeps a degree
-per vertex and builds a Graph once, at the end; it never reads
-``Graph.adj``, so neither the input nor the reduced graph builds one.  It
-colors the vertices once, as they are when rules 1 and 2 are first
-exhausted, and reads rules 1, 3, 5 and 6 off that coloring and the vertices
-isolated at the start, because no surviving vertex changes color afterwards
-(the argument is in its docstring).  The rules fire in the same order, and
-the trace reads line for line the same, as chaining the rule functions and
-computing the coloring anew after every application.
+The rules as written above, one function each that takes a Graph and
+builds a new one, live in ``tests/kernel_reference.py``: chained one
+application at a time, with the coloring computed anew after each, they are
+the executable spec that ``kernelize`` is tested against.  ``kernelize``
+instead reads the edge list in a few passes, keeps a degree per vertex and
+builds a Graph once, at the end; it never reads ``Graph.adj``, so neither
+the input nor the reduced graph builds one.  It colors the vertices once, as
+they are when rules 1 and 2 are first exhausted, and reads rules 1, 3, 5 and
+6 off that coloring and the vertices isolated at the start, because no
+surviving vertex changes color afterwards (the argument is in its
+docstring).  The rules fire in the same order, and the trace reads line for
+line the same, as in that chain.  The trace lines and the hints of rules 4,
+5 and 7 come from the helpers here, which the spec imports.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from heapq import heappop, heappush
 from itertools import compress
 from typing import Any
 
-from .errors import IsolatedVertexPresent, PreconditionViolated
+from .errors import IsolatedVertexPresent
 from .graph import Graph, induced_subgraph
 
 __all__ = [
@@ -58,13 +61,6 @@ __all__ = [
     "Reduced",
     "DecidedYes",
     "KernelOutcome",
-    "rule1_isolated_vertex",
-    "rule2_isolated_edge",
-    "rule3_prune_blue_twins",
-    "rule4_big_green",
-    "rule5_many_blue",
-    "rule6_remove_red",
-    "rule7_size_bound",
     "kernelize",
 ]
 
@@ -191,107 +187,6 @@ def _size_bound_yes(n: int, k: int) -> DecidedYes | None:
     return None
 
 
-def rule1_isolated_vertex(g: Graph, k: int) -> tuple[Graph, int, list[str]] | None:
-    """Remove the lowest-indexed isolated vertex."""
-    for v in range(g.n):
-        if g.degree(v) == 0:
-            g2 = induced_subgraph(g, (u for u in range(g.n) if u != v))
-            return g2, k, [_line(1, f"delete-vertex {v + 1}", g2.n, k)]
-    return None
-
-
-def rule2_isolated_edge(g: Graph, k: int) -> tuple[Graph, int, list[str]] | None:
-    """Remove the lowest-indexed isolated edge and decrease k."""
-    for u, v in g.edges:
-        if g.degree(u) == 1 and g.degree(v) == 1:
-            g2 = induced_subgraph(g, (w for w in range(g.n) if w not in (u, v)))
-            return g2, k - 1, [
-                _line(2, f"delete-edge ({u + 1},{v + 1})", g2.n, k - 1)
-            ]
-    return None
-
-
-def rule3_prune_blue_twins(
-    g: Graph, k: int, coloring: VertexColoring | None = None
-) -> tuple[Graph, int, list[str]] | None:
-    """A purple vertex with several blue neighbors keeps only the
-    lowest-indexed one; the others are interchangeable in any solution."""
-    coloring = coloring or color_vertices(g)
-    for p in coloring.purple:
-        blues = sorted(u for u, _ in g.adj[p] if coloring.colors[u] == BLUE)
-        if len(blues) > 1:
-            drop = set(blues[1:])
-            g2 = induced_subgraph(g, (w for w in range(g.n) if w not in drop))
-            lines = []
-            n_left = g.n
-            for b in sorted(drop):
-                n_left -= 1
-                lines.append(_line(3, f"delete-vertex {b + 1}", n_left, k))
-            return g2, k, lines
-    return None
-
-
-def rule4_big_green(
-    g: Graph, k: int, coloring: VertexColoring | None = None
-) -> DecidedYes | None:
-    """A green vertex of degree >= 2k forces a yes: its neighbors all have
-    degree >= 2, which yields a large minimal solution avoiding the vertex."""
-    coloring = coloring or color_vertices(g)
-    for v in coloring.green:
-        if g.degree(v) >= 2 * k:
-            return _big_green_yes(v + 1, g.degree(v), k)
-    return None
-
-
-def rule5_many_blue(
-    g: Graph, k: int, coloring: VertexColoring | None = None
-) -> DecidedYes | None:
-    """At least k blue vertices force a yes.  Requires rule 3 exhausted, so
-    the blue vertices' purple neighbors are pairwise distinct and the
-    blue-purple edges form a matching of size >= k."""
-    coloring = coloring or color_vertices(g)
-    blues = coloring.blue
-    if len(blues) >= k:
-        return _many_blue_yes(len(blues), k)
-    return None
-
-
-def rule6_remove_red(
-    g: Graph, k: int, coloring: VertexColoring | None = None
-) -> tuple[Graph, int, list[str]] | None:
-    """Remove every red vertex; k is unchanged.  Any solution edge into a red
-    vertex can be replaced by the purple endpoint's blue-neighbor edge."""
-    coloring = coloring or color_vertices(g)
-    reds = coloring.red
-    if not reds:
-        return None
-    drop = set(reds)
-    g2 = induced_subgraph(g, (w for w in range(g.n) if w not in drop))
-    lines = []
-    n_left = g.n
-    for r in sorted(drop):
-        n_left -= 1
-        lines.append(_line(6, f"delete-vertex {r + 1}", n_left, k))
-    return g2, k, lines
-
-
-def rule7_size_bound(g: Graph, k: int) -> DecidedYes | None:
-    """An instance none of rules 1-6 touches, on more than 4k^2 - 2 vertices,
-    is a yes-instance.  Raises PreconditionViolated when called while an
-    earlier rule still applies."""
-    if rule1_isolated_vertex(g, k) or rule2_isolated_edge(g, k):
-        raise PreconditionViolated("rules 1-2 still apply")
-    coloring = color_vertices(g)
-    if (
-        rule3_prune_blue_twins(g, k, coloring)
-        or rule4_big_green(g, k, coloring)
-        or rule5_many_blue(g, k, coloring)
-        or rule6_remove_red(g, k, coloring)
-    ):
-        raise PreconditionViolated("rules 3-6 still apply")
-    return _size_bound_yes(g.n, k)
-
-
 def kernelize(g: Graph, k: int) -> KernelOutcome:
     """Apply the lowest-numbered applicable rule and repeat to a fixpoint.
     k <= 0 at any point decides yes immediately.  An undecided fixpoint is an
@@ -301,8 +196,9 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
     Each trace line names a vertex by its 1-based label in the graph of that
     moment, which numbers the surviving vertices in their original order:
     its rank among them.  The outcome and trace equal those of applying the
-    rule functions one at a time and computing the coloring anew after
-    each; the reduced graph is g itself when no vertex was deleted.
+    rules one at a time and computing the coloring anew after each, as the
+    spec in tests/kernel_reference.py does; the reduced graph is g itself
+    when no vertex was deleted.
 
     That holds with one coloring, the one the graph has when rules 1 and 2
     are first exhausted, because no surviving vertex changes color

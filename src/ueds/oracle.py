@@ -23,9 +23,9 @@ children of a block are expanded before its siblings, so memory is bounded
 by the depth times the block's fan-out, not by the number of leaves.  Masks
 are uint64, so m is at most 64 whatever the limit.
 
-A vectorized full scan over all 2^m subsets (`bitforce_minimal_masks`) is kept
-as an independent second route; the two are cross-checked in the test suite,
-as is the pure-Python branching search the enumerator replaced.
+The test suite checks the enumerator against two independent routes in
+``tests/oracle_reference.py``: the pure-Python branching search it replaced,
+and a vectorized scan over all 2^m subsets.
 """
 
 from __future__ import annotations
@@ -40,15 +40,12 @@ from .graph import EdgeSet, Graph
 
 __all__ = [
     "DEFAULT_EDGE_LIMIT",
-    "BITFORCE_EDGE_LIMIT",
     "OracleResult",
     "enumerate_minimal_eds",
     "upper_eds_exact",
-    "bitforce_minimal_masks",
 ]
 
 DEFAULT_EDGE_LIMIT = 22
-BITFORCE_EDGE_LIMIT = 22
 MASK_BITS = 64  # edge sets are uint64 masks, whatever the limit
 BLOCK_ROWS = 1 << 13  # frontier rows expanded per step; bounds peak memory
 
@@ -111,39 +108,6 @@ def _minimal_masks(g: Graph) -> np.ndarray:
         cand = cand[rows]
         stack.append((mask[rows] | low, banned[rows] | (cand & (low - one))))
     return np.sort(np.concatenate(found))
-
-
-def bitforce_minimal_masks(g: Graph, limit: int = BITFORCE_EDGE_LIMIT) -> list[int]:
-    """Ascending-bitmask scan of every subset of E, vectorized over numpy.
-
-    Independent of the branching enumerator; intended for cross-validation.
-    """
-    if g.m > limit:
-        raise InstanceTooLarge(f"m={g.m} exceeds bitforce limit {limit}")
-    m = g.m
-    if m == 0:
-        return [0]
-    dtype = np.uint32 if m <= 32 else np.uint64
-    masks = np.arange(1 << m, dtype=dtype)
-    nbr = g.edge_neighborhood_masks
-    # dominated(e): mask intersects N[e]; private(e): exactly one member in N[e]
-    eds = np.ones(masks.shape, dtype=bool)
-    private = []
-    for e in range(m):
-        hits = np.bitwise_count(masks & dtype(nbr[e]))
-        eds &= hits > 0
-        private.append(hits == 1)
-    minimal = eds.copy()
-    for e in range(m):
-        has_private = np.zeros(masks.shape, dtype=bool)
-        cand = nbr[e]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            has_private |= private[low.bit_length() - 1]
-        member = (masks >> dtype(e) & dtype(1)).astype(bool)
-        minimal &= ~member | has_private
-    return [int(x) for x in np.nonzero(minimal)[0]]
 
 
 def enumerate_minimal_eds(

@@ -27,7 +27,7 @@ from typing import Any
 
 from .decomposition import make_nice, validate_nice
 from .dp import run_dp, state_space_bound
-from .errors import InvalidDecomposition
+from .errors import InvalidDecomposition, NotStarForest
 from .generate import GenSpec, SplitMix64, gen
 from .graph import (
     EdgeSet,
@@ -119,7 +119,7 @@ def star_privacy_violations(g: Graph, solution: EdgeSet) -> list[str]:
     problems: list[str] = []
     try:
         structure = star_decomposition(g, solution)
-    except Exception as exc:  # NotStarForest
+    except NotStarForest as exc:
         return [f"not a star forest: {exc}"]
     touched = [False] * g.n
     for eid in solution:

@@ -13,7 +13,6 @@ from ueds.decomposition import (
     LEAF,
     NiceNode,
     TreeDecomposition,
-    emit_nice,
     emit_td,
     make_nice,
     parse_td,
@@ -563,11 +562,3 @@ class TestTdFormat:
     def test_malformed_inputs(self, text):
         with pytest.raises(DecompositionFormatError):
             parse_td(text)
-
-    def test_emit_nice_lists_every_node(self, p4):
-        nd = make_nice(p4, td_from_vertex_cover(p4, [1, 2]))
-        text = emit_nice(nd)
-        lines = text.strip().splitlines()
-        assert lines[0] == f"s ntd {len(nd.nodes)} {nd.width + 1}"
-        assert len(lines) == len(nd.nodes) + 1
-        assert sum(1 for line in lines if "introduce-edge" in line) == 3

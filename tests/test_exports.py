@@ -1,7 +1,9 @@
 """Every exported name resolves: each ueds module's __all__, the names the
-package's __init__ imports, and the ueds names the benchmark scripts under
-perfbench/ import.  A deletion that leaves a stale export, or that breaks
-the benchmark's tracer, fails here instead of in a benchmark run."""
+package's __init__ imports, and the ueds names that the benchmark scripts
+under perfbench/ and the test specs tests/*_reference.py import, private
+helpers included.  A deletion or rename that leaves a stale export, breaks
+the benchmark's tracer or a spec, fails here with the missing name instead
+of in a benchmark run or as a collection error."""
 
 import ast
 import importlib
@@ -54,7 +56,9 @@ def test_package_imports_resolve():
 
 
 @pytest.mark.parametrize(
-    "script", sorted((ROOT / "perfbench").glob("*.py")), ids=lambda path: path.name
+    "script",
+    sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tests").glob("*_reference.py")),
+    ids=lambda path: path.name,
 )
 def test_benchmark_imports_resolve(script):
     assert unresolved(imported_ueds_names(script)) == []

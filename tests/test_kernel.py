@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from ueds.errors import IsolatedVertexPresent, PreconditionViolated
+from ueds.errors import IsolatedVertexPresent
 from ueds.generate import GenSpec, gen
 from ueds.graph import Graph, emit_graph, greedy_maximal_matching, parse_graph
 from ueds.kernel import (
@@ -13,6 +13,13 @@ from ueds.kernel import (
     Reduced,
     color_vertices,
     kernelize,
+)
+from ueds.oracle import upper_eds_exact
+
+from conftest import all_graphs_on, graph_from_pairs, graphs
+from kernel_reference import (
+    PreconditionViolated,
+    kernelize_reference,
     rule1_isolated_vertex,
     rule2_isolated_edge,
     rule3_prune_blue_twins,
@@ -21,10 +28,6 @@ from ueds.kernel import (
     rule6_remove_red,
     rule7_size_bound,
 )
-from ueds.oracle import upper_eds_exact
-
-from conftest import graph_from_pairs, graphs
-from kernel_reference import kernelize_reference
 
 
 def _outcome(out):
@@ -251,6 +254,17 @@ class TestWorklistKernel:
                 g.edges,
                 k,
             )
+
+    def test_matches_reference_on_every_graph_up_to_five_vertices(self):
+        pairs = 0
+        for n in range(6):
+            for g in all_graphs_on(n):
+                for k in range(0, g.m + 2):
+                    assert _outcome(kernelize(g, k)) == _outcome(
+                        kernelize_reference(g, k)
+                    ), (n, g.edges, k)
+                    pairs += 1
+        assert pairs == 7525
 
     @pytest.mark.parametrize("spec", SPARSE_FAMILIES, ids=lambda spec: spec.instance_id)
     def test_matches_reference_on_sparse_families(self, spec):

@@ -8,15 +8,14 @@ from ueds import oracle
 from ueds.errors import InstanceTooLarge
 from ueds.generate import GenSpec, gen
 from ueds.graph import Graph, greedy_maximal_matching, is_minimal_eds
-from ueds.oracle import (
-    BITFORCE_EDGE_LIMIT,
-    bitforce_minimal_masks,
-    enumerate_minimal_eds,
-    upper_eds_exact,
-)
+from ueds.oracle import enumerate_minimal_eds, upper_eds_exact
 
 from conftest import all_graphs_on, graphs
-from oracle_reference import minimal_masks_reference
+from oracle_reference import (
+    BITFORCE_EDGE_LIMIT,
+    bitforce_minimal_masks,
+    minimal_masks_reference,
+)
 
 K8_PAIRS = list(itertools.combinations(range(8), 2))
 

@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
 
 import numpy as np
+import pytest
 
 import ueds.dp
 import ueds.pipeline
+from ueds.cli import main
 from ueds.decomposition import TreeDecomposition
 from ueds.selfcheck import selfcheck, star_privacy_violations
 from ueds.oracle import enumerate_minimal_eds
@@ -66,3 +69,19 @@ class TestSelfcheck:
     def test_privacy_helper_accepts_enumerated_solutions(self, c5):
         for solution in enumerate_minimal_eds(c5):
             assert star_privacy_violations(c5, solution) == []
+
+    def test_a_fault_in_the_star_decomposition_is_not_a_failed_certificate(
+        self, monkeypatch, capsys
+    ):
+        # only NotStarForest means "not a star forest"; any other error is a
+        # fault that must reach the command line's exit 4, not exit 1
+        def broken(g, solution):
+            raise RuntimeError("injected")
+
+        # the module, not the selfcheck function that ueds exports by that name
+        module = importlib.import_module("ueds.selfcheck")
+        monkeypatch.setattr(module, "star_decomposition", broken)
+        with pytest.raises(RuntimeError, match="injected"):
+            selfcheck(count=3, nmax=5, seed=9)
+        assert main(["selfcheck", "--count", "3", "--nmax", "5", "--seed", "9"]) == 4
+        assert "internal: RuntimeError: injected" in capsys.readouterr().err
