@@ -8,9 +8,10 @@ instance; whatever remains goes to the decomposition dynamic program.  The
 selfcheck harness replays the whole cross-validation suite on demand.
 """
 
-from ueds import selfcheck, solve
+from ueds import solve
 from ueds.generate import GenSpec, gen
 from ueds.graph import emit_graph
+from ueds.selfcheck import selfcheck
 
 g = gen(GenSpec("gnp", 10, 0.4, seed=11))
 print(emit_graph(g))

@@ -71,6 +71,6 @@ from .kernel import (
 )
 from .generate import GenSpec, SplitMix64, gen
 from .pipeline import SolveReport, gamma_prime, solve
-from .selfcheck import SelfCheckReport, selfcheck
+from .selfcheck import SelfCheckReport
 
 __version__ = "0.1.0"

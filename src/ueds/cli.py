@@ -22,7 +22,7 @@ from .errors import FormatError, ResourceCapExceeded, UedsError
 from .generate import FAMILIES, GenSpec, gen
 from .graph import emit_graph, parse_graph
 from .kernel import kernelize
-from .oracle import DEFAULT_EDGE_LIMIT, upper_eds_exact
+from .oracle import DEFAULT_EDGE_LIMIT
 from .pipeline import DEFAULT_WIDTH_CAP, choose_decomposition, gamma_prime, solve
 from .selfcheck import selfcheck
 
@@ -196,11 +196,11 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = _load(args.graph, parse_graph)
-    result = upper_eds_exact(g, limit=args.limit)
+    report = gamma_prime(g, method="oracle", oracle_limit=args.limit)
     payload = {
-        "gamma_prime": result.gamma_prime,
-        "witness": [[u + 1, v + 1] for u, v in (g.edges[e] for e in result.witness)],
-        "count_minimal": result.count_minimal,
+        "gamma_prime": report.gamma_prime,
+        "witness": report.witness,
+        "count_minimal": report.oracle["count_minimal"],
     }
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))

@@ -38,7 +38,7 @@ from .errors import (
     InvalidDecomposition,
     NotACover,
 )
-from .graph import Graph
+from .graph import Graph, _pace_lines
 
 __all__ = [
     "TreeDecomposition",
@@ -595,41 +595,19 @@ def validate_nice(g: Graph, nd: NiceDecomposition) -> list[str]:
     return violations
 
 
-def parse_td(text: str | Iterable[str]) -> TreeDecomposition:
+def parse_td(text: str) -> TreeDecomposition:
     """Parse the PACE .td exchange format.
 
     Header "s td <#bags> <width+1> <n>", bag lines "b <id> <v...>" (1-indexed
-    ids and vertices), then tree edges "<id> <id>".  Raises
-    DecompositionFormatError with a line number on malformed input.
+    ids and vertices), then tree edges "<id> <id>"; blank lines and "c"
+    comment lines are skipped.  Raises DecompositionFormatError with a line
+    number on malformed input.
     """
-    if isinstance(text, str):
-        lines: Iterable[tuple[int, str]] = enumerate(text.splitlines(), start=1)
-    else:
-        lines = enumerate(text, start=1)
-    num_bags = -1
-    width_plus1 = -1
-    n = -1
+    lines = _pace_lines(text, "td")
+    num_bags, width_plus1, n = next(lines)
     bags: dict[int, tuple[int, ...]] = {}
     tree_edges: list[tuple[int, int]] = []
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "s":
-            if num_bags >= 0:
-                raise DecompositionFormatError("duplicate header", lineno)
-            if len(parts) != 5 or parts[1] != "td":
-                raise DecompositionFormatError(f"malformed header {line!r}", lineno)
-            try:
-                num_bags, width_plus1, n = int(parts[2]), int(parts[3]), int(parts[4])
-            except ValueError:
-                raise DecompositionFormatError("non-integer header field", lineno)
-            if num_bags < 0 or n < 0:
-                raise DecompositionFormatError("negative counts in header", lineno)
-            continue
-        if num_bags < 0:
-            raise DecompositionFormatError("content before header", lineno)
+    for lineno, parts, line in lines:
         if parts[0] == "b":
             if len(parts) < 2:
                 raise DecompositionFormatError("bag line without id", lineno)
@@ -660,8 +638,6 @@ def parse_td(text: str | Iterable[str]) -> TreeDecomposition:
         if not (1 <= a <= num_bags and 1 <= b <= num_bags):
             raise DecompositionFormatError(f"tree edge ({a}, {b}) out of range", lineno)
         tree_edges.append((a - 1, b - 1))
-    if num_bags < 0:
-        raise DecompositionFormatError("missing header")
     if len(bags) != num_bags:
         raise DecompositionFormatError(
             f"declared {num_bags} bags but found {len(bags)}"

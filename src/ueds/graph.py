@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CoverViolation, GraphFormatError, NotStarForest
+from .errors import CoverViolation, DecompositionFormatError, GraphFormatError, NotStarForest
 
 __all__ = [
     "EdgeSet",
@@ -177,28 +177,68 @@ class StarStructure:
 
 
 # The shape emit_graph writes: the header line, then one "u v" line per edge.
-# Fields of at most nine digits keep every duplicate key below 2**63.
-_EMITTED = re.compile(r"p gr ([0-9]{1,9}) ([0-9]{1,9})\n((?:[0-9]{1,9} [0-9]{1,9}\n)*)")
+# Fields of at most nine digits keep every duplicate key below 2**63.  The
+# edge-line group is possessive, so a match keeps no backtracking state per
+# line and takes constant memory.
+_EMITTED = re.compile(r"p gr ([0-9]{1,9}) ([0-9]{1,9})\n((?:[0-9]{1,9} [0-9]{1,9}\n)*+)")
+
+# Each PACE text format by its header's second field: the header's first
+# field, how many counts follow, the format's error class and its error for a
+# content line before the header.
+_PACE_FORMATS = {
+    "gr": ("p", 2, GraphFormatError, "edge line before header"),
+    "td": ("s", 3, DecompositionFormatError, "content before header"),
+}
 
 
-def parse_graph(text: str | Iterable[str]) -> Graph:
-    """Parse a PACE-style graph: comment lines start with "c", the header is
-    "p gr <n> <m>", followed by m lines "<u> <v>" with 1-indexed vertices.
+def _pace_lines(text: str, fmt: str) -> Iterator[tuple]:
+    """Read the line conventions the PACE .gr and .td formats share: blank
+    and "c" comment lines are skipped, and one header of nonnegative integer
+    counts comes before any other line.  Yields the header's counts, then
+    (line number, fields, stripped line) for each later content line; raises
+    the format's error on a header fault, with its line number."""
+    tag, counts, error, stray = _PACE_FORMATS[fmt]
+    header = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
+            continue
+        line = raw.strip()
+        if fields[0] != tag:
+            if header is None:
+                raise error(stray, lineno)
+            yield lineno, fields, line
+            continue
+        if header is not None:
+            raise error("duplicate header", lineno)
+        if len(fields) != 2 + counts or fields[1] != fmt:
+            raise error(f"malformed header {line!r}", lineno)
+        try:
+            header = tuple(int(f) for f in fields[2:])
+        except ValueError:
+            raise error(f"non-integer header field in {line!r}", lineno)
+        if min(header) < 0:
+            raise error("negative counts in header", lineno)
+        yield header
+    if header is None:
+        raise error("missing header")
 
-    A string in the exact shape emit_graph writes (the header as the first
+
+def parse_graph(text: str) -> Graph:
+    """Parse a PACE .gr graph: the header "p gr <n> <m>", then m lines
+    "<u> <v>" with 1-indexed vertices; blank lines and "c" comment lines are
+    skipped.
+
+    A text in the exact shape emit_graph writes (the header as the first
     line, then only lines of two decimal fields, each of at most nine digits,
     split by one space, every line ending in "\n") is checked in bulk.  Any
-    other input, or one the bulk checks reject, goes to a scan line by line,
+    other text, or one the bulk checks reject, goes to a scan line by line,
     which gives the same graph, and which alone raises GraphFormatError (with
     a line number) on malformed headers, out-of-range vertices, self-loops,
     duplicate edges and a wrong edge count.
     """
-    if isinstance(text, str):
-        g = _parse_emitted(text)
-        if g is not None:
-            return g
-        return _parse_lines(text.splitlines())
-    return _parse_lines(text)
+    g = _parse_emitted(text)
+    return _parse_lines(text) if g is None else g
 
 
 def _parse_emitted(text: str) -> Graph | None:
@@ -219,42 +259,21 @@ def _parse_emitted(text: str) -> Graph | None:
     return Graph._simple(n, list(zip(u.tolist(), v.tolist())))
 
 
-def _parse_lines(raw_lines: Iterable[str]) -> Graph:
+def _parse_lines(text: str) -> Graph:
     """parse_graph's line scan, the source of every GraphFormatError."""
-    n = -1
-    m_declared = -1
+    lines = _pace_lines(text, "gr")
+    n, m_declared = next(lines)
     edges: list[tuple[int, int]] = []
     seen: set[int] = set()  # (lower - 1) * n + higher - 1 per edge
-    for lineno, raw in enumerate(raw_lines, start=1):
-        parts = raw.split()
-        if not parts or parts[0][0] == "c":
-            continue
-        if parts[0] == "p":
-            if n >= 0:
-                raise GraphFormatError("duplicate header", lineno)
-            if len(parts) != 4 or parts[1] != "gr":
-                raise GraphFormatError(f"malformed header {raw.strip()!r}", lineno)
-            try:
-                n, m_declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise GraphFormatError(
-                    f"non-integer header field in {raw.strip()!r}", lineno
-                )
-            if n < 0 or m_declared < 0:
-                raise GraphFormatError("negative counts in header", lineno)
-            continue
-        if n < 0:
-            raise GraphFormatError("edge line before header", lineno)
+    for lineno, parts, line in lines:
         if len(parts) != 2:
-            raise GraphFormatError(f"malformed edge line {raw.strip()!r}", lineno)
+            raise GraphFormatError(f"malformed edge line {line!r}", lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphFormatError(f"non-integer vertex in {raw.strip()!r}", lineno)
+            raise GraphFormatError(f"non-integer vertex in {line!r}", lineno)
         if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphFormatError(
-                f"vertex index out of range in {raw.strip()!r}", lineno
-            )
+            raise GraphFormatError(f"vertex index out of range in {line!r}", lineno)
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}", lineno)
         key = (u - 1) * n + v - 1 if u < v else (v - 1) * n + u - 1
@@ -264,8 +283,6 @@ def _parse_lines(raw_lines: Iterable[str]) -> Graph:
         edges.append((u - 1, v - 1))
         if len(edges) > m_declared:
             raise GraphFormatError("more edge lines than declared", lineno)
-    if n < 0:
-        raise GraphFormatError("missing header")
     if len(edges) != m_declared:
         raise GraphFormatError(
             f"declared {m_declared} edges but found {len(edges)}"

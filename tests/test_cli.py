@@ -86,6 +86,18 @@ class TestOtherCommands:
         assert payload["count_minimal"] == 2
         assert payload["witness"] == [[1, 2], [3, 4]]
 
+    def test_oracle_reports_what_gamma_reports(self, tmp_path, capsys):
+        path = _write_graph(tmp_path, GenSpec("gnp", 8, 0.4, seed=3))
+        assert main(["oracle", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["gamma", path, "--method", "oracle", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert payload == {
+            "gamma_prime": report["gamma_prime"],
+            "witness": report["witness"],
+            "count_minimal": report["oracle"]["count_minimal"],
+        }
+
     def test_kernelize_trace_format(self, tmp_path, capsys):
         star = tmp_path / "k13.gr"
         star.write_text(emit_graph(gen(GenSpec("star", 4))))

@@ -8,6 +8,7 @@ of in a benchmark run or as a collection error."""
 import ast
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,13 @@ def unresolved(imports: list[tuple[str, str]]) -> list[str]:
 def test_module_all_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_submodules_keep_their_names():
+    # a package attribute bound to a same-named function would hide its module
+    import ueds.selfcheck
+
+    assert isinstance(ueds.selfcheck, types.ModuleType)
 
 
 def test_package_imports_resolve():

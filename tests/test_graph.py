@@ -1,8 +1,16 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ueds.errors import CoverViolation, GraphFormatError, NotStarForest
+from ueds.decomposition import parse_td
+from ueds.errors import (
+    CoverViolation,
+    DecompositionFormatError,
+    GraphFormatError,
+    NotStarForest,
+)
 from ueds.graph import (
     EdgeSet,
     Graph,
@@ -16,7 +24,7 @@ from ueds.graph import (
     star_decomposition,
     vertex_cover_from_matching,
 )
-from ueds.graph import _parse_emitted, _parse_lines
+from ueds.graph import _EMITTED, _parse_emitted, _parse_lines
 
 from conftest import graphs
 
@@ -40,6 +48,24 @@ LINE_ERRORS = {
     "p gr 3 2\n1 2\n2 1\n": "duplicate edge (2, 1)",
     "1 2\n": "edge line before header",
 }
+
+# header faults, which both PACE formats read by the same line conventions:
+# (fault, format, text, line number or None, message without its line prefix)
+HEADER_FAULTS = [
+    ("duplicate", "gr", "p gr 2 1\nc\np gr 2 1\n", 3, "duplicate header"),
+    ("duplicate", "td", "s td 1 1 1\nb 1 1\ns td 1 1 1\n", 3, "duplicate header"),
+    ("malformed", "gr", "p gr 2\n", 1, "malformed header 'p gr 2'"),
+    ("malformed", "td", "s gr 1 1 1\n", 1, "malformed header 's gr 1 1 1'"),
+    ("non-integer", "gr", "p gr 2 1.0\n", 1, "non-integer header field in 'p gr 2 1.0'"),
+    ("non-integer", "td", " s td 1 x 1\n", 1, "non-integer header field in 's td 1 x 1'"),
+    ("negative", "gr", "p gr -2 1\n", 1, "negative counts in header"),
+    ("negative", "td", "s td 0 -3 0\n", 1, "negative counts in header"),
+    ("before-header", "gr", "c\n\n1 2\np gr 2 1\n", 3, "edge line before header"),
+    ("before-header", "td", "c\nb 1 1\ns td 1 1 1\n", 2, "content before header"),
+    ("missing", "gr", "c only comments\n", None, "missing header"),
+    ("missing", "td", "\n  \n", None, "missing header"),
+]
+PARSERS = {"gr": (parse_graph, GraphFormatError), "td": (parse_td, DecompositionFormatError)}
 
 
 class TestParse:
@@ -107,6 +133,18 @@ class TestParse:
                 parse_graph(text)
 
     @pytest.mark.parametrize(
+        "fault,fmt,text,line,message",
+        HEADER_FAULTS,
+        ids=[f"{fmt}-{fault}" for fault, fmt, *_ in HEADER_FAULTS],
+    )
+    def test_header_faults_in_both_formats(self, fault, fmt, text, line, message):
+        parse, error = PARSERS[fmt]
+        with pytest.raises(error) as err:
+            parse(text)
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+    @pytest.mark.parametrize(
         "text",
         [
             "p\tgr\t3\t2\n1\t2\n2 \t 3\n",
@@ -115,9 +153,6 @@ class TestParse:
             "p gr 3 2\r\n1 2\r\n2 3\r\n",
             "p gr 3 2\n1 2\n2 3\n\n   \n\t\n",
             "\n \np gr 3 2\n  1 2  \n2 3",
-            ["p gr 3 2\n", "1 2\n", "c note\n", "2 3\n", "\n"],
-            ["p gr 3 2\r\n", "1 2\r\n", "2 3\r\n"],
-            ("p gr 3 2", "1 2", "2 3"),
         ],
     )
     def test_whitespace_comment_and_line_end_variants(self, text):
@@ -137,7 +172,6 @@ class TestParse:
         h = Graph(g.n, edges)
         text = emit_graph(h)
         assert parse_graph(text) == h
-        assert parse_graph(text.splitlines(keepends=True)) == h
         assert emit_graph(parse_graph(text)) == text
 
 
@@ -221,12 +255,26 @@ class TestBulkParse:
         end = "\r\n" if "crlf" in decorations else "\n"
         text = end.join(lines) + ("" if "no-final-newline" in decorations else end)
         got = _parsed(parse_graph, text)
-        assert got == _parsed(_parse_lines, text.splitlines())
+        assert got == _parsed(_parse_lines, text)
         # the bulk pass takes emit_graph's shape and never a text the scan rejects
         if fault is None and not decorations:
             assert _parse_emitted(text) == parse_graph(text)
         if got[0] == "error":
             assert _parse_emitted(text) is None
+
+    def test_bulk_check_runs_in_constant_memory(self):
+        # the possessive edge-line group keeps no backtracking state per line
+        lines = 100_000
+        text = f"p gr {lines + 1} {lines}\n" + "".join(
+            f"{i} {i + 1}\n" for i in range(1, lines + 1)
+        )
+        tracemalloc.start()
+        try:
+            assert _EMITTED.fullmatch(text) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "text",
@@ -245,7 +293,7 @@ class TestBulkParse:
         ],
     )
     def test_edge_cases(self, text):
-        assert _parsed(parse_graph, text) == _parsed(_parse_lines, text.splitlines())
+        assert _parsed(parse_graph, text) == _parsed(_parse_lines, text)
 
 
 class TestEdgeSet:

@@ -1,11 +1,11 @@
 import dataclasses
-import importlib
 
 import numpy as np
 import pytest
 
 import ueds.dp
 import ueds.pipeline
+import ueds.selfcheck
 from ueds.cli import main
 from ueds.decomposition import TreeDecomposition
 from ueds.selfcheck import selfcheck, star_privacy_violations
@@ -78,9 +78,7 @@ class TestSelfcheck:
         def broken(g, solution):
             raise RuntimeError("injected")
 
-        # the module, not the selfcheck function that ueds exports by that name
-        module = importlib.import_module("ueds.selfcheck")
-        monkeypatch.setattr(module, "star_decomposition", broken)
+        monkeypatch.setattr(ueds.selfcheck, "star_decomposition", broken)
         with pytest.raises(RuntimeError, match="injected"):
             selfcheck(count=3, nmax=5, seed=9)
         assert main(["selfcheck", "--count", "3", "--nmax", "5", "--seed", "9"]) == 4
