@@ -644,7 +644,7 @@ def parse_td(text: str) -> TreeDecomposition:
         )
     ordered = tuple(bags[i] for i in range(1, num_bags + 1))
     td = TreeDecomposition(n=n, bags=ordered, tree_edges=tuple(tree_edges))
-    if num_bags > 0 and td.width + 1 != width_plus1:
+    if td.width + 1 != width_plus1:  # a decomposition without bags has width -1
         raise DecompositionFormatError(
             f"header declares max bag size {width_plus1}, bags give {td.width + 1}"
         )
@@ -653,7 +653,7 @@ def parse_td(text: str) -> TreeDecomposition:
 
 def emit_td(td: TreeDecomposition) -> str:
     """Serialize to the PACE .td format; parse_td(emit_td(t)) is isomorphic to t."""
-    out = [f"s td {len(td.bags)} {td.width + 1 if td.bags else 0} {td.n}"]
+    out = [f"s td {len(td.bags)} {td.width + 1} {td.n}"]
     for i, bag in enumerate(td.bags, start=1):
         out.append("b " + " ".join([str(i)] + [str(v + 1) for v in bag]))
     for a, b in td.tree_edges:

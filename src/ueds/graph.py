@@ -3,7 +3,11 @@ predicates and matching routines the rest of the toolkit builds on.
 
 Vertices are 1-indexed in all external text formats and 0-indexed internally.
 Edges get a stable id in input order, so every downstream computation that
-iterates edges in id order is reproducible.
+iterates edges in id order is reproducible.  A Graph keeps its edges as one
+read-only int64 array of shape (m, 2), row e holding edge e's ends; the
+tuple of pairs ``edges`` and the adjacency ``adj`` are views built from it
+on their first read.  Parsing, greedy matching, the kernel and
+induced_subgraph work on the array, so that path builds no tuple per edge.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -70,18 +74,21 @@ class EdgeSet:
 class Graph:
     """Immutable simple undirected graph.
 
-    Construction validates simplicity (no loops, no parallel edges) and
-    stores the edge list; parse_graph and induced_subgraph have already
-    established simplicity and build through _simple, which skips the second
-    check.  The adjacency structure ``adj`` is built from the edge list on its
-    first read and cached, so a caller that reads only ``edges`` (the kernel,
-    emit_graph) never pays for it.  A Graph can still be shared freely between
-    threads: the edges never change, so two threads racing on the first read
-    of ``adj`` each build an equal value, and whichever lands in the cache
-    serves every later read.
+    The edges live in ``edge_array``, a read-only int64 array of shape
+    (m, 2) whose row e holds edge e's ends in the order given.  Construction
+    validates simplicity (no loops, no parallel edges); parse_graph and
+    induced_subgraph have already established simplicity and build through
+    _simple, which skips the second check.  Two views of the array are built
+    on their first read and cached: ``edges``, the tuple of (u, v) pairs,
+    and ``adj``, each vertex's (neighbor, edge id) pairs.  A caller that
+    reads only the array (greedy_maximal_matching, kernelize) never pays for
+    either.  A Graph can still be shared freely between threads: the array
+    never changes, so two threads racing on the first read of a view each
+    build an equal value, and whichever lands in the cache serves every
+    later read.
     """
 
-    __slots__ = ("n", "m", "edges", "__dict__")
+    __slots__ = ("n", "m", "edge_array", "__dict__")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n < 0:
@@ -89,6 +96,7 @@ class Graph:
         seen: set[tuple[int, int]] = set()
         normalized: list[tuple[int, int]] = []
         for u, v in edges:
+            u, v = index(u), index(v)  # a TypeError for a vertex that is no integer
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -101,17 +109,25 @@ class Graph:
         self._build(n, normalized)
 
     @classmethod
-    def _simple(cls, n: int, edges: list[tuple[int, int]]) -> "Graph":
+    def _simple(cls, n: int, edges: np.ndarray | Sequence[tuple[int, int]]) -> "Graph":
         """A Graph from edges the caller has already checked: in range, no
-        loops and no parallel edges."""
+        loops and no parallel edges.  An int64 array of shape (m, 2) is kept
+        as it is, not copied, so the caller must not write to it later."""
         g = cls.__new__(cls)
         g._build(n, edges)
         return g
 
-    def _build(self, n: int, edges: list[tuple[int, int]]) -> None:
+    def _build(self, n: int, edges: np.ndarray | Sequence[tuple[int, int]]) -> None:
+        array = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        array.flags.writeable = False
         self.n = n
-        self.m = len(edges)
-        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
+        self.m = len(array)
+        self.edge_array = array
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as (u, v) pairs in edge-id order."""
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
     def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -139,10 +155,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.edge_array.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -251,12 +267,13 @@ def _parse_emitted(text: str) -> Graph | None:
     ends = np.fromstring(match[3], dtype=np.int64, sep=" ") - 1
     if len(ends) != 2 * m or m and (ends.min() < 0 or ends.max() >= n):
         return None
-    u, v = ends[0::2], ends[1::2]
+    edges = ends.reshape(m, 2)
+    u, v = edges[:, 0], edges[:, 1]
     keys = np.minimum(u, v) * n + np.maximum(u, v)
     keys.sort()
     if (u == v).any() or (keys[1:] == keys[:-1]).any():
         return None
-    return Graph._simple(n, list(zip(u.tolist(), v.tolist())))
+    return Graph._simple(n, edges)
 
 
 def _parse_lines(text: str) -> Graph:
@@ -366,10 +383,11 @@ def greedy_maximal_matching(g: Graph, order: Sequence[int] | None = None) -> Edg
     else:
         if sorted(order) != list(range(g.m)):
             raise ValueError("order must be a permutation of edge ids")
+    us, vs = g.edge_array.T.tolist()
     matched = [False] * g.n
     mask = 0
     for eid in order:
-        u, v = g.edges[eid]
+        u, v = us[eid], vs[eid]
         if not matched[u] and not matched[v]:
             matched[u] = True
             matched[v] = True
@@ -442,13 +460,13 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     """Subgraph induced by the kept vertices (vertices of g), relabeled
     consecutively in ascending original order.  Edge ids are reassigned in
     original edge order."""
-    keep = list(keep)
-    if keep and not (0 <= min(keep) and max(keep) < g.n):
+    keep = np.asarray(keep if isinstance(keep, np.ndarray) else list(keep), dtype=np.int64)
+    if len(keep) and not (0 <= keep.min() and keep.max() < g.n):
         raise ValueError(f"kept vertices must lie in 0..{g.n - 1}")
-    member = [False] * g.n
-    for v in keep:
-        member[v] = True
-    rank = list(accumulate(member, initial=0))  # kept vertices before each one
-    edges = [(rank[u], rank[v]) for u, v in g.edges if member[u] and member[v]]
+    member = np.zeros(g.n, dtype=bool)
+    member[keep] = True
+    rank = member.cumsum() - 1  # a kept vertex's new label
+    ends_kept = member[g.edge_array]
+    inside = g.edge_array.compress(ends_kept[:, 0] & ends_kept[:, 1], axis=0)
     # the edges of a simple graph stay simple under an injective relabeling
-    return Graph._simple(rank[-1], edges)
+    return Graph._simple(int(rank[-1]) + 1 if g.n else 0, rank[inside])

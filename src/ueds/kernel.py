@@ -29,24 +29,25 @@ The rules as written above, one function each that takes a Graph and
 builds a new one, live in ``tests/kernel_reference.py``: chained one
 application at a time, with the coloring computed anew after each, they are
 the executable spec that ``kernelize`` is tested against.  ``kernelize``
-instead reads the edge list in a few passes, keeps a degree per vertex and
-builds a Graph once, at the end; it never reads ``Graph.adj``, so neither
-the input nor the reduced graph builds one.  It colors the vertices once, as
-they are when rules 1 and 2 are first exhausted, and reads rules 1, 3, 5 and
-6 off that coloring and the vertices isolated at the start, because no
+instead colors the vertices once, in numpy passes over ``Graph.edge_array``,
+as they are when rules 1 and 2 are first exhausted, and reads rules 1, 3, 5
+and 6 off that coloring and the vertices isolated at the start, because no
 surviving vertex changes color afterwards (the argument is in its
-docstring).  The rules fire in the same order, and the trace reads line for
-line the same, as in that chain.  The trace lines and the hints of rules 4,
-5 and 7 come from the helpers here, which the spec imports.
+docstring).  It then fires the rules in phases and builds a Graph once, at
+the end; it reads neither ``Graph.edges`` nor ``Graph.adj``, so neither the
+input nor the reduced graph builds them.  The rules fire in the same order,
+and the trace reads line for line the same, as in that chain.  The trace
+lines and the hints of rules 4, 5 and 7 come from the helpers here, which
+the spec imports.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from itertools import compress
 from typing import Any
+
+import numpy as np
 
 from .errors import IsolatedVertexPresent
 from .graph import Graph, induced_subgraph
@@ -161,8 +162,14 @@ class DecidedYes:
 KernelOutcome = Reduced | DecidedYes
 
 
+_LINE = "rule={} action={} n={} k={}"
+# the lines kernelize writes most, with their numbers still to fill in
+_DELETE_VERTEX = {r: _LINE.format(r, "delete-vertex {}", "{}", "{}") for r in (1, 3, 6)}
+_DELETE_EDGE = _LINE.format(2, "delete-edge ({},{})", "{}", "{}")
+
+
 def _line(rule: int, action: str, n: int, k: int) -> str:
-    return f"rule={rule} action={action} n={n} k={k}"
+    return _LINE.format(rule, action, n, k)
 
 
 def _big_green_yes(label: int, degree: int, k: int) -> DecidedYes:
@@ -175,6 +182,11 @@ def _many_blue_yes(blue_count: int, k: int) -> DecidedYes:
     return DecidedYes(
         rule=5, hint=f"{blue_count} blue vertices >= k={k} give a matching that size"
     )
+
+
+_EMPTY_SET_YES = DecidedYes(
+    rule=0, hint="k <= 0: the empty edge set is a minimal solution of size >= k"
+)
 
 
 def _size_bound_yes(n: int, k: int) -> DecidedYes | None:
@@ -226,144 +238,130 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
 
     An edge becomes isolated when the second of its endpoints drops to
     degree 1.  After the start, that endpoint is a purple vertex left with
-    only the blue neighbor rule 3 kept, so the edge is known without an
-    adjacency structure: it enters the heap of isolated edges once and
-    leaves it only by rule 2.  A batch of rule 3 or rule 6 can isolate
-    several edges, which rule 2 takes by edge id.  So kernelize reads only
-    the edge list, in three passes: degrees, then each blue vertex's host,
-    then which vertices have a non-purple neighbor, plus one pass when red
-    vertices are deleted.  It never reads ``Graph.adj``, so neither the input
-    nor the reduced graph builds one.
+    only the blue neighbor rule 3 kept, so the edge is known from counts
+    alone: rule 3 isolates it when all of the purple vertex's neighbors are
+    blue, and rule 6 when all of them are blue or red.  The rules therefore
+    fire in phases: rule 1 on every isolated vertex; rule 2 on the edges
+    isolated at the start, by edge id; rule 3 on each purple vertex with
+    several blue neighbors in ascending order, each followed by rule 2 on
+    the edge it isolates; then rules 4 and 5, rule 6 on every red vertex
+    followed by rule 2 on the edges it isolates, by edge id, and rules 4, 5
+    and 7.  Rule 2 can end any phase by bringing k to 0.  The coloring and
+    these counts come from array passes over ``Graph.edge_array``: degrees,
+    each blue vertex's host, each purple vertex's lowest blue, the blue
+    vertices rule 3 deletes, which vertices have a non-purple neighbor, and
+    when rule 6 fires, each purple vertex's red neighbors.  kernelize reads
+    neither ``Graph.edges`` nor ``Graph.adj``, so it builds no Python object
+    per edge of the graph, and neither the input nor the reduced graph
+    builds those views.
     """
-    n, edges = g.n, g.edges
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    # Each blue vertex's host, its one neighbor, and the edge between them.
-    # An edge between two vertices of degree 1 is isolated: neither end is blue.
-    host = [-1] * n
-    blue_edge = [-1] * n
-    blues: list[int] = []
-    isolated_edges: list[int] = []  # ascending, so already a heap
-    for e, (u, v) in enumerate(edges):
-        if degree[u] == 1:
-            if degree[v] == 1:
-                isolated_edges.append(e)
-            else:
-                host[u] = v
-                blue_edge[u] = e
-                blues.append(u)
-        elif degree[v] == 1:
-            host[v] = u
-            blue_edge[v] = e
-            blues.append(v)
-    blues.sort()
-    # Purple vertices are the hosts; kept[p] is p's lowest blue neighbor, the
-    # one rule 3 keeps, and twins[p] all of them when p has several.
-    kept = [-1] * n
-    twins: dict[int, list[int]] = {}
-    for b in blues:
-        p = host[b]
-        if kept[p] < 0:
-            kept[p] = b
-        else:
-            twins.setdefault(p, [kept[p]]).append(b)
-    reached = [False] * n  # has a neighbor that is not purple
-    for u, v in edges:
-        if kept[u] < 0:
-            reached[v] = True
-        if kept[v] < 0:
-            reached[u] = True
-    # green: degree >= 2, not purple, reached; red: the same but not reached
-    reds = [v for v in range(n) if not reached[v] and degree[v] > 1 and kept[v] < 0]
-    top_degree = max(degree, default=0)  # bounds every green vertex's degree
-    blues_alive = len(blues)
-    pending_twins = iter([twins[p] for p in sorted(twins)])
-    alive = [True] * n
-    deleted: list[int] = []  # ascending
+    n, edges = g.n, g.edge_array
     trace: list[str] = []
-    if k > 0:
-        # rule 1 takes the isolated vertices one at a time, in ascending
-        # order, so the i-th of them has i deleted vertices below it
-        deleted = [v for v in range(n) if not degree[v]]
-        for v in deleted:
-            alive[v] = False
-        trace = [
-            _line(1, f"delete-vertex {v + 1 - i}", n - 1 - i, k)
-            for i, v in enumerate(deleted)
-        ]
+    deleted: list[int] = []  # ascending
 
-    def label(v: int) -> int:
-        return v + 1 - bisect_left(deleted, v)
+    def decided(outcome: DecidedYes) -> DecidedYes:
+        trace.append(_line(outcome.rule, "decide-yes", n - len(deleted), k))
+        return DecidedYes(rule=outcome.rule, hint=outcome.hint, trace=tuple(trace))
 
-    def delete(rule: int, doomed: list[int]) -> None:
+    if k <= 0:
+        return decided(_EMPTY_SET_YES)
+    # edge e's ends sit at 2e and 2e + 1 of ends: the other end of i is i ^ 1
+    ends = edges.ravel()
+    degree = np.bincount(ends, minlength=n)
+    leaf = degree[ends] == 1
+    other_leaf = leaf.reshape(-1, 2)[:, ::-1].ravel()
+    # A blue end has degree 1 and its other end more; an edge between two
+    # vertices of degree 1 is isolated, and neither end is blue.
+    blue_at = (leaf & ~other_leaf).nonzero()[0]
+    isolated = (leaf & other_leaf)[::2].nonzero()[0]
+    blue = ends[blue_at]
+    host = ends[blue_at ^ 1]
+    blue_count = np.bincount(host, minlength=n)  # > 0 exactly on purple vertices
+    not_purple = blue_count == 0
+    core = not_purple & (degree > 1)  # green or red
+    reached = np.zeros(n, dtype=bool)  # has a neighbor that is not purple
+    reached[ends[not_purple[ends].nonzero()[0] ^ 1]] = True
+    reds = (core & ~reached).nonzero()[0].tolist()
+    green_degree = degree * (core & reached)
+    top_green = green_degree.max(initial=0)
+    blues_alive = len(blue)
+
+    def delete_edges(pairs: list[list[int]], blue_ends: int) -> bool:
+        """Rule 2 on each edge in turn, each with blue_ends blue endpoints;
+        False once k reaches 0."""
+        nonlocal k, blues_alive
+        for u, v in pairs:
+            a = u + 1 - bisect_left(deleted, u)
+            b = v + 1 - bisect_left(deleted, v)
+            insort(deleted, u)
+            insort(deleted, v)
+            blues_alive -= blue_ends
+            k -= 1
+            trace.append(_DELETE_EDGE.format(a, b, n - len(deleted), k))
+            if k <= 0:
+                return False
+        return True
+
+    def delete_vertices(rule: int, doomed: list[int]) -> None:
         """Delete the vertices, given in ascending order, with one trace line
         each that names the vertex by its label from before the batch."""
+        line = _DELETE_VERTEX[rule].format
         n_now = n - len(deleted)
-        labels = [label(v) for v in doomed]
-        for v in doomed:
-            alive[v] = False
+        for i, v in enumerate(doomed, start=1):
+            # the i - 1 vertices of the batch deleted so far lie below v
+            trace.append(line(v + i - bisect_left(deleted, v), n_now - i, k))
             insort(deleted, v)
-        trace.extend(
-            _line(rule, f"delete-vertex {lab}", n_now - i, k)
-            for i, lab in enumerate(labels, start=1)
-        )
 
+    # rule 1 takes the isolated vertices one at a time, in ascending order,
+    # so the i-th of them has i deleted vertices below it
+    deleted.extend((degree == 0).nonzero()[0].tolist())
+    line = _DELETE_VERTEX[1].format
+    trace.extend(line(v + 1 - i, n - 1 - i, k) for i, v in enumerate(deleted))
+    if not delete_edges(edges[isolated].tolist(), 0):
+        return decided(_EMPTY_SET_YES)
+    twinned = (blue_count > 1).nonzero()[0]
+    if len(twinned) or reds:  # rules 3 and 6 find a purple vertex's blues
+        # sorted by host, then blue: each purple vertex's lowest blue comes first
+        order = (host * n + blue).argsort()
+        blue, host, blue_at = blue[order], host[order], blue_at[order]
+    if len(twinned):
+        blues = blue.tolist()
+        starts = host.searchsorted(twinned)
+        counts = blue_count[twinned]
+        # a purple vertex whose neighbors are all blue keeps only one
+        for start, count, lone, pair in zip(
+            starts.tolist(), counts.tolist(), (degree[twinned] == counts).tolist(),
+            edges[blue_at[starts] >> 1].tolist(),
+        ):
+            delete_vertices(3, blues[start + 1 : start + count])
+            blues_alive -= count - 1
+            if lone and not delete_edges([pair], 1):
+                return decided(_EMPTY_SET_YES)
     while True:
-        if k <= 0:
-            decision = DecidedYes(
-                rule=0, hint="k <= 0: the empty edge set is a minimal solution of size >= k"
-            )
-            break
-        if isolated_edges:
-            u, v = edges[heappop(isolated_edges)]
-            action = f"delete-edge ({label(u)},{label(v)})"
-            for w in (u, v):
-                alive[w] = False
-                insort(deleted, w)
-            blues_alive -= (host[u] >= 0) + (host[v] >= 0)
-            k -= 1
-            trace.append(_line(2, action, n - len(deleted), k))
-            continue
-        if len(deleted) == n:
-            decision = None
-            break
-        group = next(pending_twins, None)
-        if group is not None:
-            delete(3, group[1:])
-            blues_alive -= len(group) - 1
-            p = host[group[0]]
-            degree[p] -= len(group) - 1
-            if degree[p] == 1:
-                heappush(isolated_edges, blue_edge[group[0]])
-            continue
-        if top_degree >= 2 * k:
-            # the green vertices: degree >= 2, not purple, not red; all alive
-            big = [v for v in range(n) if degree[v] >= 2 * k and reached[v] and kept[v] < 0]
-            if big:
-                decision = _big_green_yes(label(big[0]), degree[big[0]], k)
-                break
+        if top_green >= 2 * k:
+            v = int((green_degree >= 2 * k).argmax())
+            label = v + 1 - bisect_left(deleted, v)
+            return decided(_big_green_yes(label, int(green_degree[v]), k))
         if blues_alive >= k:
-            decision = _many_blue_yes(blues_alive, k)
+            return decided(_many_blue_yes(blues_alive, k))
+        if not reds:
             break
-        if reds:
-            delete(6, reds)
-            red = [False] * n
-            for r in reds:
-                red[r] = True
-            for u, v in edges:  # every neighbor of a red vertex is purple
-                if red[u] or red[v]:
-                    p = v if red[u] else u
-                    degree[p] -= 1
-                    if degree[p] == 1:
-                        heappush(isolated_edges, blue_edge[kept[p]])
-            reds = []
-            continue
-        decision = _size_bound_yes(n - len(deleted), k)
-        break
-    if decision is None:
-        graph = induced_subgraph(g, compress(range(n), alive)) if deleted else g
-        return Reduced(graph=graph, k=k, trace=tuple(trace))
-    trace.append(_line(decision.rule, "decide-yes", n - len(deleted), k))
-    return DecidedYes(rule=decision.rule, hint=decision.hint, trace=tuple(trace))
+        delete_vertices(6, reds)
+        # every neighbor of a red vertex is purple; a purple vertex whose
+        # neighbors are all blue or red is left with the blue rule 3 kept
+        red = np.zeros(n, dtype=bool)
+        red[reds] = True
+        reds = []
+        red_count = np.bincount(ends[red[ends].nonzero()[0] ^ 1], minlength=n)
+        lone = ((red_count > 0) & (degree == blue_count + red_count)).nonzero()[0]
+        lone_edges = np.sort(blue_at[host.searchsorted(lone)] >> 1)
+        if not delete_edges(edges[lone_edges].tolist(), 1):
+            return decided(_EMPTY_SET_YES)
+    outcome = _size_bound_yes(n - len(deleted), k)
+    if outcome is not None:
+        return decided(outcome)
+    if not deleted:
+        return Reduced(graph=g, k=k, trace=tuple(trace))
+    gone = np.zeros(n, dtype=bool)
+    gone[deleted] = True
+    return Reduced(graph=induced_subgraph(g, (~gone).nonzero()[0]), k=k, trace=tuple(trace))

@@ -544,6 +544,12 @@ class TestTdFormat:
         )
         assert parse_td(emit_td(td)) == td
 
+    def test_round_trip_without_bags(self):
+        # a decomposition without bags declares bag size 0 (TestParse refuses 7)
+        td = parse_td("s td 0 0 3\n")
+        assert td == TreeDecomposition(n=3, bags=(), tree_edges=())
+        assert emit_td(td) == "s td 0 0 3\n"
+
     def test_out_of_range_vertex(self):
         with pytest.raises(DecompositionFormatError) as err:
             parse_td("s td 1 3 4\nb 1 1 2 9\n")

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,7 @@ HEADER_FAULTS = [
     ("before-header", "td", "c\nb 1 1\ns td 1 1 1\n", 2, "content before header"),
     ("missing", "gr", "c only comments\n", None, "missing header"),
     ("missing", "td", "\n  \n", None, "missing header"),
+    ("no-bags", "td", "s td 0 7 3\n", None, "header declares max bag size 7, bags give 0"),
 ]
 PARSERS = {"gr": (parse_graph, GraphFormatError), "td": (parse_td, DecompositionFormatError)}
 
@@ -451,6 +453,11 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(2, [(0, 1), (1, 0)])
 
+    def test_rejects_a_vertex_that_is_no_integer(self):
+        # the int64 edge array would silently truncate it
+        with pytest.raises(TypeError):
+            Graph(2, [(0, 1.0)])
+
     def test_induced_subgraph_relabels(self, p4):
         h = induced_subgraph(p4, [1, 2, 3])
         assert h.n == 2 or h.n == 3
@@ -478,6 +485,33 @@ class TestGraphBasics:
             assert [built.degree(v) for v in range(built.n)] == [
                 sum(v in e for e in built.edges) for v in range(built.n)
             ]
+
+    @given(graphs(max_n=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_graph_from_every_construction_route(self, g, data):
+        flips = data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(g.edges, flips)]
+        # vertex v of the graph is vertex 2v + 1 of a larger one, which hangs
+        # an extra pendant edge on each of them, anywhere in its edge order
+        larger = [(2 * u + 1, 2 * v + 1) for u, v in edges]
+        for v in range(g.n):
+            larger.insert(data.draw(st.integers(0, len(larger))), (2 * v, 2 * v + 1))
+        want = Graph(g.n, edges)
+        text = emit_graph(want)
+        routes = {
+            "constructor": want,
+            "bulk parse": _parse_emitted(text),
+            "line scan": _parse_lines(text),
+            "induced": induced_subgraph(Graph(2 * g.n, larger), range(1, 2 * g.n, 2)),
+        }
+        for route, h in routes.items():
+            assert (h.n, h.m, h.edges, h.adj) == (g.n, g.m, tuple(edges), want.adj), route
+            assert h == want and hash(h) == hash(want), route
+            assert h.edge_array.dtype == np.int64 and h.edge_array.shape == (g.m, 2), route
+            # the stored array is read-only, so no caller (the kernel among
+            # them) can change a graph it was given
+            with pytest.raises(ValueError, match="read-only"):
+                h.edge_array[:1] = 0
 
     @given(graphs(max_n=8))
     @settings(max_examples=40, deadline=None)

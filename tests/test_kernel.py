@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -325,21 +327,30 @@ def twins_and_reds() -> Graph:
     return Graph(nxt, edges)
 
 
+WORKLOAD_SIZE = {
+    "tree-250": gen(GenSpec("tree", 250, None, 1)),
+    "tree-500": gen(GenSpec("tree", 500, None, 2)),
+    "gnp-500-deg2": gen(GenSpec("gnp", 500, 2 / 499, 3)),
+    "gnp-400-deg3": gen(GenSpec("gnp", 400, 3 / 399, 4)),
+    "twins-and-reds": twins_and_reds(),
+}
+
+
+def _python_numbers(value) -> bool:
+    """True iff every number inside value is a Python int or bool: a numpy
+    integer compares equal to one but cannot be written as JSON."""
+    if isinstance(value, dict):
+        return all(_python_numbers(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_python_numbers(v) for v in value)
+    return isinstance(value, str) or type(value) in (int, bool)
+
+
 class TestKernelAtWorkloadSize:
     """kernelize against the reference driver on graphs of the benchmark's
     kernelize-sparse size, at the k the benchmark asks: greedy matching + 1."""
 
-    @pytest.mark.parametrize(
-        "g",
-        [
-            gen(GenSpec("tree", 250, None, 1)),
-            gen(GenSpec("tree", 500, None, 2)),
-            gen(GenSpec("gnp", 500, 2 / 499, 3)),
-            gen(GenSpec("gnp", 400, 3 / 399, 4)),
-            twins_and_reds(),
-        ],
-        ids=["tree-250", "tree-500", "gnp-500-deg2", "gnp-400-deg3", "twins-and-reds"],
-    )
+    @pytest.mark.parametrize("g", WORKLOAD_SIZE.values(), ids=WORKLOAD_SIZE)
     def test_matches_reference(self, g):
         k = greedy_maximal_matching(g).size + 1
         out = kernelize(g, k)
@@ -347,10 +358,28 @@ class TestKernelAtWorkloadSize:
         rules = {line.split()[0] for line in out.trace}
         assert {"rule=2", "rule=3", "rule=6"} <= rules
 
+    def test_every_exit_reports_python_numbers(self):
+        # at every k of _sparse_ks these graphs leave through rules 0, 4, 5
+        # and 7 (the cycle) as well as with a reduced instance
+        exits = set()
+        cycle = gen(GenSpec("cycle", 1000))
+        for name, g in [*WORKLOAD_SIZE.items(), ("cycle-1000", cycle)]:
+            for k in _sparse_ks(g):
+                out = kernelize(g, k)
+                assert _outcome(out) == _outcome(kernelize_reference(g, k)), (name, k)
+                json.dumps(out.summary())
+                assert _python_numbers(out.summary()), (name, k)
+                if isinstance(out, Reduced):
+                    assert _python_numbers((out.k, out.graph.n, out.graph.m)), (name, k)
+                    exits.add("reduced")
+                else:
+                    exits.add(out.rule)
+        assert exits == {0, 4, 5, 7, "reduced"}
+
 
 class TestLazyAdjacency:
-    """kernelize builds its adjacency from the edge list: neither the graph
-    it is given nor the one it returns builds ``Graph.adj``."""
+    """kernelize reads only the edge array: neither the graph it is given nor
+    the one it returns builds ``Graph.adj`` or the tuples of ``Graph.edges``."""
 
     @pytest.mark.parametrize("spec", SPARSE_FAMILIES, ids=lambda spec: spec.instance_id)
     def test_parse_match_kernelize_build_no_adj(self, spec):
@@ -360,10 +389,12 @@ class TestLazyAdjacency:
             greedy_maximal_matching(g)
             out = kernelize(g, k)
             kinds.add(type(out))
-            assert "adj" not in g.__dict__
+            assert "adj" not in g.__dict__ and "edges" not in g.__dict__
             if isinstance(out, Reduced):
                 assert "adj" not in out.graph.__dict__
+                assert "edges" not in out.graph.__dict__
         assert kinds == {Reduced, DecidedYes}
+        assert g.edges and "edges" in g.__dict__  # the tuples are built on first read
 
     def test_reduced_graph_adj_on_first_read(self):
         g = parse_graph(emit_graph(gen(GenSpec("tree", 300, None, 4))))
