@@ -22,16 +22,19 @@ chain turns the child's bag into its parent's by forgets, then introduces;
 a bag without children grows the same way from an empty leaf; and the
 chains of several children meet in joins.
 
-Nodes of a NiceDecomposition are stored in evaluation order: every node's
-children have smaller indices, the root is the last node.
+A NiceDecomposition keeps its nodes in evaluation order (children first,
+the root last) as per-node columns, which run_dp reads; its NiceNode
+records are a view, built on first read, for validate_nice and the tests.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DecompositionFormatError,
@@ -91,8 +94,7 @@ class TreeDecomposition:
         return adj
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
     """One node of a nice decomposition.
 
     kind        one of leaf / introduce / introduce-edge / forget / join
@@ -111,20 +113,28 @@ class NiceNode:
     edge_id: int | None = None
 
 
-@dataclass
 class NiceDecomposition:
-    nodes: list[NiceNode] = field(default_factory=list)
+    """One tuple per NiceNode field, entry i of each for node i, made from
+    records or plain tuples in field order; ``nodes`` views them as records."""
+
+    def __init__(self, nodes: Iterable[tuple] = ()) -> None:
+        self.columns = tuple(zip(*nodes)) or ((),) * len(NiceNode._fields)
+        self.kind, self.bag, self.children, self.vertex, self.edge, self.edge_id = self.columns
+
+    @cached_property
+    def nodes(self) -> tuple[NiceNode, ...]:
+        return tuple(map(NiceNode, *self.columns))
 
     @property
     def root(self) -> int:
-        return len(self.nodes) - 1
+        return len(self.kind) - 1
 
     @property
     def width(self) -> int:
-        return max(len(node.bag) for node in self.nodes) - 1
+        return max(map(len, self.bag)) - 1
 
     def count(self, kind: str) -> int:
-        return sum(1 for node in self.nodes if node.kind == kind)
+        return self.kind.count(kind)
 
 
 def td_from_vertex_cover(g: Graph, cover: Iterable[int]) -> TreeDecomposition:
@@ -426,46 +436,43 @@ def make_nice(
 def _build_nice(g: Graph, td: TreeDecomposition, early: bool) -> NiceDecomposition:
     """make_nice without validating td first: for a decomposition that
     td_min_fill or td_greedy_path has just built, which are valid by
-    construction.  The checks on its own output still run."""
-    nodes: list[NiceNode] = []  # children always precede their parent
+    construction.  Nodes are plain tuples in NiceNode's field order, not
+    NiceNode records.  The checks on its own output still run."""
+    rows: list[tuple] = []  # children come first
     introduced: set[int] = set()
 
     def edges_at(top: int, bag: tuple[int, ...], v: int) -> int:
         """Introduce every pending edge between v and the rest of the bag."""
         held = set(bag)
-        for eid in sorted(e for u, e in g.adj[v] if u in held and e not in introduced):
+        # g.adj lists each vertex's edges by ascending id
+        for eid in [e for u, e in g.adj[v] if u in held and e not in introduced]:
             introduced.add(eid)
-            nodes.append(
-                NiceNode(
-                    kind=INTRODUCE_EDGE,
-                    bag=bag,
-                    children=(top,),
-                    edge=g.edges[eid],
-                    edge_id=eid,
-                )
-            )
-            top = len(nodes) - 1
+            rows.append((INTRODUCE_EDGE, bag, (top,), None, g.edges[eid], eid))
+            top = len(rows) - 1
         return top
 
     def adapt(top: int, bag: tuple[int, ...], target: tuple[int, ...]) -> int:
         """Morph the bag into target with forgets, then introduces."""
-        want = set(target)
-        for v in sorted(set(bag) - want):
+        want, have = set(target), set(bag)
+        for v in sorted(have - want):
             if not early:
                 top = edges_at(top, bag, v)
-            bag = tuple(x for x in bag if x != v)
-            nodes.append(NiceNode(kind=FORGET, bag=bag, children=(top,), vertex=v))
-            top = len(nodes) - 1
-        for v in sorted(want - set(bag)):
-            bag = tuple(sorted(bag + (v,)))
-            nodes.append(NiceNode(kind=INTRODUCE, bag=bag, children=(top,), vertex=v))
-            top = len(nodes) - 1
+            i = bag.index(v)
+            bag = bag[:i] + bag[i + 1 :]
+            rows.append((FORGET, bag, (top,), v, None, None))
+            top = len(rows) - 1
+        for v in sorted(want - have):
+            i = bisect_left(bag, v)
+            bag = bag[:i] + (v,) + bag[i:]
+            rows.append((INTRODUCE, bag, (top,), v, None, None))
+            top = len(rows) - 1
             if early:
                 top = edges_at(top, bag, v)
         return top
 
+    leaf = (LEAF, (), (), None, None, None)
     if not td.bags:
-        return NiceDecomposition(nodes=[NiceNode(kind=LEAF, bag=())])
+        return NiceDecomposition([leaf])
 
     # Iterative postorder over the decomposition tree rooted at bag 0.
     adj = td.neighbors()
@@ -484,12 +491,12 @@ def _build_nice(g: Graph, td: TreeDecomposition, early: bool) -> NiceDecompositi
         bag = td.bags[node]
         child_tops = [adapt(tops[c], td.bags[c], bag) for c in adj[node] if c != parent]
         if not child_tops:  # a leaf chain
-            nodes.append(NiceNode(kind=LEAF, bag=()))
-            child_tops = [adapt(len(nodes) - 1, (), bag)]
+            rows.append(leaf)
+            child_tops = [adapt(len(rows) - 1, (), bag)]
         top = child_tops[0]
         for other in child_tops[1:]:
-            nodes.append(NiceNode(kind=JOIN, bag=bag, children=(top, other)))
-            top = len(nodes) - 1
+            rows.append((JOIN, bag, (top, other), None, None, None))
+            top = len(rows) - 1
         tops[node] = top
 
     adapt(tops[0], td.bags[0], ())
@@ -498,9 +505,9 @@ def _build_nice(g: Graph, td: TreeDecomposition, early: bool) -> NiceDecompositi
         raise InvalidDecomposition(
             f"internal: edges never introduced: {missing[:5]}"
         )
-    if nodes[-1].bag:
+    if rows[-1][1]:
         raise InvalidDecomposition("internal: root bag not empty")
-    return NiceDecomposition(nodes=nodes)
+    return NiceDecomposition(rows)
 
 
 def validate_nice(g: Graph, nd: NiceDecomposition) -> list[str]:

@@ -42,10 +42,11 @@ executable specification.
 
 Slots.  Each vertex keeps one slot in 0..width for its whole lifetime in the
 decomposition, and two vertices that share a bag hold different slots
-(assign_slots).  This is the position-indexed state vector of van Rooij,
-Bodlaender & Rossmanith, "Dynamic programming on tree decompositions using
-generalised fast subset convolution" (ESA 2009): a join pairs the same slots
-on both sides, so no node remaps fields.
+(assign_slots, which walks the forget nodes down from the root).  This is
+the position-indexed state vector of van Rooij, Bodlaender & Rossmanith,
+"Dynamic programming on tree decompositions using generalised fast subset
+convolution" (ESA 2009): a join pairs the same slots on both sides, so no
+node remaps fields.
 
 Packing.  A table is one sorted uint64 array with one row per state.  Slot s
 owns the 5-bit field at bits [5s + a, 5s + a + 4] of a row, with
@@ -66,10 +67,10 @@ color rules and the pruning below and applied to every row with one gather.
 Every introduce-edge node is one lookup over a key read from each child row,
 with one row per outcome: whether a row with that key survives, and its
 increment.  It emits every surviving (outcome, child row) pair, outcome-major
-with the excluded branch first, adds the increments and dedupes.  A plain
-edge node uv is the two-outcome case: its keys are the 1,024 code pairs
-code_u * 32 + code_v, and its outcomes are the excluded and the included
-branch.
+with the excluded branch first, adds the increments and dedupes; a decision
+run adds the increments to every pair and selects the survivors by mask.  A
+plain edge node uv is the two-outcome case: its keys are the 1,024 code
+pairs code_u * 32 + code_v, and its outcomes the two branches.
 
 Folded introduces.  An introduce writes one copy of its child per live
 color, and most of those copies are read once by the node right above it,
@@ -88,6 +89,8 @@ so run_dp builds no table for an introduce whose parent can apply it:
 
 Either way the parent's back-references point into the introduce's child,
 and node_stats still reports the nice-form table the introduce stands for.
+The plan (_plan) finds these folds in its one walk over the nice form's
+columns, which also derives each node's shifts, lookup and join masks.
 
 Pruning.  Black-black edges, forgets of an uncertified red and a purple or
 red incidence above one are discarded.  On top of that, a state is dropped
@@ -109,8 +112,8 @@ has no edge in the other subtree, so the nice form would pair each row with
 the one copy of its color at incidence 0, and the row passed _alive with the
 join's remaining count already.
 
-Dedupe.  Rows with equal fields collapse to the first row after one stable
-sort, which is the one of largest alpha.
+Dedupe.  Rows with equal fields collapse to the first row after one sort,
+which is the one of largest alpha.
 """
 
 from __future__ import annotations
@@ -204,12 +207,12 @@ def assign_slots(nd: NiceDecomposition, n: int) -> list[int]:
     and that bag has at most width vertices, so one of width + 1 slots is
     free."""
     slot = [-1] * n
-    for node in reversed(nd.nodes):
-        if node.kind == FORGET:
+    for kind, bag, v in zip(reversed(nd.kind), reversed(nd.bag), reversed(nd.vertex)):
+        if kind == FORGET:
             used = 0
-            for u in node.bag:
+            for u in bag:
                 used |= 1 << slot[u]
-            slot[node.vertex] = (~used & (used + 1)).bit_length() - 1
+            slot[v] = (~used & (used + 1)).bit_length() - 1
     return slot
 
 
@@ -226,15 +229,15 @@ class _Table(NamedTuple):
 
 
 def _dedupe(rows: np.ndarray, extras: dict, amask: np.uint64) -> _Table:
-    """Keep the maximum-alpha row per key.  With back-references the earliest
-    producer wins ties, so witnesses are deterministic; without them any
-    tied row will do.  Both sorts are the stable merge sort, which is also
-    the faster one here because the rows arrive as a few ascending runs."""
+    """Keep the maximum-alpha row per key.  With back-references a stable
+    merge sort, fast here as the rows arrive in a few ascending runs, lets
+    the earliest producer win ties, so witnesses are deterministic.  Without
+    them equal rows are interchangeable, and the default sort is faster."""
     if extras:
-        order = np.argsort(rows, kind="stable")
+        order = rows.argsort(kind="stable")
         rows = rows[order]
     else:
-        rows.sort(kind="stable")
+        rows.sort()
     # a row starts a new key where it differs from its predecessor above
     # the alpha bits
     first = np.empty(len(rows), dtype=bool)
@@ -325,35 +328,6 @@ def _edge_rules(rem_u: int, rem_v: int) -> _EdgeRules:
     return _EdgeRules(ok, du, dv)
 
 
-def _remaining_above(g: Graph, nd: NiceDecomposition) -> list[dict[int, int]]:
-    """Per node, for each vertex of its bag, how many of its incident edges
-    are introduced OUTSIDE the node's subtree.  Those are the hits a state's
-    incidence can still receive on the way to the root (edges in a parallel
-    join branch arrive via the join's sum, so they count as remaining).  A
-    vertex appears nowhere below its introduce, so it starts there with its
-    degree; each of its edge nodes takes one off, and a join adds the two
-    sides' counts less the degree, which both sides started from."""
-    out: list[dict[int, int]] = []
-    for node in nd.nodes:
-        if node.kind == LEAF:
-            rem: dict[int, int] = {}
-        elif node.kind == JOIN:
-            left, right = (out[c] for c in node.children)
-            rem = {v: left[v] + right[v] - g.degree(v) for v in node.bag}
-        else:
-            rem = out[node.children[0]].copy()
-            if node.kind == INTRODUCE:
-                rem[node.vertex] = g.degree(node.vertex)
-            elif node.kind == INTRODUCE_EDGE:
-                u, v = node.edge
-                rem[u] -= 1
-                rem[v] -= 1
-            elif node.kind == FORGET:
-                del rem[node.vertex]
-        out.append(rem)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _live_colors(rem_v: int) -> tuple[int, ...]:
     """The colors an introduced vertex may take with rem_v incident edges
@@ -363,7 +337,7 @@ def _live_colors(rem_v: int) -> tuple[int, ...]:
     return tuple(c for c in (BLACK, PURPLE, GREEN, RED0) if live[c])
 
 
-def _introduce(child: _Table, shift: np.uint64, rem_v: int, keep: bool) -> _Table:
+def _introduce(child: _Table, shift: int, rem_v: int, keep: bool) -> _Table:
     # each live color keeps the whole child table
     colors = _live_colors(min(rem_v, 2))
     rows = np.concatenate([child.rows + (np.uint64(c) << shift) for c in colors])
@@ -380,11 +354,24 @@ class _Lookup(NamedTuple):
     row: per outcome, whether a row with that key survives and its
     increment, and whether the outcome includes the edge.  Outcomes run
     excluded branch first, so the candidate rows come out in the order of
-    the nice form and dedupe keeps the same rows."""
+    the nice form and dedupe keeps the same rows.  A plain lookup computes
+    its increments from the rules and shifts, a folded one keeps them."""
 
     ok: np.ndarray  # (outcomes, keys) bool
-    step: np.ndarray  # outcomes * keys uint64, at outcome * keys + key
     took: np.ndarray  # (outcomes,) bool
+    step: np.ndarray | None = None  # (outcomes, keys) uint64
+    rules: _EdgeRules | None = None
+    su: int = 0
+    sv: int = 0
+
+    def increments(self, key: np.ndarray | None = None) -> np.ndarray:
+        """The (outcomes, keys) increments, or those of each key in key."""
+        if self.step is not None:
+            return self.step if key is None else self.step.take(key, axis=1)
+        du, dv = self.rules.du, self.rules.dv
+        if key is not None:
+            du, dv = du.take(key, axis=1), dv.take(key, axis=1)
+        return (du << self.su) + (dv << self.sv) - _ONE_MORE
 
 
 # one more solution edge also lowers amax - alpha by one; uint64 wraps, and
@@ -393,29 +380,19 @@ _ONE_MORE = np.array([[0], [1]], dtype=np.uint64)
 _TOOK = np.array([False, True])  # per branch
 
 
-def _edge_lookup(
-    rules: _EdgeRules,
-    su: np.uint64,
-    sv: np.uint64,
-    fused: tuple[int, bool] | None = None,
-) -> _Lookup:
-    """The lookup of an edge uv.  Without fused, its keys are the code pairs
-    code_u * 32 + code_v and its outcomes the two branches.  With fused =
-    (rem_x, x_is_v), the endpoint x (v when x_is_v, else u) is introduced
-    right below the node with rem_x edges left, clamped to 2: the keys are
-    the codes of the other endpoint, and the outcomes run by branch, then by
-    the color of x, whose field each step also writes.  Only fused lookups
-    are cached: caching plain ones costs more memory than it saves time."""
-    if fused is None:
-        step = (rules.du << su) + (rules.dv << sv) - _ONE_MORE
-        return _Lookup(rules.ok, step.ravel(), _TOOK)
-    return _fused_lookup(rules, *fused, su, sv)
+def _edge_lookup(rules: _EdgeRules, su: int, sv: int) -> _Lookup:
+    """The lookup of an edge uv, keyed by code_u * 32 + code_v, with the two
+    branches as outcomes.  It builds nothing until applied: no cache."""
+    return _Lookup(rules.ok, _TOOK, rules=rules, su=su, sv=sv)
 
 
 @lru_cache(maxsize=4096)
 def _fused_lookup(
-    rules: _EdgeRules, rem_x: int, x_is_v: bool, su: np.uint64, sv: np.uint64
+    rules: _EdgeRules, rem_x: int, x_is_v: bool, su: int, sv: int
 ) -> _Lookup:
+    """The lookup of an edge uv whose endpoint x (v when x_is_v, else u) is
+    introduced right below it with rem_x edges left, clamped: keyed by the
+    other endpoint's code, outcomes by branch, then by x's color."""
     colors = np.array(_live_colors(rem_x), dtype=np.int64)
     codes = _CODES.view(np.int64)[None, :]
     if x_is_v:
@@ -425,33 +402,31 @@ def _fused_lookup(
     put = colors.astype(np.uint64)[:, None] << sx
     step = (rules.du[:, pair] << su) + (rules.dv[:, pair] << sv) + put
     step -= _ONE_MORE[:, :, None]
-    return _Lookup(
-        rules.ok[:, pair].reshape(-1, 32),
-        step.ravel(),
-        np.repeat(_TOOK, len(colors)),
-    )
+    ok = rules.ok[:, pair].reshape(-1, 32)
+    return _Lookup(ok, np.repeat(_TOOK, len(colors)), step.reshape(-1, 32))
 
 
 def _apply(
     child: _Table, key: np.ndarray, lookup: _Lookup, amask: np.uint64, keep: bool
 ) -> _Table:
-    """Every surviving (outcome, child row), outcome-major, with the
-    outcome's increment for the row's key added."""
-    rows = child.rows
-    keys = lookup.ok.shape[1]
-    # np.take keeps the (outcome, row) mask C-ordered, unlike ok[:, key], and
-    # nonzero lists its entries in that order
-    outcome, r = np.take(lookup.ok, key, axis=1).nonzero()
-    out = rows[r]
-    out += lookup.step[outcome * keys + key[r]]
-    extras: dict[str, np.ndarray] = {}
+    """Every surviving (outcome, child row), outcome-major, plus the
+    outcome's increment for the row's key: gathered per survivor in a
+    witness run, added to every pair before selection in a decision run."""
+    # take keeps the (outcome, row) mask C-ordered, unlike ok[:, key]
+    ok = lookup.ok.take(key, axis=1)
     if keep:
-        extras["back"] = r.astype(np.int32)
-        extras["took"] = lookup.took[outcome]
-    return _dedupe(out, extras, amask)
+        outcome, r = ok.nonzero()
+        out = child.rows[r]
+        step = lookup.increments()
+        out += step.ravel()[outcome * step.shape[1] + key[r]]
+        extras = {"back": r.astype(np.int32), "took": lookup.took[outcome]}
+        return _dedupe(out, extras, amask)
+    out = lookup.increments(key)
+    out += child.rows
+    return _dedupe(out[ok], {}, amask)
 
 
-def _forget(child: _Table, shift: np.uint64, amask: np.uint64, keep: bool) -> _Table:
+def _forget(child: _Table, shift: int, amask: np.uint64, keep: bool) -> _Table:
     satisfied = _SATISFIED[((child.rows >> shift) & 31).view(np.int64)]
     rows = child.rows[satisfied] & ~(np.uint64(31) << shift)
     extras = {}
@@ -488,12 +463,12 @@ def _join(
     so only the pairs 1/0 and 0/1 meet.  The keep mask is computed from the
     two sides' fields, and only kept pairs are merged.
 
-    Pairs come out grouped by key ascending, then by left row, then by
-    right row.  Every field is handled at once through masks over the bag
-    fields: r1 (4) is the only color with bit 2, so the base turns it into
-    r0 (3) by subtracting that bit; purple (1) and red (3) are the odd
-    bases; and an incidence sum (at most 4) fits the three low bits of a
-    field without carrying into the next one."""
+    Pairs come out grouped by key ascending, then, in a witness run, by
+    left row, then by right row.  Every field is handled at once through
+    masks over the bag fields: r1 (4) is the only color with bit 2, so the
+    base turns it into r0 (3) by subtracting that bit; purple (1) and red
+    (3) are the odd bases; and an incidence sum (at most 4) fits the three
+    low bits of a field without carrying into the next one."""
     colors = ones * np.uint64(7)
     tight = rem0 << np.uint64(3)  # the incidence bit of each rem0 field
 
@@ -506,8 +481,10 @@ def _join(
     # an odd base shifted by 3 marks a purple or red field's incidence bit
     lkey = lbase | (left.rows & (lbase << 3) & tight)
     rkey = rbase | (~right.rows & (rbase << 3) & tight)
-    lorder = np.argsort(lkey, kind="stable")
-    rorder = np.argsort(rkey, kind="stable")
+    # only a witness run needs the pairs in a fixed order (see _dedupe)
+    kind = "stable" if keep else None
+    lorder = lkey.argsort(kind=kind)
+    rorder = rkey.argsort(kind=kind)
     rk = rkey[rorder]
     lk = lkey[lorder]
     # each left row meets the run rk[lo:hi] of equal right keys
@@ -534,7 +511,7 @@ def _join(
     r0 = b & (b >> 1) & ~((lr | rr) >> 2)
     drop |= r0 & (rem0 | (rem1 & empty))
     kept = np.flatnonzero(drop == 0)
-    li, ri, lr, rr, b, y = (a[kept] for a in (li, ri, lr, rr, b, y))
+    lr, rr, b, y = lr[kept], rr[kept], b[kept], y[kept]
 
     red1 = ((lr | rr) >> 2) & ones
     over = ((y >> 2) | ((y >> 1) & y)) & ones  # incidence sum above 2
@@ -547,32 +524,92 @@ def _join(
         merged |= (lr | rr) & solo
     extras = {}
     if keep:
-        extras = {"back": li.astype(np.int32), "back2": ri.astype(np.int32)}
+        extras = {"back": li[kept].astype(np.int32), "back2": ri[kept].astype(np.int32)}
     return _dedupe(merged, extras, amask)
 
 
-def _folds(nd: NiceDecomposition) -> tuple[list[bool], dict[int, set[int]]]:
-    """Which introduce nodes build no table, and per join the vertices that
-    such introduces leave on one side only.  An introduce is folded into an
-    introduce-edge parent on its vertex, and into a join when it is in the
-    chain of introduces right below it.  A vertex in both sides' chains
-    stays built on the right, so the other side holds every folded one."""
-    folded = [False] * len(nd.nodes)
-    solo: dict[int, set[int]] = {}
-    for idx, node in enumerate(nd.nodes):
-        if node.kind == INTRODUCE_EDGE:
-            c = node.children[0]
-            if nd.nodes[c].kind == INTRODUCE and nd.nodes[c].vertex in node.edge:
-                folded[c] = True
-        elif node.kind == JOIN:
-            solo[idx] = set()
-            for c in node.children:
-                while nd.nodes[c].kind == INTRODUCE:
-                    if nd.nodes[c].vertex not in solo[idx]:
-                        folded[c] = True
-                        solo[idx].add(nd.nodes[c].vertex)
-                    c = nd.nodes[c].children[0]
-    return folded, solo
+# the steps of a plan, one per node of the nice form
+_LEAF, _INTRODUCE, _FOLDED, _EDGE, _FORGET, _JOIN = range(6)
+
+
+def _plan(g: Graph, nd: NiceDecomposition, alpha_bits: int) -> list[tuple]:
+    """run_dp's step at each node, from one walk over nd's columns: (_LEAF,
+    None), (_INTRODUCE or _FOLDED, c, shift, rem), (_FORGET, c, shift),
+    (_JOIN, left, right, ones, rem0, rem1, solo) or (_EDGE, c, a, mask, b,
+    lookup) with key (rows >> a) & mask, or'ed with (rows >> b) & 31 when b
+    is set; c is the child and rem a clamped count of edges left.  Each bag
+    vertex's count of edges left above the node (see _alive) passes from
+    child to parent in one dict, updated in place: an introduce sets its
+    vertex's degree, as the vertex appears nowhere below; an edge node takes
+    one off each endpoint; a forget drops its vertex; a join adds the right
+    side's counts less the degree, which both sides started from, to the
+    left side's.  A plain edge's key puts the endpoint of the higher slot
+    first, so that adjacent fields are read with one shift and mask; the
+    rules are symmetric in u and v, so the rows come out the same, and a
+    folded lookup takes x as v."""
+    shift = [5 * s + alpha_bits for s in assign_slots(nd, g.n)]
+    degree = np.bincount(g.edge_array.ravel(), minlength=g.n).tolist()
+    capped = [min(d, 2) for d in degree]
+    kind, bag, children, vertex = nd.kind, nd.bag, nd.children, nd.vertex
+    rems: list[dict[int, int]] = []  # per node: edges left, by bag vertex
+    plan: list[tuple] = []
+    # _alive tells 0, 1 and 2 or more edges left apart, so the steps take
+    # the counts clamped to 2 (written out inline: this loop runs per node)
+    for idx, k in enumerate(kind):
+        kids = children[idx]
+        c = kids[0] if kids else None
+        rem = rems[c] if kids else {}
+        if k == INTRODUCE_EDGE:
+            u, v = nd.edge[idx]
+            rem[u] -= 1
+            rem[v] -= 1
+            folded = kind[c] == INTRODUCE and vertex[c] in (u, v)
+            if folded:
+                plan[c] = (_FOLDED, *plan[c][1:])
+                u, v = (u, v) if vertex[c] == v else (v, u)
+            elif shift[u] < shift[v]:
+                u, v = v, u
+            ru, rv, su, sv = rem[u], rem[v], shift[u], shift[v]
+            rules = _edge_rules(ru if ru < 2 else 2, rv if rv < 2 else 2)
+            if folded:
+                step = (_EDGE, c, su, 31, None, _fused_lookup(rules, capped[v], True, su, sv))
+            elif su - sv == 5:
+                step = (_EDGE, c, sv, 1023, None, _edge_lookup(rules, su, sv))
+            else:
+                step = (_EDGE, c, su - 5, 31 << 5, sv, _edge_lookup(rules, su, sv))
+        elif k == FORGET:
+            del rem[vertex[idx]]
+            step = (_FORGET, c, shift[vertex[idx]])
+        elif k == INTRODUCE:
+            v = vertex[idx]
+            rem[v] = degree[v]
+            step = (_INTRODUCE, c, shift[v], capped[v])
+        elif k == JOIN:
+            # a vertex in both sides' chains stays built on the right
+            solo: set[int] = set()
+            for c in kids:
+                while kind[c] == INTRODUCE:
+                    if vertex[c] not in solo:
+                        plan[c] = (_FOLDED, *plan[c][1:])
+                        solo.add(vertex[c])
+                    c = children[c][0]
+            # the low bits of the shared slots' fields, by edges left above:
+            # 0, 1, 2 or more; then those of the one-sided slots.  _join
+            # takes all shared ones, the first two groups, and every bit of
+            # the one-sided fields
+            other, low = rems[kids[1]], [0, 0, 0, 0]
+            for v in bag[idx]:
+                rem[v] += other[v] - degree[v]
+                low[3 if v in solo else min(rem[v], 2)] |= 1 << shift[v]
+            masks = (low[0] | low[1] | low[2], low[0], low[1], low[3] * 31)
+            step = (_JOIN, *kids, *map(np.uint64, masks))
+        elif k == LEAF:
+            step = (_LEAF, None)
+        else:
+            raise InvalidDecomposition(f"node {idx}: unknown kind {k!r}")
+        rems.append(rem)
+        plan.append(step)
+    return plan
 
 
 def run_dp(
@@ -586,10 +623,10 @@ def run_dp(
     The answer is the best alpha of the root's empty key (every red leaf
     certified, every vertex satisfied, no black-black edge).  The edgeless
     graph yields 0.  check validates nd first.  A decomposition whose rows do
-    not fit 64 bits raises WidthCapExceeded before any table is built.  A
-    node's rows are freed as soon as its parent is built; with keep_tables
-    its back-references are kept for extract_witness, which reads nothing
-    else."""
+    not fit 64 bits raises WidthCapExceeded before any table is built.  The
+    nodes run the steps of _plan.  A node's rows are freed as soon as its
+    parent is built; with keep_tables its back-references are kept for
+    extract_witness, which reads nothing else."""
     if check:
         violations = validate_nice(g, nd)
         if violations:
@@ -603,82 +640,41 @@ def run_dp(
             f"{g.n}, above the 64 of a row"
         )
     amask = np.uint64((1 << alpha_bits) - 1)
-    slot = assign_slots(nd, g.n)
-    shift = [np.uint64(5 * s + alpha_bits) for s in slot]
-    remaining = _remaining_above(g, nd)
-    folded, solo = _folds(nd)
-    leaf_extras = {"back": np.zeros(1, dtype=np.int32)} if keep_tables else {}
+    plan = _plan(g, nd, alpha_bits)
+    # the empty key with alpha 0
+    leaf = _Table(np.full(1, amask), {"back": np.zeros(1, np.int32)} if keep_tables else {})
 
     # a folded introduce's entry is its child's table, which its parent reads
     tables: list[_Table | None] = []
     backrefs: list[dict[str, np.ndarray]] = []
     sizes: list[int] = []
-    for idx, node in enumerate(nd.nodes):
-        if node.kind == LEAF:
-            # the empty key with alpha 0
-            table = _Table(np.full(1, amask, dtype=np.uint64), leaf_extras)
-        elif node.kind == INTRODUCE:
-            v = node.vertex
-            table = tables[node.children[0]]
-            if not folded[idx]:
-                table = _introduce(table, shift[v], remaining[idx][v], keep_tables)
-        elif node.kind == INTRODUCE_EDGE:
-            u, v = node.edge
-            rem = remaining[idx]
-            rules = _edge_rules(min(rem[u], 2), min(rem[v], 2))
-            c = node.children[0]
+    for step, kids in zip(plan, nd.children):
+        op, c = step[0], step[1]
+        if op == _EDGE:
+            a, mask, b, lookup = step[2:]
             rows = tables[c].rows
-            if folded[c]:
-                x = nd.nodes[c].vertex
-                fused = (min(remaining[c][x], 2), x == v)
-                key = ((rows >> shift[u if x == v else v]) & 31).view(np.int64)
-            else:
-                fused = None
-                # the fields are below 32, so the int64 view reads them
-                # unchanged and indexes without a cast
-                key = ((rows >> shift[u]) & 31).view(np.int64)
-                key <<= 5
-                key |= ((rows >> shift[v]) & 31).view(np.int64)
-            lookup = _edge_lookup(rules, shift[u], shift[v], fused)
-            table = _apply(tables[c], key, lookup, amask, keep_tables)
-        elif node.kind == FORGET:
-            table = _forget(
-                tables[node.children[0]], shift[node.vertex], amask, keep_tables
-            )
-        elif node.kind == JOIN:
-            # the shared slots' field bits, by edges left above: 0, 1, 2 or
-            # more; and every bit of the one-sided slots' fields
-            by_rem = [0, 0, 0]
-            one_sided = 0
-            for v in node.bag:
-                if v in solo[idx]:
-                    one_sided |= 31 << int(shift[v])
-                else:
-                    by_rem[min(remaining[idx][v], 2)] |= 1 << int(shift[v])
-            table = _join(
-                tables[node.children[0]],
-                tables[node.children[1]],
-                np.uint64(sum(by_rem)),
-                np.uint64(by_rem[0]),
-                np.uint64(by_rem[1]),
-                np.uint64(one_sided),
-                amask,
-                keep_tables,
-            )
+            # the fields are below 32, so the int64 view reads them
+            # unchanged and indexes without a cast
+            key = (rows >> a) & mask
+            if b is not None:
+                key |= (rows >> b) & 31
+            table = _apply(tables[c], key.view(np.int64), lookup, amask, keep_tables)
+        elif op == _FORGET:
+            table = _forget(tables[c], step[2], amask, keep_tables)
+        elif op == _JOIN:
+            table = _join(tables[c], tables[step[2]], *step[3:], amask, keep_tables)
+        elif op == _INTRODUCE:
+            table = _introduce(tables[c], step[2], step[3], keep_tables)
         else:
-            raise InvalidDecomposition(f"node {idx}: unknown kind {node.kind!r}")
+            table = tables[c] if op == _FOLDED else leaf
         tables.append(table)
-        if node.kind == INTRODUCE:
-            # one copy of the child per live color in the nice form, also
-            # for a built introduce above a folded one in a join's chain
-            colors = _live_colors(min(remaining[idx][node.vertex], 2))
-            sizes.append(sizes[node.children[0]] * len(colors))
-        else:
-            sizes.append(len(table.rows))
+        # an introduce stands for one copy of its child per live color
+        introduce = op == _INTRODUCE or op == _FOLDED
+        sizes.append(sizes[c] * len(_live_colors(step[3])) if introduce else len(table.rows))
         if keep_tables:
-            backrefs.append({} if folded[idx] else table.extras)
+            backrefs.append({} if op == _FOLDED else table.extras)
         # every node has one parent, so a child is done once it is built
-        for c in node.children:
+        for c in kids:
             tables[c] = None
 
     root = tables[-1].rows
@@ -693,9 +689,7 @@ def run_dp(
     return DPResult(
         gamma_prime=int(amask - root[row]),
         width=width,
-        node_stats=[
-            (idx, node.kind, size) for idx, (node, size) in enumerate(zip(nd.nodes, sizes))
-        ],
+        node_stats=list(zip(range(len(sizes)), nd.kind, sizes)),
         max_table_size=max(sizes),
         backrefs=backrefs if keep_tables else None,
         root_row=row,
@@ -709,21 +703,21 @@ def extract_witness(g: Graph, nd: NiceDecomposition, result: DPResult) -> EdgeSe
     Requires a run with keep_tables=True."""
     if result.backrefs is None:
         raise ValueError("witness extraction needs a run with keep_tables=True")
+    kind, children = nd.kind, nd.children
     mask = 0
     stack = [(nd.root, result.root_row)]
     while stack:
         idx, row = stack.pop()
-        node = nd.nodes[idx]
         extras = result.backrefs[idx]
-        if node.kind == LEAF:
+        if kind[idx] == LEAF:
             continue
-        if node.kind == JOIN:
-            stack.append((node.children[0], int(extras["back"][row])))
-            stack.append((node.children[1], int(extras["back2"][row])))
+        if kind[idx] == JOIN:
+            stack.append((children[idx][0], int(extras["back"][row])))
+            stack.append((children[idx][1], int(extras["back2"][row])))
             continue
-        if node.kind == INTRODUCE_EDGE and bool(extras["took"][row]):
-            mask |= 1 << node.edge_id
+        if kind[idx] == INTRODUCE_EDGE and bool(extras["took"][row]):
+            mask |= 1 << nd.edge_id[idx]
         if extras:
             row = int(extras["back"][row])
-        stack.append((node.children[0], row))
+        stack.append((children[idx][0], row))
     return EdgeSet(mask)

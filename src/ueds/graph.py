@@ -465,8 +465,15 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
         raise ValueError(f"kept vertices must lie in 0..{g.n - 1}")
     member = np.zeros(g.n, dtype=bool)
     member[keep] = True
-    rank = member.cumsum() - 1  # a kept vertex's new label
+    return _induced(g, member)
+
+
+def _induced(g: Graph, member: np.ndarray) -> Graph:
+    """induced_subgraph on the bool mask of the kept vertices."""
+    kept = member.nonzero()[0]
+    rank = np.empty(g.n, dtype=np.int64)  # a kept vertex's new label
+    rank[kept] = np.arange(len(kept))
     ends_kept = member[g.edge_array]
-    inside = g.edge_array.compress(ends_kept[:, 0] & ends_kept[:, 1], axis=0)
+    inside = g.edge_array[ends_kept[:, 0] & ends_kept[:, 1]]
     # the edges of a simple graph stay simple under an injective relabeling
-    return Graph._simple(int(rank[-1]) + 1 if g.n else 0, rank[inside])
+    return Graph._simple(len(kept), rank[inside])

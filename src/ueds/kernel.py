@@ -50,7 +50,7 @@ from typing import Any
 import numpy as np
 
 from .errors import IsolatedVertexPresent
-from .graph import Graph, induced_subgraph
+from .graph import Graph, _induced
 
 __all__ = [
     "BLUE",
@@ -162,6 +162,9 @@ class DecidedYes:
 KernelOutcome = Reduced | DecidedYes
 
 
+# row d marks the vertices of degree d, with 2 standing for 2 or more
+_DEGREE_IS = np.eye(3, dtype=bool)
+
 _LINE = "rule={} action={} n={} k={}"
 # the lines kernelize writes most, with their numbers still to fill in
 _DELETE_VERTEX = {r: _LINE.format(r, "delete-vertex {}", "{}", "{}") for r in (1, 3, 6)}
@@ -247,13 +250,9 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
     the edge it isolates; then rules 4 and 5, rule 6 on every red vertex
     followed by rule 2 on the edges it isolates, by edge id, and rules 4, 5
     and 7.  Rule 2 can end any phase by bringing k to 0.  The coloring and
-    these counts come from array passes over ``Graph.edge_array``: degrees,
-    each blue vertex's host, each purple vertex's lowest blue, the blue
-    vertices rule 3 deletes, which vertices have a non-purple neighbor, and
-    when rule 6 fires, each purple vertex's red neighbors.  kernelize reads
-    neither ``Graph.edges`` nor ``Graph.adj``, so it builds no Python object
-    per edge of the graph, and neither the input nor the reduced graph
-    builds those views.
+    these counts come from array passes over ``Graph.edge_array``, which
+    skip the red vertices while fewer than two are purple and rule 4 while
+    no degree reaches 2k.
     """
     n, edges = g.n, g.edge_array
     trace: list[str] = []
@@ -265,25 +264,33 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
 
     if k <= 0:
         return decided(_EMPTY_SET_YES)
-    # edge e's ends sit at 2e and 2e + 1 of ends: the other end of i is i ^ 1
-    ends = edges.ravel()
+    # edge e's ends sit at 2e and 2e + 1 of ends, and other holds the end
+    # across the edge from each
+    ends, other = edges.ravel(), edges[:, ::-1].ravel()
     degree = np.bincount(ends, minlength=n)
-    leaf = degree[ends] == 1
-    other_leaf = leaf.reshape(-1, 2)[:, ::-1].ravel()
-    # A blue end has degree 1 and its other end more; an edge between two
-    # vertices of degree 1 is isolated, and neither end is blue.
-    blue_at = (leaf & ~other_leaf).nonzero()[0]
-    isolated = (leaf & other_leaf)[::2].nonzero()[0]
-    blue = ends[blue_at]
-    host = ends[blue_at ^ 1]
+    # Classes are read off small tables, which on small graphs costs less
+    # than one comparison per class.  A blue end has degree 1 and its other
+    # end more; an edge between two vertices of degree 1 is isolated, and
+    # neither end is blue.
+    capped = np.minimum(degree, 2)
+    leaf = _DEGREE_IS[1][capped]
+    leaf_end, leaf_other = leaf[ends], leaf[other]
+    blue_at = (leaf_end > leaf_other).nonzero()[0]
+    isolated = (leaf_end & leaf_other)[::2].nonzero()[0]
+    blue, host = ends[blue_at], other[blue_at]
     blue_count = np.bincount(host, minlength=n)  # > 0 exactly on purple vertices
-    not_purple = blue_count == 0
-    core = not_purple & (degree > 1)  # green or red
-    reached = np.zeros(n, dtype=bool)  # has a neighbor that is not purple
-    reached[ends[not_purple[ends].nonzero()[0] ^ 1]] = True
-    reds = (core & ~reached).nonzero()[0].tolist()
-    green_degree = degree * (core & reached)
-    top_green = green_degree.max(initial=0)
+    purple_count = np.count_nonzero(blue_count)
+    # degree 2 or more and no blue neighbor: green, or red
+    green = blue_count < _DEGREE_IS[2][capped]
+    reds = []
+    if purple_count > 1:  # a red vertex has two neighbors or more, all purple
+        not_purple = blue_count == 0
+        reached = np.zeros(n, dtype=bool)  # has a neighbor that is not purple
+        reached[other[not_purple[ends]]] = True
+        reds = (green > reached).nonzero()[0].tolist()
+        green &= reached
+    # no green vertex has a degree above the largest
+    top_degree = degree[degree.argmax()] if n else 0
     blues_alive = len(blue)
 
     def delete_edges(pairs: list[list[int]], blue_ends: int) -> bool:
@@ -314,12 +321,12 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
 
     # rule 1 takes the isolated vertices one at a time, in ascending order,
     # so the i-th of them has i deleted vertices below it
-    deleted.extend((degree == 0).nonzero()[0].tolist())
+    deleted.extend(_DEGREE_IS[0][capped].nonzero()[0].tolist())
     line = _DELETE_VERTEX[1].format
     trace.extend(line(v + 1 - i, n - 1 - i, k) for i, v in enumerate(deleted))
-    if not delete_edges(edges[isolated].tolist(), 0):
+    if len(isolated) and not delete_edges(edges[isolated].tolist(), 0):
         return decided(_EMPTY_SET_YES)
-    twinned = (blue_count > 1).nonzero()[0]
+    twinned = (blue_count > 1).nonzero()[0]  # purple with several blues
     if len(twinned) or reds:  # rules 3 and 6 find a purple vertex's blues
         # sorted by host, then blue: each purple vertex's lowest blue comes first
         order = (host * n + blue).argsort()
@@ -338,10 +345,12 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
             if lone and not delete_edges([pair], 1):
                 return decided(_EMPTY_SET_YES)
     while True:
-        if top_green >= 2 * k:
-            v = int((green_degree >= 2 * k).argmax())
-            label = v + 1 - bisect_left(deleted, v)
-            return decided(_big_green_yes(label, int(green_degree[v]), k))
+        if top_degree >= 2 * k:
+            big_green = (green & (degree >= 2 * k)).nonzero()[0]
+            if len(big_green):
+                v = int(big_green[0])
+                label = v + 1 - bisect_left(deleted, v)
+                return decided(_big_green_yes(label, int(degree[v]), k))
         if blues_alive >= k:
             return decided(_many_blue_yes(blues_alive, k))
         if not reds:
@@ -352,7 +361,7 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
         red = np.zeros(n, dtype=bool)
         red[reds] = True
         reds = []
-        red_count = np.bincount(ends[red[ends].nonzero()[0] ^ 1], minlength=n)
+        red_count = np.bincount(other[red[ends]], minlength=n)
         lone = ((red_count > 0) & (degree == blue_count + red_count)).nonzero()[0]
         lone_edges = np.sort(blue_at[host.searchsorted(lone)] >> 1)
         if not delete_edges(edges[lone_edges].tolist(), 1):
@@ -362,6 +371,6 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
         return decided(outcome)
     if not deleted:
         return Reduced(graph=g, k=k, trace=tuple(trace))
-    gone = np.zeros(n, dtype=bool)
-    gone[deleted] = True
-    return Reduced(graph=induced_subgraph(g, (~gone).nonzero()[0]), k=k, trace=tuple(trace))
+    member = np.ones(n, dtype=bool)
+    member[deleted] = False
+    return Reduced(graph=_induced(g, member), k=k, trace=tuple(trace))

@@ -134,13 +134,16 @@ def _dp_stage(
                 f"the given decomposition needs bags of size {td.width + 1}, "
                 f"above the cap {max_width}; {_cap_advice(td.width + 1, work.n)}"
             )
-    # the nice form is checked as it is built, and a given td was validated
+    # The builder writes the nice form as per-node columns, with no node
+    # record, and checks its own output (the tests run validate_nice on it);
+    # a given td was validated.  run_dp plans every node in one walk over
+    # those columns, and extract_witness reads them too.
     result = run_dp(work, nd, keep_tables=want_witness, check=False)
     witness = extract_witness(work, nd, result) if want_witness else None
     stats = {
         "source": source,
         "width": result.width,
-        "nodes": len(nd.nodes),
+        "nodes": len(nd.kind),
         "max_table_size": result.max_table_size,
     }
     if diagnostics:

@@ -356,13 +356,44 @@ def packed_introduce_edge(
     return dp._dedupe(np.concatenate([ex_rows, in_rows]), extras, amask)
 
 
+def remaining_above(g: Graph, nd: NiceDecomposition) -> list[dict[int, int]]:
+    """Per node, for each vertex of its bag, how many of its incident edges
+    are introduced OUTSIDE the node's subtree.  Those are the hits a state's
+    incidence can still receive on the way to the root (edges in a parallel
+    join branch arrive via the join's sum, so they count as remaining).  A
+    vertex appears nowhere below its introduce, so it starts there with its
+    degree; each of its edge nodes takes one off, and a join adds the two
+    sides' counts less the degree, which both sides started from.  run_dp
+    derives the same counts in its plan, handing one dict from child to
+    parent instead of copying it per node."""
+    out: list[dict[int, int]] = []
+    for node in nd.nodes:
+        if node.kind == LEAF:
+            rem: dict[int, int] = {}
+        elif node.kind == JOIN:
+            left, right = (out[c] for c in node.children)
+            rem = {v: left[v] + right[v] - g.degree(v) for v in node.bag}
+        else:
+            rem = out[node.children[0]].copy()
+            if node.kind == INTRODUCE:
+                rem[node.vertex] = g.degree(node.vertex)
+            elif node.kind == INTRODUCE_EDGE:
+                u, v = node.edge
+                rem[u] -= 1
+                rem[v] -= 1
+            elif node.kind == FORGET:
+                del rem[node.vertex]
+        out.append(rem)
+    return out
+
+
 def run_eager(g: Graph, nd: NiceDecomposition, keep_tables: bool = False) -> DPResult:
     """run_dp without folded introduces: every node of the nice form builds
     its table, and every join pairs all bag slots."""
     alpha_bits = (g.n - 1).bit_length()
     amask = np.uint64((1 << alpha_bits) - 1)
     shift = [np.uint64(5 * s + alpha_bits) for s in dp.assign_slots(nd, g.n)]
-    remaining = dp._remaining_above(g, nd)
+    remaining = remaining_above(g, nd)
     leaf_extras = {"back": np.zeros(1, dtype=np.int32)} if keep_tables else {}
     tables: list[dp._Table] = []
     for idx, node in enumerate(nd.nodes):

@@ -11,6 +11,7 @@ from ueds.decomposition import (
     INTRODUCE_EDGE,
     JOIN,
     LEAF,
+    NiceDecomposition,
     NiceNode,
     TreeDecomposition,
     emit_td,
@@ -479,15 +480,15 @@ class TestValidateNice:
         return make_nice(p4, td_from_vertex_cover(p4, [1, 2]))
 
     def test_duplicate_edge_introduction(self, p4):
-        nd = self._nice_p4(p4)
+        nodes = list(self._nice_p4(p4).nodes)
         idx = next(
-            i for i, node in enumerate(nd.nodes) if node.kind == INTRODUCE_EDGE
+            i for i, node in enumerate(nodes) if node.kind == INTRODUCE_EDGE
         )
-        dup = nd.nodes[idx]
+        dup = nodes[idx]
         parent = next(
-            i for i, node in enumerate(nd.nodes) if idx in node.children
+            i for i, node in enumerate(nodes) if idx in node.children
         )
-        nd.nodes.insert(idx + 1, NiceNode(
+        nodes.insert(idx + 1, NiceNode(
             kind=INTRODUCE_EDGE,
             bag=dup.bag,
             children=(idx,),
@@ -496,7 +497,7 @@ class TestValidateNice:
         ))
         # shift references of everything after the insertion point
         fixed = []
-        for i, node in enumerate(nd.nodes):
+        for i, node in enumerate(nodes):
             if i <= idx + 1:
                 fixed.append(node)
                 continue
@@ -508,22 +509,22 @@ class TestValidateNice:
                 kind=node.kind, bag=node.bag, children=children,
                 vertex=node.vertex, edge=node.edge, edge_id=node.edge_id,
             ))
-        nd.nodes = fixed
+        nd = NiceDecomposition(nodes=fixed)
         assert any("introduced 2 times" in v for v in validate_nice(p4, nd))
 
     def test_forget_of_absent_vertex(self, p4):
-        nd = self._nice_p4(p4)
-        idx = next(i for i, node in enumerate(nd.nodes) if node.kind == FORGET)
-        old = nd.nodes[idx]
-        absent = next(v for v in range(4) if v not in nd.nodes[old.children[0]].bag)
-        nd.nodes[idx] = NiceNode(
+        nodes = list(self._nice_p4(p4).nodes)
+        idx = next(i for i, node in enumerate(nodes) if node.kind == FORGET)
+        old = nodes[idx]
+        absent = next(v for v in range(4) if v not in nodes[old.children[0]].bag)
+        nodes[idx] = NiceNode(
             kind=FORGET, bag=old.bag, children=old.children, vertex=absent
         )
-        assert validate_nice(p4, nd)
+        assert validate_nice(p4, NiceDecomposition(nodes=nodes))
 
     def test_root_must_be_empty(self, p4):
-        nd = self._nice_p4(p4)
-        nd.nodes = nd.nodes[:-1]  # drop the last forget
+        nodes = self._nice_p4(p4).nodes[:-1]  # drop the last forget
+        nd = NiceDecomposition(nodes=nodes)
         assert any("root" in v for v in validate_nice(p4, nd))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from ueds.decomposition import (
     INTRODUCE,
     INTRODUCE_EDGE,
     JOIN,
+    NiceDecomposition,
     TreeDecomposition,
     make_nice,
     td_from_vertex_cover,
     td_greedy_path,
     td_min_fill,
+    validate_nice,
 )
 from ueds.dp import (
     BLACK,
@@ -50,6 +53,7 @@ from dp_reference import (
     dp_leaf,
     packed_introduce_edge,
     reference_witness,
+    remaining_above,
     run_eager,
     run_reference,
 )
@@ -540,7 +544,7 @@ class TestFusedIntroduceEdge:
             rules = ueds.dp._edge_rules(rem_u, rem_v)
             for x_is_v in (False, True):
                 su, sv = (sw, sx) if x_is_v else (sx, sw)
-                lookup = ueds.dp._edge_lookup(rules, su, sv, (rem_x, x_is_v))
+                lookup = ueds.dp._fused_lookup(rules, rem_x, x_is_v, su, sv)
                 for keep in (False, True):
                     intro = ueds.dp._introduce(child, sx, rem_x, keep)
                     want = packed_introduce_edge(intro, su, sv, rules, AMASK8, keep)
@@ -555,12 +559,12 @@ class TestFusedIntroduceEdge:
         ok = rules.ok.copy()
         ok[0] = False  # no row survives the excluded branch
         broken = dataclasses.replace(rules, ok=ok)
-        args = (SHIFT8[0], SHIFT8[1], (2, True))
-        lookup = ueds.dp._edge_lookup(rules, *args)
+        args = (2, True, SHIFT8[0], SHIFT8[1])
+        lookup = ueds.dp._fused_lookup(rules, *args)
         excluded = ~lookup.took
         assert lookup.ok[excluded].any()
-        assert not ueds.dp._edge_lookup(broken, *args).ok[excluded].any()
-        assert ueds.dp._edge_lookup(rules, *args) is lookup
+        assert not ueds.dp._fused_lookup(broken, *args).ok[excluded].any()
+        assert ueds.dp._fused_lookup(rules, *args) is lookup
 
 
 # the shared vertices hold slots 0 and 2 and the one-sided vertex v slot 1
@@ -782,10 +786,12 @@ def edges_left(g, nd, idx):
 
 
 class TestRemainingAbove:
-    """_remaining_above against a direct count of each vertex's edges
-    introduced outside the node's subtree.  run_dp reads the count of an
-    introduce's vertex, of an edge node's endpoints and of a join's bag;
-    every node holds exactly its bag's counts."""
+    """Edges left above each node against a direct count of each vertex's
+    edges introduced outside the node's subtree: remaining_above, the
+    reference's per-node counts, holds exactly its bag's counts, and run_dp's
+    plan, which hands one dict from child to parent, reads the clamped count
+    of an introduce's vertex, of an edge node's endpoints and of a join's
+    bag."""
 
     @given(st.one_of(graphs(max_n=8), sparse_graphs(min_n=6, max_n=16, extra=4)))
     @settings(max_examples=40, deadline=None)
@@ -793,13 +799,44 @@ class TestRemainingAbove:
         td = td_min_fill(g)
         degree = [len(adj) for adj in td.neighbors()]
         hub = degree.index(max(degree, default=0)) if td.bags else 0
+        alpha_bits = (g.n - 1).bit_length()
         for tree in (td, rooted_at(td, hub)):
             for placement in ("early", "late"):
                 nd = make_nice(g, tree, edge_placement=placement)
-                remaining = ueds.dp._remaining_above(g, nd)
+                remaining = remaining_above(g, nd)
+                plan = ueds.dp._plan(g, nd, alpha_bits)
+                shift = [np.uint64(5 * s + alpha_bits) for s in assign_slots(nd, g.n)]
                 for idx, node in enumerate(nd.nodes):
                     left = edges_left(g, nd, idx)
                     assert remaining[idx] == {v: left[v] for v in node.bag}
+                    clamped = {v: min(left[v], 2) for v in node.bag}
+                    self._assert_plan_reads(g, nd, plan[idx], node, clamped, shift)
+
+    @staticmethod
+    def _assert_plan_reads(g, nd, step, node, clamped, shift):
+        dp = ueds.dp
+        if node.kind == INTRODUCE:
+            assert step[3] == clamped[node.vertex]
+        elif node.kind == INTRODUCE_EDGE:
+            lookup = step[5]
+            if lookup.rules is None:  # an introduce of x folded in
+                x = nd.nodes[node.children[0]].vertex
+                w = sum(node.edge) - x
+                rules = dp._edge_rules(clamped[w], clamped[x])
+                assert lookup is dp._fused_lookup(
+                    rules, min(g.degree(x), 2), True, shift[w], shift[x]
+                )
+            else:
+                hi, lo = sorted(node.edge, key=lambda v: shift[v], reverse=True)
+                assert lookup.rules is dp._edge_rules(clamped[hi], clamped[lo])
+                assert (lookup.su, lookup.sv) == (shift[hi], shift[lo])
+        elif node.kind == JOIN:
+            solo = int(step[6])
+            masks = [0, 0, 0]
+            for v in node.bag:
+                if not solo >> int(shift[v]) & 1:
+                    masks[clamped[v]] |= 1 << int(shift[v])
+            assert [int(m) for m in step[3:6]] == [sum(masks), masks[0], masks[1]]
 
 
 class TestStarForestTables:
@@ -1060,7 +1097,9 @@ class TestFoldedIntroduces:
         # its introduce above a folded one
         g = gen(GenSpec("gnp", 8, 0.3, 1))
         nd = make_nice(g, td_min_fill(g), edge_placement="late")
-        folded, solo = ueds.dp._folds(nd)
+        plan = ueds.dp._plan(g, nd, (g.n - 1).bit_length())
+        folded = [step[0] == ueds.dp._FOLDED for step in plan]
+        one_sided = [step[6] for step in plan if step[0] == ueds.dp._JOIN]
         under_edge = [
             c for node in nd.nodes if node.kind == INTRODUCE_EDGE
             for c in node.children if folded[c]
@@ -1073,8 +1112,39 @@ class TestFoldedIntroduces:
                     chain.append(folded[c])
                     c = nd.nodes[c].children[0]
                 right_chains.append(chain)
-        assert under_edge and any(solo.values()) and [False, True] in right_chains
+        assert under_edge and any(one_sided) and [False, True] in right_chains
         self._assert_same(g, nd)
+
+
+class TestConstructionRoutes:
+    """A nice form made by the builder and the same form rebuilt by hand
+    from its NiceNode view, NiceDecomposition(nodes), have equal columns
+    and give run_dp the same gamma', node_stats and witness.  The builder's
+    output is valid: the pipeline does not validate it when it runs."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_builder_and_node_list_agree(self, seed):
+        rng = random.Random(seed)
+        g = gen(GenSpec("gnp", rng.randint(7, 12), rng.choice([0.25, 0.35, 0.5]), seed))
+        td = td_min_fill(g)
+        degree = [len(adj) for adj in td.neighbors()]
+        hub = degree.index(max(degree, default=0)) if td.bags else 0
+        for tree in (td, rooted_at(td, hub), td_greedy_path(g)):
+            for placement in ("early", "late"):
+                nd = make_nice(g, tree, edge_placement=placement)
+                assert validate_nice(g, nd) == []
+                rebuilt = NiceDecomposition(nodes=list(nd.nodes))
+                for column in ("kind", "bag", "children", "vertex", "edge", "edge_id"):
+                    assert getattr(rebuilt, column) == getattr(nd, column)
+                for keep in (False, True):
+                    got = run_dp(g, nd, keep_tables=keep, check=False)
+                    want = run_dp(g, rebuilt, keep_tables=keep, check=False)
+                    assert got.gamma_prime == want.gamma_prime
+                    assert got.node_stats == want.node_stats
+                    if keep:
+                        assert extract_witness(g, nd, got) == extract_witness(
+                            g, rebuilt, want
+                        )
 
 
 class TestWitness:

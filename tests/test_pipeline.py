@@ -166,6 +166,23 @@ class TestGamma:
         assert gamma_prime(g, td=td).gamma_prime == 4
         assert checked == [td]
 
+    def test_the_dp_stage_builds_no_node_records(self, monkeypatch):
+        # the builder writes the nice form's columns and run_dp and the
+        # witness walk read them, so no NiceNode view is built on the way;
+        # this graph has the size and density of the benchmark pools
+        def refuse(*args):
+            raise AssertionError("a NiceNode was built")
+
+        monkeypatch.setattr(decomposition, "NiceNode", refuse)
+        g = gen(GenSpec("gnp", 12, 0.3, 24))
+        assert g.m == 20
+        assert solve(g, 7).stage == "dp"
+        assert solve(g, 7, want_witness=True, diagnostics=True).stage == "dp"
+        report = gamma_prime(g, method="dp", diagnostics=True)
+        assert report.gamma_prime == 6 and len(report.witness) == 6
+        with pytest.raises(AssertionError, match="NiceNode"):
+            decomposition.make_nice(g, td_greedy_path(g)).nodes
+
 
 class TestReports:
     def test_json_round_trips(self, p4):
