@@ -11,6 +11,7 @@ file that is not UTF-8 or not in its format is named in front of the message.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -41,6 +42,25 @@ def _load(path: str, parse: Callable[[str], T]) -> T:
         raise UedsError(f"{path}: {exc}") from exc
 
 
+def _nonnegative_int(text: str) -> int:
+    """The argparse type of every limit and count flag: a negative value is a
+    usage error (exit 2), not a cap that refuses the instance (exit 3)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return value
+
+
+_MAX_WIDTH_HELP = "the most vertices a bag may hold (width + 1)"
+
+
+def _add_limit(p: argparse.ArgumentParser, flag: str, default: int, help: str) -> None:
+    p.add_argument(flag, type=_nonnegative_int, default=default, help=help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ueds",
@@ -50,56 +70,66 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(
+        sub.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+    )
 
-    p = sub.add_parser("solve", help="decide gamma'(G) >= k")
+    p = add("solve", help="decide gamma'(G) >= k")
     p.add_argument("graph", help=".gr input file")
     p.add_argument("-k", type=int, required=True, help="target solution size")
     p.add_argument("--no-kernel", action="store_true", help="skip kernelization")
     p.add_argument("--witness", action="store_true", help="always produce a witness")
-    p.add_argument("--max-width", type=int, default=DEFAULT_WIDTH_CAP)
+    _add_limit(p, "--max-width", DEFAULT_WIDTH_CAP, _MAX_WIDTH_HELP)
     p.add_argument("--json", action="store_true")
     p.add_argument("--verbose", action="store_true", help="print the kernel trace")
 
-    p = sub.add_parser("gamma", help="compute gamma'(G) exactly")
+    p = add("gamma", help="compute gamma'(G) exactly")
     p.add_argument("graph")
     p.add_argument("--method", choices=("auto", "dp", "oracle"), default="auto")
-    p.add_argument("--max-width", type=int, default=DEFAULT_WIDTH_CAP)
-    p.add_argument("--oracle-limit", type=int, default=DEFAULT_EDGE_LIMIT)
+    _add_limit(p, "--max-width", DEFAULT_WIDTH_CAP, _MAX_WIDTH_HELP)
+    _add_limit(
+        p,
+        "--oracle-limit",
+        DEFAULT_EDGE_LIMIT,
+        "the most edges the oracle takes, never above 64; auto runs the DP above it",
+    )
     p.add_argument(
         "--td", default=None, help="run the DP over this PACE .td decomposition"
     )
     p.add_argument("--json", action="store_true")
     p.add_argument("--verbose", action="store_true", help="print per-node DP diagnostics")
 
-    p = sub.add_parser("kernelize", help="reduce an instance or decide it")
+    p = add("kernelize", help="reduce an instance or decide it")
     p.add_argument("graph")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("oracle", help="brute-force enumeration on a small instance")
+    p = add("oracle", help="brute-force enumeration on a small instance")
     p.add_argument("graph")
-    p.add_argument("--limit", type=int, default=DEFAULT_EDGE_LIMIT)
+    _add_limit(
+        p, "--limit", DEFAULT_EDGE_LIMIT, "the most edges it takes, never above 64"
+    )
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("gen", help="generate a deterministic instance")
+    p = add("gen", help="generate a deterministic instance")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write here instead of stdout")
 
-    p = sub.add_parser(
+    p = add(
         "decomp", help="build and validate the tree decomposition the DP would use"
     )
     p.add_argument("graph")
     p.add_argument("--emit-td", default=None, help="write the .td file here")
-    p.add_argument("--max-width", type=int, default=DEFAULT_WIDTH_CAP)
+    _add_limit(p, "--max-width", DEFAULT_WIDTH_CAP, _MAX_WIDTH_HELP)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("selfcheck", help="randomized cross-validation suite")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--seed", type=int, default=1)
+    p = add("selfcheck", help="randomized cross-validation suite")
+    _add_limit(p, "--count", 200, "random instances to check")
+    _add_limit(p, "--nmax", 8, "the most vertices of an instance")
+    p.add_argument("--seed", type=int, default=1, help="seed of the instance sequence")
     p.add_argument("--json", action="store_true")
     return parser
 

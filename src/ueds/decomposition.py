@@ -178,10 +178,7 @@ def td_min_fill(g: Graph, max_bag: int | None = None) -> TreeDecomposition | Non
     does not pay for the whole elimination on a graph of high treewidth.
     Without max_bag the result is never None.
     """
-    adj = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = [{w for w, _ in nb} for nb in g.adj]
 
     def fill_of(v: int) -> int:
         # each present pair in the neighborhood is seen from both ends
@@ -286,10 +283,7 @@ def td_greedy_path(g: Graph, max_bag: int | None = None) -> TreeDecomposition | 
     Given max_bag, it stops at its first bag of more than max_bag vertices
     and returns None, as td_min_fill does.
     """
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = [[w for w, _ in nb] for nb in g.adj]
     unplaced = [len(nb) for nb in adj]  # unplaced neighbors of each vertex
     closes = [0] * g.n  # active vertices whose last unplaced neighbor it is
     placed = [False] * g.n

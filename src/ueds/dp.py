@@ -76,12 +76,12 @@ Folded introduces.  An introduce writes one copy of its child per live
 color, and most of those copies are read once by the node right above it,
 so run_dp builds no table for an introduce whose parent can apply it:
 
-- an introduce of x below an introduce-edge on x (x's first edge): the
-  edge node reads the introduce's child, and its lookup's keys are the codes
-  of the other endpoint, with one outcome per (branch, color of x), by
-  branch, then by color; each increment also writes x's color.  The
-  candidate rows come out in the order of the two separate nodes, so dedupe
-  keeps the same rows;
+- an introduce of v below an introduce-edge uv, v's first edge (_plan names
+  the introduced end v; the rules are symmetric): the edge node reads the
+  introduce's child, and its lookup's keys are the codes of u, with one
+  outcome per (branch, color of v), by branch, then by color; each
+  increment also writes v's color.  The candidate rows come out in the
+  order of the two separate nodes, so dedupe keeps the same rows;
 - an introduce in the chain of introduces right below a join: that side's
   table lacks the vertex, and the join carries the field from the other side
   (below, one-sided slots).  A vertex introduced in the chains of both sides
@@ -163,8 +163,8 @@ class DPResult:
     gives every node's table size in the nice form; a folded introduce,
     which builds no table, reports its child's size times its live colors.
     With keep_tables, backrefs holds each node's back-reference arrays
-    (empty for a folded introduce) and root_row the accepting root row,
-    which the witness walk starts from."""
+    (empty for a leaf, like a folded introduce's) and root_row the accepting
+    root row, which the witness walk starts from."""
 
     gamma_prime: int
     width: int
@@ -387,19 +387,13 @@ def _edge_lookup(rules: _EdgeRules, su: int, sv: int) -> _Lookup:
 
 
 @lru_cache(maxsize=4096)
-def _fused_lookup(
-    rules: _EdgeRules, rem_x: int, x_is_v: bool, su: int, sv: int
-) -> _Lookup:
-    """The lookup of an edge uv whose endpoint x (v when x_is_v, else u) is
-    introduced right below it with rem_x edges left, clamped: keyed by the
-    other endpoint's code, outcomes by branch, then by x's color."""
-    colors = np.array(_live_colors(rem_x), dtype=np.int64)
-    codes = _CODES.view(np.int64)[None, :]
-    if x_is_v:
-        pair, sx = codes * 32 + colors[:, None], sv
-    else:
-        pair, sx = colors[:, None] * 32 + codes, su
-    put = colors.astype(np.uint64)[:, None] << sx
+def _fused_lookup(rules: _EdgeRules, rem_v: int, su: int, sv: int) -> _Lookup:
+    """The lookup of an edge uv whose end v is introduced right below it with
+    rem_v edges left, clamped: keyed by u's code, outcomes by branch, then by
+    v's color."""
+    colors = np.array(_live_colors(rem_v), dtype=np.int64)
+    pair = _CODES.view(np.int64)[None, :] * 32 + colors[:, None]
+    put = colors.astype(np.uint64)[:, None] << sv
     step = (rules.du[:, pair] << su) + (rules.dv[:, pair] << sv) + put
     step -= _ONE_MORE[:, :, None]
     ok = rules.ok[:, pair].reshape(-1, 32)
@@ -572,7 +566,7 @@ def _plan(g: Graph, nd: NiceDecomposition, alpha_bits: int) -> list[tuple]:
             ru, rv, su, sv = rem[u], rem[v], shift[u], shift[v]
             rules = _edge_rules(ru if ru < 2 else 2, rv if rv < 2 else 2)
             if folded:
-                step = (_EDGE, c, su, 31, None, _fused_lookup(rules, capped[v], True, su, sv))
+                step = (_EDGE, c, su, 31, None, _fused_lookup(rules, capped[v], su, sv))
             elif su - sv == 5:
                 step = (_EDGE, c, sv, 1023, None, _edge_lookup(rules, su, sv))
             else:
@@ -642,7 +636,7 @@ def run_dp(
     amask = np.uint64((1 << alpha_bits) - 1)
     plan = _plan(g, nd, alpha_bits)
     # the empty key with alpha 0
-    leaf = _Table(np.full(1, amask), {"back": np.zeros(1, np.int32)} if keep_tables else {})
+    leaf = _Table(np.full(1, amask), {})
 
     # a folded introduce's entry is its child's table, which its parent reads
     tables: list[_Table | None] = []

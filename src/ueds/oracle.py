@@ -42,6 +42,7 @@ __all__ = [
     "DEFAULT_EDGE_LIMIT",
     "OracleResult",
     "enumerate_minimal_eds",
+    "fits",
     "upper_eds_exact",
 ]
 
@@ -65,11 +66,20 @@ class OracleResult:
     count_minimal: int
 
 
-def _minimal_masks(g: Graph) -> np.ndarray:
-    """All minimal-EDS bitmasks as an ascending uint64 array."""
+def fits(m: int, limit: int = DEFAULT_EDGE_LIMIT) -> bool:
+    """Whether the oracle takes m edges: m <= limit and m <= MASK_BITS."""
+    return m <= min(limit, MASK_BITS)
+
+
+def _minimal_masks(g: Graph, limit: int) -> np.ndarray:
+    """All minimal-EDS bitmasks as an ascending uint64 array.  The one place
+    that raises InstanceTooLarge: at once, unless fits(m, limit)."""
     m = g.m
-    if m > MASK_BITS:
-        raise InstanceTooLarge(f"m={m} exceeds the {MASK_BITS}-bit enumeration masks")
+    if not fits(m, limit):
+        raise InstanceTooLarge(
+            f"m={m} exceeds enumeration limit {limit}" if m > limit
+            else f"m={m} exceeds the {MASK_BITS}-bit enumeration masks"
+        )
     one = np.uint64(1)
     edge_bit = one << np.arange(m, dtype=np.uint64)
     nbr = np.array(g.edge_neighborhood_masks, dtype=np.uint64)
@@ -110,15 +120,11 @@ def _minimal_masks(g: Graph) -> np.ndarray:
     return np.sort(np.concatenate(found))
 
 
-def enumerate_minimal_eds(
-    g: Graph, limit: int = DEFAULT_EDGE_LIMIT
-) -> Iterator[EdgeSet]:
+def enumerate_minimal_eds(g: Graph, limit: int = DEFAULT_EDGE_LIMIT) -> Iterator[EdgeSet]:
     """Yield every minimal edge dominating set of g exactly once, in ascending
-    bitmask order.  Raises InstanceTooLarge when m exceeds the limit or
-    MASK_BITS."""
-    if g.m > limit:
-        raise InstanceTooLarge(f"m={g.m} exceeds enumeration limit {limit}")
-    return (EdgeSet(mask) for mask in _minimal_masks(g).tolist())
+    bitmask order.  Raises InstanceTooLarge unless fits(m, limit), at the
+    call and not at the first next()."""
+    return (EdgeSet(mask) for mask in _minimal_masks(g, limit).tolist())
 
 
 def upper_eds_exact(g: Graph, limit: int = DEFAULT_EDGE_LIMIT) -> OracleResult:
@@ -126,9 +132,7 @@ def upper_eds_exact(g: Graph, limit: int = DEFAULT_EDGE_LIMIT) -> OracleResult:
 
     The edgeless graph has gamma_prime 0 witnessed by the empty set.
     """
-    if g.m > limit:
-        raise InstanceTooLarge(f"m={g.m} exceeds enumeration limit {limit}")
-    masks = _minimal_masks(g)
+    masks = _minimal_masks(g, limit)
     sizes = np.bitwise_count(masks)
     best = int(sizes.argmax())  # the first maximum: masks ascend
     return OracleResult(

@@ -28,7 +28,7 @@ from .graph import (
     greedy_maximal_matching,
 )
 from .kernel import DecidedYes, kernelize
-from .oracle import DEFAULT_EDGE_LIMIT, upper_eds_exact
+from .oracle import DEFAULT_EDGE_LIMIT, fits, upper_eds_exact
 
 __all__ = [
     "DEFAULT_WIDTH_CAP",
@@ -230,22 +230,24 @@ def gamma_prime(
 ) -> SolveReport:
     """Exact upper edge domination number.
 
-    method "oracle" enumerates (m <= oracle_limit), "dp" runs the dynamic
-    program over the decomposition choose_decomposition picks, or over td
-    when one is given, "auto" picks the oracle for small edge counts and the DP
-    otherwise (always the DP when td is given).  Both methods agree
-    wherever both apply; the test suite enforces that.
+    method "oracle" enumerates (m <= oracle_limit and m <= 64), "dp" runs
+    the dynamic program over the decomposition choose_decomposition picks,
+    or over td when one is given, "auto" picks the oracle wherever it fits
+    (oracle.fits) and the DP otherwise (always the DP when td is given).
+    Both methods agree wherever both apply; the test suite enforces that.
     """
     if method not in ("auto", "dp", "oracle"):
         raise ValueError(f"unknown method {method!r}")
     if td is not None and method == "oracle":
         raise ValueError("a given decomposition needs the DP method")
     if method == "auto":
-        method = "oracle" if g.m <= oracle_limit and td is None else "dp"
+        method = "oracle" if fits(g.m, oracle_limit) and td is None else "dp"
     report = SolveReport(instance=instance, stage=method, method=method)
     t_total = time.perf_counter()
     if method == "oracle":
+        t0 = time.perf_counter()
         result = upper_eds_exact(g, limit=oracle_limit)
+        report.timings_ms["oracle"] = (time.perf_counter() - t0) * 1000
         report.gamma_prime = result.gamma_prime
         report.witness = _witness_pairs(g, result.witness)
         report.oracle = {"count_minimal": result.count_minimal}

@@ -127,6 +127,39 @@ class TestOtherCommands:
         assert main(["selfcheck", "--count", "4", "--nmax", "6", "--seed", "3"]) == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command,defaults",
+        [
+            ("solve", ["14"]),
+            ("gamma", ["14", "22"]),
+            ("oracle", ["22"]),
+            ("decomp", ["14"]),
+            ("selfcheck", ["200", "8", "1"]),
+        ],
+    )
+    def test_help_shows_the_limits_defaults(self, command, defaults, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for default in defaults:
+            assert f"(default: {default})" in out
+
+    def test_max_width_caps_the_bag_size(self, p4_file, capsys):
+        # P4's width-1 path has bags of two vertices
+        assert main(["gamma", p4_file, "--method", "dp", "--max-width", "1"]) == 3
+        assert "above the cap 1" in capsys.readouterr().err
+        assert main(["gamma", p4_file, "--method", "dp", "--max-width", "2"]) == 0
+
+    def test_auto_routes_past_the_mask_bits_to_the_dp(self, tmp_path, capsys):
+        # 69 edges: --oracle-limit 100 does not stretch the 64-bit masks
+        path = _write_graph(tmp_path, GenSpec("tree", 70, seed=3))
+        assert main(["gamma", path, "--oracle-limit", "100"]) == 0
+        out = capsys.readouterr().out
+        assert "method: dp" in out and "gamma_prime: 31" in out
+        assert main(["gamma", path, "--method", "oracle", "--oracle-limit", "100"]) == 3
+        assert "m=69 exceeds the 64-bit enumeration masks" in capsys.readouterr().err
+
 
 def _write_graph(tmp_path, spec):
     path = tmp_path / f"{spec.instance_id}.gr"
@@ -361,6 +394,27 @@ class TestExitCodes:
             except ResourceCapExceeded as exc:
                 caught.append(type(exc))
         assert caught == [WidthCapExceeded, InstanceTooLarge]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "-k", "2", "--max-width", "-3"],
+            ["gamma", "--method", "dp", "--max-width", "-3"],
+            ["gamma", "--oracle-limit", "-1"],
+            ["oracle", "--limit", "-1"],
+            ["decomp", "--max-width", "-1"],
+            ["selfcheck", "--count", "-5"],
+            ["selfcheck", "--nmax", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_a_negative_limit_is_a_usage_error(self, p4_file, argv, capsys):
+        if argv[0] != "selfcheck":
+            argv = [argv[0], p4_file, *argv[1:]]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "not a nonnegative integer" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -542,9 +542,12 @@ class TestFusedIntroduceEdge:
         key = ((child.rows >> sw) & 31).astype(np.int64)
         for rem_x, rem_u, rem_v in itertools.product(range(3), repeat=3):
             rules = ueds.dp._edge_rules(rem_u, rem_v)
-            for x_is_v in (False, True):
-                su, sv = (sw, sx) if x_is_v else (sx, sw)
-                lookup = ueds.dp._fused_lookup(rules, rem_x, x_is_v, su, sv)
+            for x_as_v in (False, True):
+                su, sv = (sw, sx) if x_as_v else (sx, sw)
+                # _plan names the ends so that x is v: with x as u, the
+                # rules and the shifts swap
+                swapped = rules if x_as_v else ueds.dp._edge_rules(rem_v, rem_u)
+                lookup = ueds.dp._fused_lookup(swapped, rem_x, sw, sx)
                 for keep in (False, True):
                     intro = ueds.dp._introduce(child, sx, rem_x, keep)
                     want = packed_introduce_edge(intro, su, sv, rules, AMASK8, keep)
@@ -559,7 +562,7 @@ class TestFusedIntroduceEdge:
         ok = rules.ok.copy()
         ok[0] = False  # no row survives the excluded branch
         broken = dataclasses.replace(rules, ok=ok)
-        args = (2, True, SHIFT8[0], SHIFT8[1])
+        args = (2, SHIFT8[0], SHIFT8[1])
         lookup = ueds.dp._fused_lookup(rules, *args)
         excluded = ~lookup.took
         assert lookup.ok[excluded].any()
@@ -824,7 +827,7 @@ class TestRemainingAbove:
                 w = sum(node.edge) - x
                 rules = dp._edge_rules(clamped[w], clamped[x])
                 assert lookup is dp._fused_lookup(
-                    rules, min(g.degree(x), 2), True, shift[w], shift[x]
+                    rules, min(g.degree(x), 2), shift[w], shift[x]
                 )
             else:
                 hi, lo = sorted(node.edge, key=lambda v: shift[v], reverse=True)

@@ -58,6 +58,20 @@ class TestEnumeration:
         with pytest.raises(InstanceTooLarge):
             list(enumerate_minimal_eds(g, limit=22))
 
+    def test_the_limit_is_checked_at_the_call(self):
+        # before the first next(): a caller's try around the call catches it
+        g = gen(GenSpec("path", 24))
+        with pytest.raises(InstanceTooLarge, match="enumeration limit 22"):
+            enumerate_minimal_eds(g, limit=22)
+        with pytest.raises(InstanceTooLarge, match="64-bit"):
+            enumerate_minimal_eds(gen(GenSpec("star", 66)), limit=100)
+
+    @pytest.mark.parametrize(
+        "m,limit,want", [(22, 22, True), (23, 22, False), (64, 100, True), (65, 100, False)]
+    )
+    def test_fits_at_the_boundaries(self, m, limit, want):
+        assert oracle.fits(m, limit) is want
+
     def test_every_enumerated_set_is_minimal(self, c5):
         for s in enumerate_minimal_eds(c5):
             assert is_minimal_eds(c5, s)

@@ -146,6 +146,15 @@ class TestGamma:
         report = gamma_prime(p4, method="auto", oracle_limit=2)
         assert report.method == "dp" and report.gamma_prime == 2
 
+    def test_auto_picks_dp_above_the_mask_bits(self):
+        # a limit above 64 does not stretch the oracle's 64-bit masks
+        g = gen(GenSpec("tree", 66, seed=1))
+        assert g.m == 65
+        auto = gamma_prime(g, method="auto", oracle_limit=100)
+        dp = gamma_prime(g, method="dp")
+        assert auto.method == "dp"
+        assert (auto.gamma_prime, auto.witness) == (dp.gamma_prime, dp.witness)
+
     def test_witness_reported(self, c5):
         report = gamma_prime(c5, method="dp")
         assert report.witness is not None and len(report.witness) == 2
@@ -201,3 +210,8 @@ class TestReports:
         report = solve(p4, 3)
         assert "total" in report.timings_ms
         assert "dp" in report.timings_ms
+        # gamma_prime times the stage it routes to
+        for method in ("oracle", "dp"):
+            report = gamma_prime(p4, method=method)
+            assert set(report.timings_ms) == {method, "total"}
+            assert 0 <= report.timings_ms[method] <= report.timings_ms["total"]
