@@ -54,6 +54,14 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of --nmax: an instance has at least one vertex."""
+    value = _nonnegative_int(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 _MAX_WIDTH_HELP = "the most vertices a bag may hold (width + 1)"
 
 
@@ -76,7 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("solve", help="decide gamma'(G) >= k")
     p.add_argument("graph", help=".gr input file")
-    p.add_argument("-k", type=int, required=True, help="target solution size")
+    # a required option has no default to show
+    p.add_argument(
+        "-k", type=int, required=True, default=argparse.SUPPRESS,
+        help="target solution size",
+    )
     p.add_argument("--no-kernel", action="store_true", help="skip kernelization")
     p.add_argument("--witness", action="store_true", help="always produce a witness")
     _add_limit(p, "--max-width", DEFAULT_WIDTH_CAP, _MAX_WIDTH_HELP)
@@ -128,7 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("selfcheck", help="randomized cross-validation suite")
     _add_limit(p, "--count", 200, "random instances to check")
-    _add_limit(p, "--nmax", 8, "the most vertices of an instance")
+    p.add_argument(
+        "--nmax", type=_positive_int, default=8, help="the most vertices of an instance"
+    )
     p.add_argument("--seed", type=int, default=1, help="seed of the instance sequence")
     p.add_argument("--json", action="store_true")
     return parser

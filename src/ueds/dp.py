@@ -66,11 +66,11 @@ satisfaction for forget, each a table over the 32 codes, built from the
 color rules and the pruning below and applied to every row with one gather.
 Every introduce-edge node is one lookup over a key read from each child row,
 with one row per outcome: whether a row with that key survives, and its
-increment.  It emits every surviving (outcome, child row) pair, outcome-major
-with the excluded branch first, adds the increments and dedupes; a decision
-run adds the increments to every pair and selects the survivors by mask.  A
-plain edge node uv is the two-outcome case: its keys are the 1,024 code
-pairs code_u * 32 + code_v, and its outcomes the two branches.
+increment.  It adds each outcome's increment to every child row, selects
+the surviving (outcome, child row) pairs by mask, outcome-major with the
+excluded branch first, and dedupes.  A plain edge node uv is the
+two-outcome case: its keys are the 1,024 code pairs code_u * 32 + code_v,
+and its outcomes the two branches.
 
 Folded introduces.  An introduce writes one copy of its child per live
 color, and most of those copies are read once by the node right above it,
@@ -87,8 +87,8 @@ so run_dp builds no table for an introduce whose parent can apply it:
   (below, one-sided slots).  A vertex introduced in the chains of both sides
   stays built on the right.
 
-Either way the parent's back-references point into the introduce's child,
-and node_stats still reports the nice-form table the introduce stands for.
+Either way the parent reads the introduce's child table, and node_stats
+still reports the nice-form table the introduce stands for.
 The plan (_plan) finds these folds in its one walk over the nice form's
 columns, which also derives each node's shifts, lookup and join masks.
 
@@ -113,14 +113,40 @@ the one copy of its color at incidence 0, and the row passed _alive with the
 join's remaining count already.
 
 Dedupe.  Rows with equal fields collapse to the first row after one sort,
-which is the one of largest alpha.
+which is the one of largest alpha.  Rows equal in full are interchangeable,
+so the sort need not be stable, and no node records which child row
+produced which of its rows.
+
+Witness.  With keep_tables, run_dp keeps every built table's rows, which
+are sorted and unique, and nothing else; an introduce keeps none, because a
+row's place in it follows from its child: the block of v's color, then the
+child's order.  extract_witness walks down the plan from the accepting root
+row and at each node picks the row's first producer: of the child rows (or
+pairs) that the node turns into exactly this row, alpha included, the one
+it emits first.  An edge node emits by outcome, then child row; a forget in
+child order; a join by key, then left row, then right row.  It finds the
+producer by probing the child's rows with the row's few preimages:
+
+- an edge node: each rules object tabulates once, per branch, the at most
+  two keys that map to each output code pair (_preimages): a certified r1
+  came from r0 or r1, an incidence of 2 from 1 or 2.  A folded lookup's
+  outcome (branch, color of v) takes the keys whose v code is that color;
+- a forget: the row with each of the four satisfied codes in v's field;
+- a join: only rows whose base colors match the row's can meet in it, so
+  the walk pairs and merges just those with _pairs, the code _join runs.
+
+This is the first producer that a stable sort over the emitted rows would
+pick, so witnesses are deterministic.  Recovering the answer from values
+instead of stored pointers is the idea of Hirschberg, "A linear space
+algorithm for computing maximal common subsequences" (CACM 18, 1975).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -162,15 +188,17 @@ class DPResult:
     """Answer plus diagnostics of one dynamic-programming run.  node_stats
     gives every node's table size in the nice form; a folded introduce,
     which builds no table, reports its child's size times its live colors.
-    With keep_tables, backrefs holds each node's back-reference arrays
-    (empty for a leaf, like a folded introduce's) and root_row the accepting
-    root row, which the witness walk starts from."""
+    With keep_tables, rows holds each node's kept rows (None for an
+    introduce, built or folded), plan the steps run_dp took, and root_row
+    the index of the accepting root row, which the witness walk starts
+    from."""
 
     gamma_prime: int
     width: int
     node_stats: list[tuple[int, str, int]]  # (node index, kind, table size)
     max_table_size: int
-    backrefs: list[dict[str, np.ndarray]] | None = field(default=None, repr=False)
+    rows: list[np.ndarray | None] | None = field(default=None, repr=False)
+    plan: list[tuple] | None = field(default=None, repr=False)
     root_row: int = 0
 
     def diagnostics_lines(self) -> list[str]:
@@ -216,37 +244,17 @@ def assign_slots(nd: NiceDecomposition, n: int) -> list[int]:
     return slot
 
 
-class _Table(NamedTuple):
-    """One node's rows, unique by fields and ascending (introduce nodes keep
-    their child's order per color block instead), and the back-reference
-    arrays of a witness run: "back" = row into the (left) child; "took" =
-    whether the row's outcome includes the edge (introduce-edge nodes, read
-    off the lookup's outcome, plain or folded); "back2" = row into the right
-    child (join nodes)."""
-
-    rows: np.ndarray
-    extras: dict[str, np.ndarray]
-
-
-def _dedupe(rows: np.ndarray, extras: dict, amask: np.uint64) -> _Table:
-    """Keep the maximum-alpha row per key.  With back-references a stable
-    merge sort, fast here as the rows arrive in a few ascending runs, lets
-    the earliest producer win ties, so witnesses are deterministic.  Without
-    them equal rows are interchangeable, and the default sort is faster."""
-    if extras:
-        order = rows.argsort(kind="stable")
-        rows = rows[order]
-    else:
-        rows.sort()
+def _dedupe(rows: np.ndarray, amask: np.uint64) -> np.ndarray:
+    """Keep the maximum-alpha row per key, sorting rows in place.  A node's
+    table is one such array, unique by fields and ascending; an introduce
+    keeps its child's order per color block instead."""
+    rows.sort()
     # a row starts a new key where it differs from its predecessor above
     # the alpha bits
     first = np.empty(len(rows), dtype=bool)
     first[:1] = True
     np.greater(rows[1:] ^ rows[:-1], amask, out=first[1:])
-    if extras:
-        sel = order[first]
-        extras = {name: arr[sel] for name, arr in extras.items()}
-    return _Table(rows[first], extras)
+    return rows[first]
 
 
 def _alive(color: np.ndarray, y: np.ndarray, remaining: int) -> np.ndarray:
@@ -270,6 +278,7 @@ _SATISFIED = (
     | ((_COLOR == GREEN) & (_INC == 2))
     | (((_COLOR == PURPLE) | (_COLOR == RED1)) & (_INC == 1))
 )
+_SATISFIED_CODES = tuple(np.flatnonzero(_SATISFIED).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,16 +346,10 @@ def _live_colors(rem_v: int) -> tuple[int, ...]:
     return tuple(c for c in (BLACK, PURPLE, GREEN, RED0) if live[c])
 
 
-def _introduce(child: _Table, shift: int, rem_v: int, keep: bool) -> _Table:
+def _introduce(child: np.ndarray, shift: int, rem_v: int) -> np.ndarray:
     # each live color keeps the whole child table
     colors = _live_colors(min(rem_v, 2))
-    rows = np.concatenate([child.rows + (np.uint64(c) << shift) for c in colors])
-    extras = {}
-    if keep:
-        extras["back"] = np.tile(
-            np.arange(len(child.rows), dtype=np.int32), len(colors)
-        )
-    return _Table(rows, extras)
+    return np.concatenate([child + (np.uint64(c) << shift) for c in colors])
 
 
 class _Lookup(NamedTuple):
@@ -355,7 +358,8 @@ class _Lookup(NamedTuple):
     increment, and whether the outcome includes the edge.  Outcomes run
     excluded branch first, so the candidate rows come out in the order of
     the nice form and dedupe keeps the same rows.  A plain lookup computes
-    its increments from the rules and shifts, a folded one keeps them."""
+    its increments from the rules and shifts, a folded one keeps them; the
+    witness walk reads the rules and shifts of both."""
 
     ok: np.ndarray  # (outcomes, keys) bool
     took: np.ndarray  # (outcomes,) bool
@@ -397,48 +401,64 @@ def _fused_lookup(rules: _EdgeRules, rem_v: int, su: int, sv: int) -> _Lookup:
     step = (rules.du[:, pair] << su) + (rules.dv[:, pair] << sv) + put
     step -= _ONE_MORE[:, :, None]
     ok = rules.ok[:, pair].reshape(-1, 32)
-    return _Lookup(ok, np.repeat(_TOOK, len(colors)), step.reshape(-1, 32))
+    took = np.repeat(_TOOK, len(colors))
+    return _Lookup(ok, took, step.reshape(-1, 32), rules, su, sv)
 
 
 def _apply(
-    child: _Table, key: np.ndarray, lookup: _Lookup, amask: np.uint64, keep: bool
-) -> _Table:
+    child: np.ndarray, key: np.ndarray, lookup: _Lookup, amask: np.uint64
+) -> np.ndarray:
     """Every surviving (outcome, child row), outcome-major, plus the
-    outcome's increment for the row's key: gathered per survivor in a
-    witness run, added to every pair before selection in a decision run."""
+    outcome's increment for the row's key: added to every pair, then the
+    survivors selected by mask."""
     # take keeps the (outcome, row) mask C-ordered, unlike ok[:, key]
     ok = lookup.ok.take(key, axis=1)
-    if keep:
-        outcome, r = ok.nonzero()
-        out = child.rows[r]
-        step = lookup.increments()
-        out += step.ravel()[outcome * step.shape[1] + key[r]]
-        extras = {"back": r.astype(np.int32), "took": lookup.took[outcome]}
-        return _dedupe(out, extras, amask)
     out = lookup.increments(key)
-    out += child.rows
-    return _dedupe(out[ok], {}, amask)
+    out += child
+    return _dedupe(out[ok], amask)
 
 
-def _forget(child: _Table, shift: int, amask: np.uint64, keep: bool) -> _Table:
-    satisfied = _SATISFIED[((child.rows >> shift) & 31).view(np.int64)]
-    rows = child.rows[satisfied] & ~(np.uint64(31) << shift)
-    extras = {}
-    if keep:
-        extras["back"] = np.flatnonzero(satisfied).astype(np.int32)
-    return _dedupe(rows, extras, amask)
+def _forget(child: np.ndarray, shift: int, amask: np.uint64) -> np.ndarray:
+    satisfied = _SATISFIED[((child >> shift) & 31).view(np.int64)]
+    return _dedupe(child[satisfied] & ~(np.uint64(31) << shift), amask)
+
+
+def _base(rows: np.ndarray, ones: np.uint64) -> np.ndarray:
+    """Each shared field's base color, red flavors collapsed: r1 (4) is the
+    only color with bit 2, so subtracting that bit turns it into r0 (3)."""
+    c = rows & (ones * np.uint64(7))
+    return c - ((c >> 2) & ones)
+
+
+def _key(rows: np.ndarray, base: np.ndarray, rem0: np.uint64) -> np.ndarray:
+    """The join key: the base colors, plus the incidence bit of each purple
+    or red field at a rem0 slot (an odd base shifted by 3 marks it).  The
+    left side passes its rows, the right side their complement."""
+    return base | (rows & (base << 3) & (rem0 << 3))
 
 
 def _join(
-    left: _Table,
-    right: _Table,
+    left: np.ndarray,
+    right: np.ndarray,
     ones: np.uint64,
     rem0: np.uint64,
     rem1: np.uint64,
     solo: np.uint64,
     amask: np.uint64,
-    keep: bool,
-) -> _Table:
+) -> np.ndarray:
+    """The merged rows of _pairs, deduped."""
+    return _dedupe(_pairs(left, right, ones, rem0, rem1, solo, amask)[0], amask)
+
+
+def _pairs(
+    left: np.ndarray,
+    right: np.ndarray,
+    ones: np.uint64,
+    rem0: np.uint64,
+    rem1: np.uint64,
+    solo: np.uint64,
+    amask: np.uint64,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pair rows whose base colors agree on every shared slot (red flavors
     collapse for matching; the merged flavor is the maximum of the two),
     and keep the pairs that can still be accepted.  Incidences add with
@@ -457,30 +477,21 @@ def _join(
     so only the pairs 1/0 and 0/1 meet.  The keep mask is computed from the
     two sides' fields, and only kept pairs are merged.
 
-    Pairs come out grouped by key ascending, then, in a witness run, by
-    left row, then by right row.  Every field is handled at once through
-    masks over the bag fields: r1 (4) is the only color with bit 2, so the
-    base turns it into r0 (3) by subtracting that bit; purple (1) and red
-    (3) are the odd bases; and an incidence sum (at most 4) fits the three
-    low bits of a field without carrying into the next one."""
-    colors = ones * np.uint64(7)
-    tight = rem0 << np.uint64(3)  # the incidence bit of each rem0 field
-
-    def base(rows: np.ndarray) -> np.ndarray:
-        c = rows & colors
-        return c - ((c >> 2) & ones)
-
-    lbase = base(left.rows)
-    rbase = base(right.rows)
-    # an odd base shifted by 3 marks a purple or red field's incidence bit
-    lkey = lbase | (left.rows & (lbase << 3) & tight)
-    rkey = rbase | (~right.rows & (rbase << 3) & tight)
-    # only a witness run needs the pairs in a fixed order (see _dedupe)
-    kind = "stable" if keep else None
-    lorder = lkey.argsort(kind=kind)
-    rorder = rkey.argsort(kind=kind)
-    rk = rkey[rorder]
+    Returns the merged rows, unsorted, and where they came from: pair p
+    meets left row li[p] and right row ri[p], and merged row j is pair
+    kept[j].  Pairs come out grouped by key ascending; within a key the
+    order is arbitrary.  Every field is handled at once through masks over
+    the bag fields: purple (1) and red (3) are the odd bases, and an
+    incidence sum (at most 4) fits the three low bits of a field without
+    carrying into the next one."""
+    lbase = _base(left, ones)
+    rbase = _base(right, ones)
+    lkey = _key(left, lbase, rem0)
+    rkey = _key(~right, rbase, rem0)
+    lorder = lkey.argsort()
+    rorder = rkey.argsort()
     lk = lkey[lorder]
+    rk = rkey[rorder]
     # each left row meets the run rk[lo:hi] of equal right keys
     lo = np.searchsorted(rk, lk, "left")
     run = np.searchsorted(rk, lk, "right") - lo
@@ -488,8 +499,8 @@ def _join(
     starts = np.cumsum(run) - run
     ri = rorder[np.arange(len(li)) + np.repeat(lo - starts, run)]
 
-    lr = left.rows[li]
-    rr = right.rows[ri]
+    lr = left[li]
+    rr = right[ri]
     b = lbase[li]
     three = ones * np.uint64(3)
     y = ((lr >> 3) & three) + ((rr >> 3) & three)
@@ -516,10 +527,7 @@ def _join(
     merged = (b + red1) | (y << 3) | comp
     if solo:
         merged |= (lr | rr) & solo
-    extras = {}
-    if keep:
-        extras = {"back": li[kept].astype(np.int32), "back2": ri[kept].astype(np.int32)}
-    return _dedupe(merged, extras, amask)
+    return merged, li, ri, kept
 
 
 # the steps of a plan, one per node of the nice form
@@ -619,8 +627,8 @@ def run_dp(
     graph yields 0.  check validates nd first.  A decomposition whose rows do
     not fit 64 bits raises WidthCapExceeded before any table is built.  The
     nodes run the steps of _plan.  A node's rows are freed as soon as its
-    parent is built; with keep_tables its back-references are kept for
-    extract_witness, which reads nothing else."""
+    parent is built; with keep_tables every table but an introduce's is kept
+    for extract_witness, which reads them and the plan."""
     if check:
         violations = validate_nice(g, nd)
         if violations:
@@ -636,42 +644,42 @@ def run_dp(
     amask = np.uint64((1 << alpha_bits) - 1)
     plan = _plan(g, nd, alpha_bits)
     # the empty key with alpha 0
-    leaf = _Table(np.full(1, amask), {})
+    leaf = np.full(1, amask)
 
     # a folded introduce's entry is its child's table, which its parent reads
-    tables: list[_Table | None] = []
-    backrefs: list[dict[str, np.ndarray]] = []
+    tables: list[np.ndarray | None] = []
+    kept: list[np.ndarray | None] = []
     sizes: list[int] = []
     for step, kids in zip(plan, nd.children):
         op, c = step[0], step[1]
         if op == _EDGE:
             a, mask, b, lookup = step[2:]
-            rows = tables[c].rows
+            rows = tables[c]
             # the fields are below 32, so the int64 view reads them
             # unchanged and indexes without a cast
             key = (rows >> a) & mask
             if b is not None:
                 key |= (rows >> b) & 31
-            table = _apply(tables[c], key.view(np.int64), lookup, amask, keep_tables)
+            table = _apply(rows, key.view(np.int64), lookup, amask)
         elif op == _FORGET:
-            table = _forget(tables[c], step[2], amask, keep_tables)
+            table = _forget(tables[c], step[2], amask)
         elif op == _JOIN:
-            table = _join(tables[c], tables[step[2]], *step[3:], amask, keep_tables)
+            table = _join(tables[c], tables[step[2]], *step[3:], amask)
         elif op == _INTRODUCE:
-            table = _introduce(tables[c], step[2], step[3], keep_tables)
+            table = _introduce(tables[c], step[2], step[3])
         else:
             table = tables[c] if op == _FOLDED else leaf
         tables.append(table)
         # an introduce stands for one copy of its child per live color
         introduce = op == _INTRODUCE or op == _FOLDED
-        sizes.append(sizes[c] * len(_live_colors(step[3])) if introduce else len(table.rows))
+        sizes.append(sizes[c] * len(_live_colors(step[3])) if introduce else len(table))
         if keep_tables:
-            backrefs.append({} if op == _FOLDED else table.extras)
+            kept.append(None if introduce else table)
         # every node has one parent, so a child is done once it is built
         for c in kids:
             tables[c] = None
 
-    root = tables[-1].rows
+    root = tables[-1]
     # no r0 field left means no uncertified red (see the module docstring)
     accept = np.flatnonzero(root <= amask)
     if len(accept) == 0:
@@ -685,33 +693,167 @@ def run_dp(
         width=width,
         node_stats=list(zip(range(len(sizes)), nd.kind, sizes)),
         max_table_size=max(sizes),
-        backrefs=backrefs if keep_tables else None,
+        rows=kept if keep_tables else None,
+        plan=plan if keep_tables else None,
         root_row=row,
     )
 
 
+@lru_cache(maxsize=None)
+def _preimages(rules: _EdgeRules) -> tuple[list[list[int]], list[list[int]]]:
+    """Per branch, for each output code pair code_u * 32 + code_v, the keys
+    that the branch keeps and maps to it, ascending.  There are at most two:
+    only an r0 turned r1 and an incidence saturated at 2 have two sources."""
+    keys = np.arange(1024)
+    out = ((keys >> 5) + rules.du.astype(np.int64)) << 5
+    out = (out | (keys & 31) + rules.dv.astype(np.int64)).tolist()
+    pre: tuple[list[list[int]], list[list[int]]] = ([], [])
+    for branch, found in enumerate(pre):
+        found.extend([] for _ in range(1024))
+        for k in np.flatnonzero(rules.ok[branch]).tolist():
+            found[out[branch][k]].append(k)
+    return pre
+
+
+def _edge_producer(
+    row: int,
+    lookup: _Lookup,
+    colors: tuple[int, ...] | None,
+    amask: int,
+    present: Callable[[int], bool],
+) -> tuple[int, int]:
+    """The first (outcome, child row) that _apply emits and turns into row.
+    colors are the live colors of a folded introduce's vertex v, None for a
+    plain edge; present tells whether a row is in the child's table.  The
+    outcomes run in _apply's order, by branch, then by v's color, and the
+    first with a producer wins.  Its preimages differ only in the fields of
+    u and v, which no introduce between the node and the child's sorted
+    rows writes, so the child holds them in ascending order, and the
+    lowest present one is the first."""
+    su, sv = int(lookup.su), int(lookup.sv)
+    pre = _preimages(lookup.rules)
+    pair = (row >> su & 31) << 5 | row >> sv & 31
+    rest = row & ~(31 << su | 31 << sv)
+    outcomes = [(0, None), (1, None)] if colors is None else [
+        (branch, c) for branch in (0, 1) for c in colors
+    ]
+    for outcome, (branch, color) in enumerate(outcomes):
+        # an included edge raised alpha by one, so the row's alpha is not 0
+        if branch and row & amask == amask:
+            break
+        # u holds the higher slot of a plain edge, so the keys ascend as
+        # the child rows do; the child's amax - alpha is one above the row's
+        for k in pre[branch][pair]:
+            if color is None:
+                child = (rest | (k >> 5) << su | (k & 31) << sv) + branch
+            elif k & 31 == color:
+                child = (rest | (k >> 5) << su) + branch
+            else:
+                continue
+            if present(child):
+                return outcome, child
+    raise UedsError("a kept row has no producer in its child table")
+
+
+def _forget_producer(row: int, shift: int, present: Callable[[int], bool]) -> int:
+    """The first child row that _forget turns into row: row with the lowest
+    satisfied code in the forgotten field that the child holds (the child
+    holds these rows in ascending order, as for _edge_producer)."""
+    for code in _SATISFIED_CODES:
+        child = row | code << shift
+        if present(child):
+            return child
+    raise UedsError("a kept row has no producer in its child table")
+
+
+def _join_producer(
+    row: int,
+    left: np.ndarray,
+    right: np.ndarray,
+    ones: np.uint64,
+    rem0: np.uint64,
+    rem1: np.uint64,
+    solo: np.uint64,
+    amask: np.uint64,
+) -> tuple[int, int]:
+    """The first pair (left position, right position) that _join emits and
+    merges into row: by key, then left row, then right row.  Only rows whose
+    base colors are row's can meet in it, so _pairs runs on just those."""
+    want = _base(np.uint64(row), ones)
+    li = np.flatnonzero(_base(left, ones) == want)
+    ri = np.flatnonzero(_base(right, ones) == want)
+    merged, pl, pr, kept = _pairs(left[li], right[ri], ones, rem0, rem1, solo, amask)
+    hit = kept[merged == np.uint64(row)]
+    lpos, rpos = li[pl[hit]], ri[pr[hit]]
+    if len(lpos) == 0:
+        raise UedsError("a kept row has no producer in its child tables")
+    first = np.lexsort((rpos, lpos, _key(left[lpos], want, rem0)))[0]
+    return int(lpos[first]), int(rpos[first])
+
+
+def _present(plan: list[tuple], kept: list, c: int, row: int) -> bool:
+    """Is row in the table that node c's parent reads?  An introduce, built
+    or folded, keeps no rows, so the probe looks through it to its child."""
+    while kept[c] is None:
+        op, child, shift, rem = plan[c]
+        if op == _INTRODUCE:
+            if row >> shift & 31 not in _live_colors(rem):
+                return False
+            row &= ~(31 << shift)
+        c = child
+    table = kept[c]
+    at = bisect_left(table, row)
+    return at < len(table) and table[at] == row
+
+
+def _rows_of(plan: list[tuple], kept: list, c: int) -> np.ndarray:
+    """The table that node c's parent reads, in its order: the introduces
+    built between it and the kept rows below are made again."""
+    built = []
+    while kept[c] is None:
+        op, c, shift, rem = plan[c]
+        if op == _INTRODUCE:
+            built.append((shift, rem))
+    rows = kept[c]
+    for shift, rem in reversed(built):
+        rows = _introduce(rows, shift, rem)
+    return rows
+
+
 def extract_witness(g: Graph, nd: NiceDecomposition, result: DPResult) -> EdgeSet:
-    """Walk back-references from the accepting root row, collecting the edges
-    taken on included introduce-edge branches.  A folded introduce has no
-    back-references: its parent's row indices point into its child already.
-    Requires a run with keep_tables=True."""
-    if result.backrefs is None:
+    """Walk down the plan from the accepting root row, picking at each node
+    the row's first producer (see the module docstring), and collect the
+    edges of included introduce-edge outcomes.  A folded introduce hands its
+    row down unchanged, as its parent read its child's table; a built one
+    clears its vertex's field.  Requires a run with keep_tables=True."""
+    if result.rows is None or result.plan is None:
         raise ValueError("witness extraction needs a run with keep_tables=True")
-    kind, children = nd.kind, nd.children
+    plan, kept = result.plan, result.rows
+    amask = (1 << (g.n - 1).bit_length()) - 1
     mask = 0
-    stack = [(nd.root, result.root_row)]
+    stack = [(len(plan) - 1, int(kept[-1][result.root_row]))]
     while stack:
         idx, row = stack.pop()
-        extras = result.backrefs[idx]
-        if kind[idx] == LEAF:
+        step = plan[idx]
+        op, c = step[:2]
+        if op == _EDGE:
+            lookup = step[5]
+            folded = plan[c][0] == _FOLDED
+            colors = _live_colors(plan[c][3]) if folded else None
+            present = partial(_present, plan, kept, c)
+            outcome, row = _edge_producer(row, lookup, colors, amask, present)
+            if lookup.took[outcome]:
+                mask |= 1 << nd.edge_id[idx]
+        elif op == _FORGET:
+            row = _forget_producer(row, step[2], partial(_present, plan, kept, c))
+        elif op == _JOIN:
+            left, right = _rows_of(plan, kept, c), _rows_of(plan, kept, step[2])
+            lpos, rpos = _join_producer(row, left, right, *step[3:], np.uint64(amask))
+            stack.append((step[2], int(right[rpos])))
+            row = int(left[lpos])
+        elif op == _INTRODUCE:
+            row &= ~(31 << step[2])
+        elif op == _LEAF:
             continue
-        if kind[idx] == JOIN:
-            stack.append((children[idx][0], int(extras["back"][row])))
-            stack.append((children[idx][1], int(extras["back2"][row])))
-            continue
-        if kind[idx] == INTRODUCE_EDGE and bool(extras["took"][row]):
-            mask |= 1 << nd.edge_id[idx]
-        if extras:
-            row = int(extras["back"][row])
-        stack.append((children[idx][0], row))
+        stack.append((c, row))
     return EdgeSet(mask)

@@ -117,12 +117,16 @@ def choose_decomposition(
 def _dp_stage(
     work: Graph,
     *,
+    timings: dict[str, float],
     max_width: int,
     want_witness: bool,
     diagnostics: bool = False,
     td: TreeDecomposition | None = None,
 ) -> tuple[int, EdgeSet | None, dict[str, Any]]:
-    """Run the DP over td, or over the chosen decomposition when td is None."""
+    """Run the DP over td, or over the chosen decomposition when td is None.
+    timings gets the milliseconds of the DP, decomposition included, as
+    "dp" and those of the witness walk as "witness"."""
+    t0 = time.perf_counter()
     if td is None:
         source, chosen = choose_decomposition(work, max_width)
         nd = _build_nice(work, chosen, early=True)  # valid by construction
@@ -139,7 +143,12 @@ def _dp_stage(
     # a given td was validated.  run_dp plans every node in one walk over
     # those columns, and extract_witness reads them too.
     result = run_dp(work, nd, keep_tables=want_witness, check=False)
-    witness = extract_witness(work, nd, result) if want_witness else None
+    timings["dp"] = (time.perf_counter() - t0) * 1000
+    witness = None
+    if want_witness:
+        t0 = time.perf_counter()
+        witness = extract_witness(work, nd, result)
+        timings["witness"] = (time.perf_counter() - t0) * 1000
     stats = {
         "source": source,
         "width": result.width,
@@ -198,11 +207,13 @@ def solve(
                 work, work_k = outcome.graph, outcome.k
                 transformed = bool(outcome.trace)
 
-        t0 = time.perf_counter()
         gamma, witness, stats = _dp_stage(
-            work, max_width=max_width, want_witness=want_witness, diagnostics=diagnostics
+            work,
+            timings=report.timings_ms,
+            max_width=max_width,
+            want_witness=want_witness,
+            diagnostics=diagnostics,
         )
-        report.timings_ms["dp"] = (time.perf_counter() - t0) * 1000
         report.stage = "dp"
         report.dp = stats
         report.decision = gamma >= work_k
@@ -252,15 +263,14 @@ def gamma_prime(
         report.witness = _witness_pairs(g, result.witness)
         report.oracle = {"count_minimal": result.count_minimal}
     else:
-        t0 = time.perf_counter()
         gamma, witness, stats = _dp_stage(
             g,
+            timings=report.timings_ms,
             max_width=max_width,
             want_witness=True,
             diagnostics=diagnostics,
             td=td,
         )
-        report.timings_ms["dp"] = (time.perf_counter() - t0) * 1000
         report.gamma_prime = gamma
         report.witness = _witness_pairs(g, witness)
         report.dp = stats

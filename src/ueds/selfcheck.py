@@ -219,11 +219,14 @@ def _check_instance(g: Graph, spec: GenSpec, report: SelfCheckReport) -> None:
 
 def selfcheck(count: int, nmax: int = 8, seed: int = 1) -> SelfCheckReport:
     """Run all invariant suites on `count` seeded random instances with up to
-    nmax vertices.  nmax <= 10 keeps the oracle comfortable."""
+    nmax vertices.  nmax <= 10 keeps the oracle comfortable; nmax below 1
+    raises ValueError, as no instance has fewer than one vertex."""
+    if nmax < 1:
+        raise ValueError(f"nmax must be at least 1, got {nmax}")
     report = SelfCheckReport(count=count, nmax=nmax, seed=seed)
     rng = SplitMix64(seed)
     for i in range(count):
-        n = 1 + rng.next_u64() % max(nmax, 1)
+        n = 1 + rng.next_u64() % nmax
         p = _P_VALUES[i % len(_P_VALUES)]
         sub_seed = rng.next_u64()
         spec = GenSpec("gnp", int(n), p, sub_seed)

@@ -3,9 +3,13 @@ five-role recurrences literally, one Python tuple per state, and
 ``ueds.dp.run_dp`` must give the same gamma' on every nice decomposition.
 ``run_eager`` drives the packed transitions of ``ueds.dp`` over every node
 of the nice form, an introduce table included, and must give the same
-node_stats, gamma' and witness as ``run_dp``, which folds introduces.  Its
+node_stats and gamma' as ``run_dp``, which folds introduces.  Its
 introduce-edge nodes run ``packed_introduce_edge``, by boolean masks, which
-shares no code with the outcome lookup of ``run_dp``.
+shares no code with the outcome lookup of ``run_dp``.  Every row it builds
+points at its first producer, the child row (or pair) its node emits first
+among those that give exactly that row, and ``eager_witness`` walks these
+back-references: this is the executable specification of the witness that
+``ueds.dp.extract_witness`` recovers from kept rows alone.
 
 A state is (f, y, n_r, n_r1, n_c, alpha, beta): the color vector f and the
 saturating incidence vector y (0, 1 or "2 meaning >= 2") over the current bag,
@@ -25,7 +29,8 @@ identical either way.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ueds.decomposition import (
     FORGET,
@@ -325,14 +330,42 @@ def reference_witness(nd: NiceDecomposition, result: ReferenceResult) -> EdgeSet
     return EdgeSet(mask)
 
 
+class Table(NamedTuple):
+    """A packed table with the back-reference arrays of a witness run:
+    "back" = row into the (left) child; "took" = whether the row's outcome
+    includes the edge (introduce-edge nodes); "back2" = row into the right
+    child (join nodes)."""
+
+    rows: np.ndarray
+    extras: dict[str, np.ndarray]
+
+
+def dedupe_kept(rows: np.ndarray, extras: dict, amask: np.uint64) -> Table:
+    """Keep the maximum-alpha row per key, and of equal rows the one emitted
+    first: a stable sort lets the earliest producer win ties."""
+    order = rows.argsort(kind="stable")
+    rows = rows[order]
+    first = np.empty(len(rows), dtype=bool)
+    first[:1] = True
+    np.greater(rows[1:] ^ rows[:-1], amask, out=first[1:])
+    sel = order[first]
+    return Table(rows[first], {name: arr[sel] for name, arr in extras.items()})
+
+
+def introduce_kept(child: Table, shift: int, rem_v: int) -> Table:
+    """ueds.dp._introduce, each row pointing at the child row it copies."""
+    colors = dp._live_colors(min(rem_v, 2))
+    back = np.tile(np.arange(len(child.rows)), len(colors))
+    return Table(dp._introduce(child.rows, shift, rem_v), {"back": back})
+
+
 def packed_introduce_edge(
-    child: dp._Table,
+    child: Table,
     su: np.uint64,
     sv: np.uint64,
     rules: dp._EdgeRules,
     amask: np.uint64,
-    keep: bool,
-) -> dp._Table:
+) -> Table:
     """A packed introduce-edge node by boolean masks, apart from the outcome
     lookup of ueds.dp: the excluded branch's rows, then the included
     branch's, each in child order, then dedupe."""
@@ -347,13 +380,38 @@ def packed_introduce_edge(
     inc = in_ok[pair]
     ex_rows = rows[ex] + ex_step[pair[ex]]
     in_rows = rows[inc] + in_step[pair[inc]]
-    extras: dict[str, np.ndarray] = {}
-    if keep:
-        extras["back"] = np.concatenate(
-            [np.flatnonzero(ex), np.flatnonzero(inc)]
-        ).astype(np.int32)
-        extras["took"] = np.arange(len(ex_rows) + len(in_rows)) >= len(ex_rows)
-    return dp._dedupe(np.concatenate([ex_rows, in_rows]), extras, amask)
+    extras = {
+        "back": np.concatenate([np.flatnonzero(ex), np.flatnonzero(inc)]),
+        "took": np.arange(len(ex_rows) + len(in_rows)) >= len(ex_rows),
+    }
+    return dedupe_kept(np.concatenate([ex_rows, in_rows]), extras, amask)
+
+
+def forget_kept(child: Table, shift: np.uint64, amask: np.uint64) -> Table:
+    """ueds.dp._forget, each row pointing at its first producer."""
+    satisfied = dp._SATISFIED[((child.rows >> shift) & 31).view(np.int64)]
+    rows = child.rows[satisfied] & ~(np.uint64(31) << shift)
+    return dedupe_kept(rows, {"back": np.flatnonzero(satisfied)}, amask)
+
+
+def join_kept(
+    left: Table,
+    right: Table,
+    ones: np.uint64,
+    rem0: np.uint64,
+    rem1: np.uint64,
+    solo: np.uint64,
+    amask: np.uint64,
+) -> Table:
+    """ueds.dp._join, each row pointing at its first producer: the pairs of
+    ueds.dp._pairs in the order a join emits them, by key, then left row,
+    then right row."""
+    merged, li, ri, kept = dp._pairs(left.rows, right.rows, ones, rem0, rem1, solo, amask)
+    li, ri = li[kept], ri[kept]
+    key = dp._key(left.rows, dp._base(left.rows, ones), rem0)[li]
+    order = np.lexsort((ri, li, key))
+    extras = {"back": li[order], "back2": ri[order]}
+    return dedupe_kept(merged[order], extras, amask)
 
 
 def remaining_above(g: Graph, nd: NiceDecomposition) -> list[dict[int, int]]:
@@ -387,48 +445,74 @@ def remaining_above(g: Graph, nd: NiceDecomposition) -> list[dict[int, int]]:
     return out
 
 
-def run_eager(g: Graph, nd: NiceDecomposition, keep_tables: bool = False) -> DPResult:
+@dataclass
+class EagerResult(DPResult):
+    """run_eager's answer, with every node's back-reference arrays when
+    tables are kept."""
+
+    backrefs: list[dict[str, np.ndarray]] | None = field(default=None, repr=False)
+
+
+def run_eager(g: Graph, nd: NiceDecomposition, keep_tables: bool = False) -> EagerResult:
     """run_dp without folded introduces: every node of the nice form builds
-    its table, and every join pairs all bag slots."""
+    its table, every join pairs all bag slots, and every row points at its
+    first producer.  eager_witness walks these back-references."""
     alpha_bits = (g.n - 1).bit_length()
     amask = np.uint64((1 << alpha_bits) - 1)
     shift = [np.uint64(5 * s + alpha_bits) for s in dp.assign_slots(nd, g.n)]
     remaining = remaining_above(g, nd)
-    leaf_extras = {"back": np.zeros(1, dtype=np.int32)} if keep_tables else {}
-    tables: list[dp._Table] = []
+    tables: list[Table] = []
     for idx, node in enumerate(nd.nodes):
         rem = remaining[idx]
         if node.kind == LEAF:
-            table = dp._Table(np.full(1, amask, dtype=np.uint64), leaf_extras)
+            table = Table(np.full(1, amask, dtype=np.uint64), {})
         elif node.kind == INTRODUCE:
             v = node.vertex
-            table = dp._introduce(tables[node.children[0]], shift[v], rem[v], keep_tables)
+            table = introduce_kept(tables[node.children[0]], shift[v], rem[v])
         elif node.kind == INTRODUCE_EDGE:
             u, v = node.edge
             rules = dp._edge_rules(min(rem[u], 2), min(rem[v], 2))
             table = packed_introduce_edge(
-                tables[node.children[0]], shift[u], shift[v], rules, amask, keep_tables
+                tables[node.children[0]], shift[u], shift[v], rules, amask
             )
         elif node.kind == FORGET:
-            table = dp._forget(tables[node.children[0]], shift[node.vertex], amask, keep_tables)
+            table = forget_kept(tables[node.children[0]], shift[node.vertex], amask)
         else:
             by_rem = [0, 0, 0]
             for v in node.bag:
                 by_rem[min(rem[v], 2)] |= 1 << int(shift[v])
-            table = dp._join(
+            table = join_kept(
                 tables[node.children[0]], tables[node.children[1]],
                 np.uint64(sum(by_rem)), np.uint64(by_rem[0]), np.uint64(by_rem[1]),
-                np.uint64(0), amask, keep_tables,
+                np.uint64(0), amask,
             )
         tables.append(table)
     root = tables[-1].rows
     row = int(np.flatnonzero(root <= amask)[0])
     sizes = [len(t.rows) for t in tables]
-    return DPResult(
+    return EagerResult(
         gamma_prime=int(amask - root[row]),
         width=nd.width,
         node_stats=[(idx, node.kind, size) for idx, (node, size) in enumerate(zip(nd.nodes, sizes))],
         max_table_size=max(sizes),
-        backrefs=[t.extras for t in tables] if keep_tables else None,
         root_row=row,
+        backrefs=[t.extras for t in tables] if keep_tables else None,
     )
+
+
+def eager_witness(nd: NiceDecomposition, result: EagerResult) -> EdgeSet:
+    """Walk the back-references from the accepting root row, collecting the
+    edges taken on included introduce-edge branches."""
+    mask = 0
+    stack = [(nd.root, result.root_row)]
+    while stack:
+        idx, row = stack.pop()
+        node = nd.nodes[idx]
+        extras = result.backrefs[idx]
+        if node.kind == JOIN:
+            stack.append((node.children[1], int(extras["back2"][row])))
+        elif node.kind == INTRODUCE_EDGE and extras["took"][row]:
+            mask |= 1 << node.edge_id
+        if node.kind != LEAF:
+            stack.append((node.children[0], int(extras["back"][row])))
+    return EdgeSet(mask)

@@ -141,7 +141,11 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as err:
             main([command, "--help"])
         assert err.value.code == 0
-        out = " ".join(capsys.readouterr().out.split())
+        out = capsys.readouterr().out
+        # the required -k has no default to show
+        k_lines = [line for line in out.splitlines() if line.strip().startswith("-k")]
+        assert all("(default" not in line for line in k_lines)
+        out = " ".join(out.split())
         for default in defaults:
             assert f"(default: {default})" in out
 
@@ -415,6 +419,14 @@ class TestExitCodes:
             main(argv)
         assert err.value.code == 2
         assert "not a nonnegative integer" in capsys.readouterr().err
+
+    def test_a_zero_nmax_is_a_usage_error(self, capsys):
+        # an instance has at least one vertex; --count 0 stays legal
+        with pytest.raises(SystemExit) as err:
+            main(["selfcheck", "--count", "3", "--nmax", "0", "--json"])
+        assert err.value.code == 2
+        assert "not a positive integer" in capsys.readouterr().err
+        assert main(["selfcheck", "--count", "0", "--nmax", "1", "--json"]) == 0
 
 
 class TestEntryPoint:

@@ -46,11 +46,15 @@ from ueds.pipeline import gamma_prime
 from conftest import all_graphs_on, graphs, minimum_vertex_cover
 from dp_reference import (
     NodeTable,
+    Table,
     dp_forget,
     dp_introduce_edge,
     dp_introduce_vertex,
     dp_join,
     dp_leaf,
+    eager_witness,
+    introduce_kept,
+    join_kept,
     packed_introduce_edge,
     reference_witness,
     remaining_above,
@@ -375,7 +379,7 @@ class TestPackingBoundary:
         self._check(g, td)
         # some row holds the center green with incidence 2 in the top field
         code = GREEN | 2 << 3
-        assert any(((t.rows >> 59) == code).any() for t in tables)
+        assert any(((t >> 59) == code).any() for t in tables)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_gnp_at_max_n(self, seed):
@@ -403,33 +407,41 @@ class TestAlphaSaturation:
         # partial solutions of 5 and 4 edges: 9 edges on 8 vertices, and
         # the join drops the pair
         purple1 = PURPLE | 1 << 3
-        left = ueds.dp._Table(np.array([purple1 << 3 | 7 - 5], dtype=np.uint64), {})
-        right = ueds.dp._Table(np.array([purple1 << 3 | 7 - 4], dtype=np.uint64), {})
+        left = np.array([purple1 << 3 | 7 - 5], dtype=np.uint64)
+        right = np.array([purple1 << 3 | 7 - 4], dtype=np.uint64)
         ones = np.uint64(1 << 3)
         none = np.uint64(0)
-        out = ueds.dp._join(left, right, ones, none, none, none, self.AMASK, False)
-        assert out.rows.tolist() == []
+        out = ueds.dp._join(left, right, ones, none, none, none, self.AMASK)
+        assert out.tolist() == []
+
+
+def assert_join_producers(got, left, right, *masks):
+    """_join's rows equal join_kept's, and _join_producer gives each row's
+    first producer as join_kept's back-references have it.  masks are
+    (ones, rem0, rem1, solo, amask)."""
+    want = join_kept(Table(left, {}), Table(right, {}), *masks)
+    assert got.tolist() == want.rows.tolist()
+    for row, back, back2 in zip(got.tolist(), want.extras["back"], want.extras["back2"]):
+        assert ueds.dp._join_producer(row, left, right, *masks) == (back, back2)
 
 
 def join_one_slot(color, yl, yr, rem, alphas=(0, 0), right_color=None):
     """_join on one-row tables over a single bag vertex in slot 0 (n = 8,
-    three alpha bits) with rem edges left above the join; the merged rows
-    with their back-references.  The right side takes color too unless
-    right_color is given."""
+    three alpha bits) with rem edges left above the join; the merged rows,
+    each checked against its first producer.  The right side takes color
+    too unless right_color is given."""
     def table(c, y, alpha):
-        return ueds.dp._Table(
-            np.array([(c | y << 3) << 3 | 7 - alpha], dtype=np.uint64), {}
-        )
+        return np.array([(c | y << 3) << 3 | 7 - alpha], dtype=np.uint64)
 
     ones = np.uint64(1 << 3)
     rem0 = ones if rem == 0 else np.uint64(0)
     rem1 = ones if rem == 1 else np.uint64(0)
     rc = color if right_color is None else right_color
-    out = ueds.dp._join(
-        table(color, yl, alphas[0]), table(rc, yr, alphas[1]), ones, rem0, rem1,
-        np.uint64(0), np.uint64(7), True,
-    )
-    return out.rows.tolist(), out.extras
+    sides = table(color, yl, alphas[0]), table(rc, yr, alphas[1])
+    masks = ones, rem0, rem1, np.uint64(0), np.uint64(7)
+    out = ueds.dp._join(*sides, *masks)
+    assert_join_producers(out, *sides, *masks)
+    return out.tolist()
 
 
 class TestPackedJoin:
@@ -438,8 +450,7 @@ class TestPackedJoin:
     @pytest.mark.parametrize("color", [PURPLE, RED0, RED1])
     @pytest.mark.parametrize("rem", [0, 1, 2])
     def test_a_dead_pair_is_dropped(self, color, rem):
-        rows, extras = join_one_slot(color, 1, 1, rem, alphas=(1, 1))
-        assert rows == [] and extras["back"].tolist() == []
+        assert join_one_slot(color, 1, 1, rem, alphas=(1, 1)) == []
 
     @pytest.mark.parametrize("color", [PURPLE, RED0, RED1])
     @pytest.mark.parametrize("yl,yr,sums_to_one", [
@@ -447,37 +458,53 @@ class TestPackedJoin:
     ])
     def test_a_tight_slot_sums_to_one(self, color, yl, yr, sums_to_one):
         # r0 on both sides has no edge left to a black neighbor to certify it
-        rows, _ = join_one_slot(color, yl, yr, rem=0, alphas=(yl, yr))
+        rows = join_one_slot(color, yl, yr, rem=0, alphas=(yl, yr))
         kept = sums_to_one and color != RED0
         assert rows == ([(color | 1 << 3) << 3 | 7 - 1] if kept else [])
 
     @pytest.mark.parametrize("yl,yr", [(1, 0), (0, 1)])
     def test_one_certified_side_makes_r1(self, yl, yr):
-        rows, _ = join_one_slot(RED0, yl, yr, rem=0, right_color=RED1)
+        rows = join_one_slot(RED0, yl, yr, rem=0, right_color=RED1)
         assert rows == [(RED1 | 1 << 3) << 3 | 7]
 
     @pytest.mark.parametrize("yl,yr,rem,kept", [
         (0, 0, 1, False), (1, 0, 1, True), (0, 1, 1, True), (0, 0, 2, True),
     ])
     def test_r0_on_both_sides_needs_an_edge_left(self, yl, yr, rem, kept):
-        rows, _ = join_one_slot(RED0, yl, yr, rem)
+        rows = join_one_slot(RED0, yl, yr, rem)
         assert rows == ([(RED0 | (yl + yr) << 3) << 3 | 7] if kept else [])
 
     @pytest.mark.parametrize("rem", [1, 2])
     def test_a_slot_with_edges_left_keeps_zero_zero(self, rem):
-        rows, extras = join_one_slot(PURPLE, 0, 0, rem)
-        assert rows == [PURPLE << 3 | 7]
-        assert (extras["back"].tolist(), extras["back2"].tolist()) == ([0], [0])
+        # join_one_slot checks that the row's producer is the pair (0, 0)
+        assert join_one_slot(PURPLE, 0, 0, rem) == [PURPLE << 3 | 7]
 
     @pytest.mark.parametrize("yl,yr,rem,kept", [
         (1, 0, 0, False), (1, 1, 0, True), (2, 0, 0, True),
         (0, 0, 1, False), (1, 0, 1, True), (0, 0, 2, True),
     ])
     def test_green_needs_two_with_the_edges_left(self, yl, yr, rem, kept):
-        rows, _ = join_one_slot(GREEN, yl, yr, rem)
+        rows = join_one_slot(GREEN, yl, yr, rem)
         assert bool(rows) == kept
         if kept:
             assert rows == [(GREEN | min(yl + yr, 2) << 3) << 3 | 7]
+
+    def test_the_first_pair_is_by_key_then_left_row(self):
+        # slot 0 (bit 3) is a tight purple slot and slot 1 (bit 8) a green
+        # one with two edges left.  Two pairs merge into (purple 1, green 1):
+        # left (P1, G0) with right (P0, G1), and left (P0, G1) with right
+        # (P1, G0).  The lower left row holds the tight incidence bit, which
+        # puts it under the higher key, so the join emits the other first.
+        def row(y0, y1):
+            return (PURPLE | y0 << 3) << 3 | (GREEN | y1 << 3) << 8 | 7
+
+        left = np.array([row(1, 0), row(0, 1)], dtype=np.uint64)
+        right = np.array([row(0, 1), row(1, 0)], dtype=np.uint64)
+        masks = np.uint64(1 << 3 | 1 << 8), np.uint64(1 << 3), *np.zeros(2, np.uint64), np.uint64(7)
+        out = ueds.dp._join(left, right, *masks)
+        assert out.tolist() == [row(1, 1)]
+        assert ueds.dp._join_producer(row(1, 1), left, right, *masks) == (1, 1)
+        assert_join_producers(out, left, right, *masks)
 
 
 # the ten codes a field can take (see state_space_bound)
@@ -500,7 +527,7 @@ def packed_tables(draw, fields):
         key = sum(code << 3 + 5 * s for s, code in zip(slots, codes))
         rows.setdefault(key, key | 7 - alpha)
     order = draw(st.permutations(list(rows.values())))
-    return ueds.dp._Table(np.array(order, dtype=np.uint64), {})
+    return np.array(order, dtype=np.uint64)
 
 
 AMASK8 = np.uint64(7)
@@ -508,52 +535,61 @@ SHIFT8 = [np.uint64(3 + 5 * s) for s in range(3)]
 
 
 class TestFusedIntroduceEdge:
-    """_apply against the mask-based reference node of dp_reference.  The
-    plain lookup reads the codes of u at slot 0 and v at slot 1.  The folded
-    one is an introduce of x at slot 1 with its first edge xw, w at slot 0,
-    and runs on the introduce's child against _introduce followed by the
-    reference node.  A bystander holds slot 2."""
+    """_apply against the mask-based reference node of dp_reference, and
+    _edge_producer against its back-references.  The plain lookup reads the
+    codes of u at slot 0 and v at slot 1.  The folded one is an introduce of
+    x at slot 1 with its first edge xw, w at slot 0, and runs on the
+    introduce's child against introduce_kept followed by the reference
+    node.  A bystander holds slot 2.  _apply takes the child in any order;
+    the producers are checked on the child sorted, as run_dp keeps it."""
 
     @staticmethod
-    def _assert_same(got, want, back, keep):
-        assert got.rows.tolist() == want.rows.tolist()
-        if keep:
-            assert got.extras["took"].tolist() == want.extras["took"].tolist()
-            assert got.extras["back"].tolist() == back.tolist()
+    def _assert_same(got, want, child, lookup, colors):
+        """got's rows are want's, and _edge_producer gives each row's first
+        producer as want's back-references into child have it: the child
+        row's position, and whether its outcome took the edge."""
+        assert got.tolist() == want.rows.tolist()
+        index = {row: at for at, row in enumerate(child.tolist())}
+        for row, back, took in zip(got.tolist(), want.extras["back"], want.extras["took"]):
+            outcome, producer = ueds.dp._edge_producer(
+                row, lookup, colors, int(AMASK8), index.__contains__
+            )
+            assert (index[producer], lookup.took[outcome]) == (back, took)
 
     @given(packed_tables({0: CODES, 1: CODES, 2: CODES}))
     @settings(max_examples=25, deadline=None)
     def test_plain_matches_the_reference_node(self, child):
         su, sv = SHIFT8[0], SHIFT8[1]
-        rows = child.rows
-        key = ((rows >> su) & 31).astype(np.int64) << 5 | ((rows >> sv) & 31).astype(np.int64)
+        key = ((child >> su) & 31).astype(np.int64) << 5 | ((child >> sv) & 31).astype(np.int64)
+        kept = np.sort(child)
         for rem_u, rem_v in itertools.product(range(3), repeat=2):
             rules = ueds.dp._edge_rules(rem_u, rem_v)
             lookup = ueds.dp._edge_lookup(rules, su, sv)
-            for keep in (False, True):
-                want = packed_introduce_edge(child, su, sv, rules, AMASK8, keep)
-                got = ueds.dp._apply(child, key, lookup, AMASK8, keep)
-                self._assert_same(got, want, want.extras.get("back"), keep)
+            want = packed_introduce_edge(Table(kept, {}), su, sv, rules, AMASK8)
+            got = ueds.dp._apply(child, key, lookup, AMASK8)
+            self._assert_same(got, want, kept, lookup, None)
 
     @given(packed_tables({0: CODES, 2: CODES}))
     @settings(max_examples=25, deadline=None)
     def test_matches_the_separate_nodes(self, child):
         sw, sx = SHIFT8[0], SHIFT8[1]
-        key = ((child.rows >> sw) & 31).astype(np.int64)
+        key = ((child >> sw) & 31).astype(np.int64)
+        kept = np.sort(child)
         for rem_x, rem_u, rem_v in itertools.product(range(3), repeat=3):
             rules = ueds.dp._edge_rules(rem_u, rem_v)
+            intro = introduce_kept(Table(kept, {}), sx, rem_x)
             for x_as_v in (False, True):
                 su, sv = (sw, sx) if x_as_v else (sx, sw)
                 # _plan names the ends so that x is v: with x as u, the
                 # rules and the shifts swap
                 swapped = rules if x_as_v else ueds.dp._edge_rules(rem_v, rem_u)
                 lookup = ueds.dp._fused_lookup(swapped, rem_x, sw, sx)
-                for keep in (False, True):
-                    intro = ueds.dp._introduce(child, sx, rem_x, keep)
-                    want = packed_introduce_edge(intro, su, sv, rules, AMASK8, keep)
-                    got = ueds.dp._apply(child, key, lookup, AMASK8, keep)
-                    back = intro.extras["back"][want.extras["back"]] if keep else None
-                    self._assert_same(got, want, back, keep)
+                want = packed_introduce_edge(intro, su, sv, rules, AMASK8)
+                # the separate nodes' back-references, through the introduce
+                back = intro.extras["back"][want.extras["back"]]
+                want = Table(want.rows, {**want.extras, "back": back})
+                got = ueds.dp._apply(child, key, lookup, AMASK8)
+                self._assert_same(got, want, kept, lookup, ueds.dp._live_colors(rem_x))
 
     def test_the_lookup_follows_the_rules_object(self):
         # equal remaining counts and shifts, another rules object: the
@@ -588,8 +624,13 @@ def join_masks(rems, rem_v=None):
 
 
 class TestOneSidedJoin:
-    """_join with v's slot one-sided against _join after an explicit
-    _introduce of v on the side without it."""
+    """_join with v's slot one-sided against join_kept after an explicit
+    introduce of v on the side without it, rows and first producers."""
+
+    @staticmethod
+    def _assert_producers(got, sides, masks, back, back2):
+        for row, want in zip(got.tolist(), zip(back, back2)):
+            assert ueds.dp._join_producer(row, *sides, *masks) == want
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -610,21 +651,20 @@ class TestOneSidedJoin:
         held = data.draw(packed_tables({0: CODES, 1: held_codes, 2: CODES}))
         other = data.draw(packed_tables({0: CODES, 2: CODES}))
         held_left = data.draw(st.booleans())
-        keep = data.draw(st.booleans())
 
-        intro = ueds.dp._introduce(other, SV8, rem_intro, keep)
-        sides = (held, intro) if held_left else (intro, held)
-        want = ueds.dp._join(
-            *sides, *join_masks(rems, rem_v), np.uint64(0), AMASK8, keep
-        )
+        intro = introduce_kept(Table(other, {}), SV8, rem_intro)
+        sides = (Table(held, {}), intro) if held_left else (intro, Table(held, {}))
+        want = join_kept(*sides, *join_masks(rems, rem_v), np.uint64(0), AMASK8)
         sides = (held, other) if held_left else (other, held)
-        got = ueds.dp._join(*sides, *join_masks(rems), SOLO8, AMASK8, keep)
-        assert got.rows.tolist() == want.rows.tolist()
-        if keep:
-            folded, built = ("back2", "back") if held_left else ("back", "back2")
-            assert got.extras[built].tolist() == want.extras[built].tolist()
-            composed = intro.extras["back"][want.extras[folded]]
-            assert got.extras[folded].tolist() == composed.tolist()
+        masks = (*join_masks(rems), SOLO8, AMASK8)
+        got = ueds.dp._join(*sides, *masks)
+        assert got.tolist() == want.rows.tolist()
+        back, back2 = want.extras["back"], want.extras["back2"]
+        if held_left:
+            back2 = intro.extras["back"][back2]
+        else:
+            back = intro.extras["back"][back]
+        self._assert_producers(got, sides, masks, back, back2)
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
@@ -635,19 +675,17 @@ class TestOneSidedJoin:
         rem_v = data.draw(st.integers(0, 2))
         left = data.draw(packed_tables({0: CODES, 2: CODES}))
         right = data.draw(packed_tables({0: CODES, 2: CODES}))
-        keep = data.draw(st.booleans())
-        left_intro = ueds.dp._introduce(left, SV8, rem_v, keep)
-        right_intro = ueds.dp._introduce(right, SV8, rem_v, keep)
-        want = ueds.dp._join(
-            left_intro, right_intro, *join_masks(rems, rem_v), np.uint64(0),
-            AMASK8, keep,
+        left_intro = introduce_kept(Table(left, {}), SV8, rem_v)
+        right_intro = introduce_kept(Table(right, {}), SV8, rem_v)
+        want = join_kept(
+            left_intro, right_intro, *join_masks(rems, rem_v), np.uint64(0), AMASK8
         )
-        got = ueds.dp._join(left, right_intro, *join_masks(rems), SOLO8, AMASK8, keep)
-        assert got.rows.tolist() == want.rows.tolist()
-        if keep:
-            assert got.extras["back2"].tolist() == want.extras["back2"].tolist()
-            composed = left_intro.extras["back"][want.extras["back"]]
-            assert got.extras["back"].tolist() == composed.tolist()
+        sides = (left, right_intro.rows)
+        masks = (*join_masks(rems), SOLO8, AMASK8)
+        got = ueds.dp._join(*sides, *masks)
+        assert got.tolist() == want.rows.tolist()
+        back = left_intro.extras["back"][want.extras["back"]]
+        self._assert_producers(got, sides, masks, back, want.extras["back2"])
 
 
 class TestLiveness:
@@ -822,7 +860,7 @@ class TestRemainingAbove:
             assert step[3] == clamped[node.vertex]
         elif node.kind == INTRODUCE_EDGE:
             lookup = step[5]
-            if lookup.rules is None:  # an introduce of x folded in
+            if lookup.step is not None:  # an introduce of x folded in
                 x = nd.nodes[node.children[0]].vertex
                 w = sum(node.edge) - x
                 rules = dp._edge_rules(clamped[w], clamped[x])
@@ -900,7 +938,7 @@ class TestStarForestTables:
         ]
         assert len(built) == len(inner)
         for (idx, node), table in zip(inner, built):
-            rows = [int(r) for r in table.rows]
+            rows = [int(r) for r in table]
             assert len(rows) <= state_space_bound(nd.width)
             assert len(set(rows)) == len(rows)
             left = edges_left(g, nd, idx) if node.kind == JOIN else None
@@ -967,6 +1005,24 @@ class TestPinnedOutput:
         edges = [g.edges[e] for e in extract_witness(g, nd, result)]
         assert [(u + 1, v + 1) for u, v in edges] == witness
 
+    @pytest.mark.parametrize(
+        "spec,joins,gamma,nodes,rows_sum,rows_max,witness",
+        [(GenSpec("gnp", 8, 0.3, 1), 2, 3, 34, 692, 96, [(2, 4), (3, 6), (5, 7)])],
+        ids=["gnp-n8-p0.3-s1"],
+    )
+    def test_min_fill_late(self, spec, joins, gamma, nodes, rows_sum, rows_max, witness):
+        # late placement gives this form a one-sided join slot and a built
+        # introduce on a join's right side, whose rows the walk reads in
+        # block order
+        g = gen(spec)
+        nd = make_nice(g, td_min_fill(g), edge_placement="late")
+        result = run_dp(g, nd, keep_tables=True)
+        sizes = [size for _, _, size in result.node_stats]
+        assert (nd.count(JOIN), result.gamma_prime) == (joins, gamma)
+        assert (len(sizes), sum(sizes), max(sizes)) == (nodes, rows_sum, rows_max)
+        edges = [g.edges[e] for e in extract_witness(g, nd, result)]
+        assert [(u + 1, v + 1) for u, v in edges] == witness
+
     @staticmethod
     def _assert_pinned(report, joins, gamma, nodes, rows_sum, rows_max, witness):
         lines = [line for line in report.dp["diagnostics"] if "tuples=" in line]
@@ -1011,6 +1067,31 @@ class TestPinnedOutput:
         report = gamma_prime(gen(spec), method="dp", diagnostics=True)
         assert report.dp["source"] == source
         self._assert_pinned(report, joins, gamma, nodes, rows_sum, rows_max, witness)
+
+
+class TestWitnessWalk:
+    """extract_witness, which recovers each row's first producer from kept
+    rows, against eager_witness, which follows the back-references that
+    run_eager stores (dp_reference's executable spec), on every kind of
+    decomposition the solver makes or a user gives."""
+
+    @given(st.one_of(graphs(max_n=8), sparse_graphs(min_n=6, max_n=16, extra=4)))
+    @settings(max_examples=40, deadline=None)
+    def test_same_witness_as_the_back_references(self, g):
+        td = td_min_fill(g)
+        degree = [len(adj) for adj in td.neighbors()]
+        hub = degree.index(max(degree, default=0)) if td.bags else 0
+        trees = [td, rooted_at(td, hub), td_greedy_path(g)]
+        # the matching-cover path is as wide as the cover, so only narrow ones
+        cover = vertex_cover_from_matching(g, greedy_maximal_matching(g))
+        path = td_from_vertex_cover(g, cover)
+        if path.width <= REFERENCE_WIDTH_CAP:
+            trees.append(path)
+        for tree in trees:
+            for placement in ("early", "late"):
+                nd = make_nice(g, tree, edge_placement=placement)
+                got = extract_witness(g, nd, run_dp(g, nd, keep_tables=True))
+                assert got == eager_witness(nd, run_eager(g, nd, keep_tables=True))
 
 
 class TestMinFillDecompositions:
@@ -1082,7 +1163,7 @@ class TestFoldedIntroduces:
             assert got.gamma_prime == want.gamma_prime
             assert got.max_table_size == want.max_table_size
             if keep:
-                assert extract_witness(g, nd, got) == extract_witness(g, nd, want)
+                assert extract_witness(g, nd, got) == eager_witness(nd, want)
 
     @given(st.one_of(graphs(max_n=8), sparse_graphs(min_n=6, max_n=16, extra=4)))
     @settings(max_examples=40, deadline=None)

@@ -210,8 +210,14 @@ class TestReports:
         report = solve(p4, 3)
         assert "total" in report.timings_ms
         assert "dp" in report.timings_ms
-        # gamma_prime times the stage it routes to
-        for method in ("oracle", "dp"):
+        # the witness walk is timed on its own, and only when it runs
+        assert "witness" not in report.timings_ms
+        report = solve(p4, 3, want_witness=True)
+        assert report.stage == "dp" and report.witness is not None
+        assert {"dp", "witness"} <= set(report.timings_ms)
+        # gamma_prime times the stages it routes to
+        for method, stages in (("oracle", {"oracle"}), ("dp", {"dp", "witness"})):
             report = gamma_prime(p4, method=method)
-            assert set(report.timings_ms) == {method, "total"}
-            assert 0 <= report.timings_ms[method] <= report.timings_ms["total"]
+            assert set(report.timings_ms) == stages | {"total"}
+            times = [report.timings_ms[stage] for stage in stages]
+            assert min(times) >= 0 and sum(times) <= report.timings_ms["total"]

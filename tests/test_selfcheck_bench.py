@@ -23,6 +23,11 @@ class TestSelfcheck:
         report = selfcheck(count=0, nmax=8, seed=1)
         assert report.passed and report.instances == 0
 
+    @pytest.mark.parametrize("nmax", [0, -1])
+    def test_no_vertex_is_refused(self, nmax):
+        with pytest.raises(ValueError, match="nmax"):
+            selfcheck(count=3, nmax=nmax, seed=1)
+
     def test_report_shapes(self):
         report = selfcheck(count=3, nmax=5, seed=9)
         payload = report.to_dict()
