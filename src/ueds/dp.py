@@ -117,10 +117,15 @@ which is the one of largest alpha.  Rows equal in full are interchangeable,
 so the sort need not be stable, and no node records which child row
 produced which of its rows.
 
-Witness.  With keep_tables, run_dp keeps every built table's rows, which
-are sorted and unique, and nothing else; an introduce keeps none, because a
+Witness.  With keep_tables, run_dp keeps the rows of built tables, which
+are sorted and unique, and nothing else.  An introduce keeps none, because a
 row's place in it follows from its child: the block of v's color, then the
-child's order.  extract_witness walks down the plan from the accepting root
+child's order.  A forget keeps none unless its child's rows are a forget's
+too, because a row is in it exactly when the row has the best alpha of the
+child rows with its fields and one of the four satisfied codes in v's field
+(_best).  A forget over a forget keeps its rows, so that a probe costs at
+most four lookups, not four per forget of a chain.  The root's rows are
+always kept.  extract_witness walks down the plan from the accepting root
 row and at each node picks the row's first producer: of the child rows (or
 pairs) that the node turns into exactly this row, alpha included, the one
 it emits first.  An edge node emits by outcome, then child row; a forget in
@@ -189,7 +194,8 @@ class DPResult:
     gives every node's table size in the nice form; a folded introduce,
     which builds no table, reports its child's size times its live colors.
     With keep_tables, rows holds each node's kept rows (None for an
-    introduce, built or folded), plan the steps run_dp took, and root_row
+    introduce, built or folded, and for a forget whose child's rows are not
+    a forget's), plan the steps run_dp took, and root_row
     the index of the accepting root row, which the witness walk starts
     from."""
 
@@ -627,8 +633,9 @@ def run_dp(
     graph yields 0.  check validates nd first.  A decomposition whose rows do
     not fit 64 bits raises WidthCapExceeded before any table is built.  The
     nodes run the steps of _plan.  A node's rows are freed as soon as its
-    parent is built; with keep_tables every table but an introduce's is kept
-    for extract_witness, which reads them and the plan."""
+    parent is built; with keep_tables the tables the module docstring names
+    under Witness are kept for extract_witness, which reads them and the
+    plan."""
     if check:
         violations = validate_nice(g, nd)
         if violations:
@@ -649,6 +656,7 @@ def run_dp(
     # a folded introduce's entry is its child's table, which its parent reads
     tables: list[np.ndarray | None] = []
     kept: list[np.ndarray | None] = []
+    made_by: list[int] = []  # the op that built the rows a node's parent reads
     sizes: list[int] = []
     for step, kids in zip(plan, nd.children):
         op, c = step[0], step[1]
@@ -673,13 +681,17 @@ def run_dp(
         # an introduce stands for one copy of its child per live color
         introduce = op == _INTRODUCE or op == _FOLDED
         sizes.append(sizes[c] * len(_live_colors(step[3])) if introduce else len(table))
+        made_by.append(made_by[c] if introduce else op)
         if keep_tables:
-            kept.append(None if introduce else table)
+            derived = introduce or op == _FORGET and made_by[c] != _FORGET
+            kept.append(None if derived else table)
         # every node has one parent, so a child is done once it is built
         for c in kids:
             tables[c] = None
 
     root = tables[-1]
+    if keep_tables:
+        kept[-1] = root  # the walk starts from the root's rows
     # no r0 field left means no uncertified red (see the module docstring)
     accept = np.flatnonzero(root <= amask)
     if len(accept) == 0:
@@ -791,32 +803,52 @@ def _join_producer(
     return int(lpos[first]), int(rpos[first])
 
 
-def _present(plan: list[tuple], kept: list, c: int, row: int) -> bool:
-    """Is row in the table that node c's parent reads?  An introduce, built
-    or folded, keeps no rows, so the probe looks through it to its child."""
+def _best(plan: list[tuple], kept: list, amask: int, c: int, fields: int) -> int | None:
+    """amax - alpha of the row with these fields in the table that node c's
+    parent reads, or None when it has none.  An introduce, built or folded,
+    keeps no rows, so the probe looks through it to its child; a forget that
+    keeps none takes the best of its child's rows with one of the satisfied
+    codes in the forgotten field, as its dedupe did."""
     while kept[c] is None:
-        op, child, shift, rem = plan[c]
+        op, child, shift = plan[c][:3]
+        if op == _FORGET:
+            found = [
+                _best(plan, kept, amask, child, fields | code << shift)
+                for code in _SATISFIED_CODES
+            ]
+            return min((f for f in found if f is not None), default=None)
         if op == _INTRODUCE:
-            if row >> shift & 31 not in _live_colors(rem):
-                return False
-            row &= ~(31 << shift)
+            if fields >> shift & 31 not in _live_colors(plan[c][3]):
+                return None
+            fields &= ~(31 << shift)
         c = child
     table = kept[c]
-    at = bisect_left(table, row)
-    return at < len(table) and table[at] == row
+    at = bisect_left(table, fields)
+    if at < len(table):
+        found = int(table[at])
+        if found ^ fields <= amask:
+            return found & amask
+    return None
 
 
-def _rows_of(plan: list[tuple], kept: list, c: int) -> np.ndarray:
+def _present(plan: list[tuple], kept: list, amask: int, c: int, row: int) -> bool:
+    """Is row, alpha included, in the table that node c's parent reads?"""
+    return _best(plan, kept, amask, c, row & ~amask) == row & amask
+
+
+def _rows_of(plan: list[tuple], kept: list, amask: int, c: int) -> np.ndarray:
     """The table that node c's parent reads, in its order: the introduces
-    built between it and the kept rows below are made again."""
+    and forgets between it and the kept rows below are built again."""
     built = []
     while kept[c] is None:
-        op, c, shift, rem = plan[c]
-        if op == _INTRODUCE:
-            built.append((shift, rem))
+        built.append(plan[c])
+        c = plan[c][1]
     rows = kept[c]
-    for shift, rem in reversed(built):
-        rows = _introduce(rows, shift, rem)
+    for op, _, shift, *rem in reversed(built):
+        if op == _INTRODUCE:
+            rows = _introduce(rows, shift, rem[0])
+        elif op == _FORGET:
+            rows = _forget(rows, shift, np.uint64(amask))
     return rows
 
 
@@ -840,14 +872,16 @@ def extract_witness(g: Graph, nd: NiceDecomposition, result: DPResult) -> EdgeSe
             lookup = step[5]
             folded = plan[c][0] == _FOLDED
             colors = _live_colors(plan[c][3]) if folded else None
-            present = partial(_present, plan, kept, c)
+            present = partial(_present, plan, kept, amask, c)
             outcome, row = _edge_producer(row, lookup, colors, amask, present)
             if lookup.took[outcome]:
                 mask |= 1 << nd.edge_id[idx]
         elif op == _FORGET:
-            row = _forget_producer(row, step[2], partial(_present, plan, kept, c))
+            present = partial(_present, plan, kept, amask, c)
+            row = _forget_producer(row, step[2], present)
         elif op == _JOIN:
-            left, right = _rows_of(plan, kept, c), _rows_of(plan, kept, step[2])
+            left = _rows_of(plan, kept, amask, c)
+            right = _rows_of(plan, kept, amask, step[2])
             lpos, rpos = _join_producer(row, left, right, *step[3:], np.uint64(amask))
             stack.append((step[2], int(right[rpos])))
             row = int(left[lpos])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import ueds.dp
 from ueds.decomposition import (
+    FORGET,
     INTRODUCE,
     INTRODUCE_EDGE,
     JOIN,
@@ -1092,6 +1093,23 @@ class TestWitnessWalk:
                 nd = make_nice(g, tree, edge_placement=placement)
                 got = extract_witness(g, nd, run_dp(g, nd, keep_tables=True))
                 assert got == eager_witness(nd, run_eager(g, nd, keep_tables=True))
+
+    def test_rows_are_kept_where_the_walk_cannot_derive_them(self):
+        # an introduce's rows follow from its child's, and so do a forget's
+        # unless its child's rows are a forget's; the root's are always kept
+        g = gen(GenSpec("gnp", 8, 0.3, 1))
+        nd = make_nice(g, td_min_fill(g), edge_placement="late")
+        result = run_dp(g, nd, keep_tables=True)
+        over_forget = []
+        for idx, kind in enumerate(nd.kind):
+            below = nd.children[idx][0] if nd.children[idx] else None
+            while below is not None and nd.kind[below] == INTRODUCE:
+                below = nd.children[below][0]
+            if kind == FORGET:
+                over_forget.append(nd.kind[below] == FORGET)
+            derived = kind == INTRODUCE or kind == FORGET and nd.kind[below] != FORGET
+            assert (result.rows[idx] is None) == (derived and idx != nd.root)
+        assert sorted(over_forget) == [False] * 5 + [True] * 3
 
 
 class TestMinFillDecompositions:
