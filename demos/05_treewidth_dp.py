@@ -31,8 +31,9 @@ for line in result.diagnostics_lines()[:6]:
     print("  ", line)
 print("   ...")
 
-# The witness reconstructs by walking back-references; it is a genuine
-# minimal edge dominating set shaped as a star forest.
+# The witness walk recovers, node by node, the child row that produced each
+# kept row; the result is a genuine minimal edge dominating set shaped as a
+# star forest.
 witness = extract_witness(g, nd, result)
 print("witness edges:", [tuple(v + 1 for v in g.edges[e]) for e in witness])
 print("witness minimal:", is_minimal_eds(g, witness))

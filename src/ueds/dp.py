@@ -195,9 +195,8 @@ class DPResult:
     which builds no table, reports its child's size times its live colors.
     With keep_tables, rows holds each node's kept rows (None for an
     introduce, built or folded, and for a forget whose child's rows are not
-    a forget's), plan the steps run_dp took, and root_row
-    the index of the accepting root row, which the witness walk starts
-    from."""
+    a forget's), plan the steps run_dp took, and root_row the index of the
+    accepting root row, which the witness walk starts from."""
 
     gamma_prime: int
     width: int

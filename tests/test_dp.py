@@ -1070,48 +1070,6 @@ class TestPinnedOutput:
         self._assert_pinned(report, joins, gamma, nodes, rows_sum, rows_max, witness)
 
 
-class TestWitnessWalk:
-    """extract_witness, which recovers each row's first producer from kept
-    rows, against eager_witness, which follows the back-references that
-    run_eager stores (dp_reference's executable spec), on every kind of
-    decomposition the solver makes or a user gives."""
-
-    @given(st.one_of(graphs(max_n=8), sparse_graphs(min_n=6, max_n=16, extra=4)))
-    @settings(max_examples=40, deadline=None)
-    def test_same_witness_as_the_back_references(self, g):
-        td = td_min_fill(g)
-        degree = [len(adj) for adj in td.neighbors()]
-        hub = degree.index(max(degree, default=0)) if td.bags else 0
-        trees = [td, rooted_at(td, hub), td_greedy_path(g)]
-        # the matching-cover path is as wide as the cover, so only narrow ones
-        cover = vertex_cover_from_matching(g, greedy_maximal_matching(g))
-        path = td_from_vertex_cover(g, cover)
-        if path.width <= REFERENCE_WIDTH_CAP:
-            trees.append(path)
-        for tree in trees:
-            for placement in ("early", "late"):
-                nd = make_nice(g, tree, edge_placement=placement)
-                got = extract_witness(g, nd, run_dp(g, nd, keep_tables=True))
-                assert got == eager_witness(nd, run_eager(g, nd, keep_tables=True))
-
-    def test_rows_are_kept_where_the_walk_cannot_derive_them(self):
-        # an introduce's rows follow from its child's, and so do a forget's
-        # unless its child's rows are a forget's; the root's are always kept
-        g = gen(GenSpec("gnp", 8, 0.3, 1))
-        nd = make_nice(g, td_min_fill(g), edge_placement="late")
-        result = run_dp(g, nd, keep_tables=True)
-        over_forget = []
-        for idx, kind in enumerate(nd.kind):
-            below = nd.children[idx][0] if nd.children[idx] else None
-            while below is not None and nd.kind[below] == INTRODUCE:
-                below = nd.children[below][0]
-            if kind == FORGET:
-                over_forget.append(nd.kind[below] == FORGET)
-            derived = kind == INTRODUCE or kind == FORGET and nd.kind[below] != FORGET
-            assert (result.rows[idx] is None) == (derived and idx != nd.root)
-        assert sorted(over_forget) == [False] * 5 + [True] * 3
-
-
 class TestMinFillDecompositions:
     """The DP, the reference and the oracle on min-fill elimination
     decompositions, which bring join nodes that the cover paths never have."""
@@ -1170,7 +1128,9 @@ class TestGreedyPathDecompositions:
 class TestFoldedIntroduces:
     """run_dp folds introduces into the node above; run_eager builds every
     table of the nice form.  Both must give the same node_stats, gamma' and
-    witness."""
+    witness: extract_witness recovers each row's first producer from kept
+    rows, and eager_witness follows the back-references run_eager stores
+    (dp_reference's executable spec)."""
 
     @staticmethod
     def _assert_same(g, nd):
@@ -1189,7 +1149,13 @@ class TestFoldedIntroduces:
         td = td_min_fill(g)
         degree = [len(adj) for adj in td.neighbors()]
         hub = degree.index(max(degree, default=0)) if td.bags else 0
-        for tree in (td, rooted_at(td, hub), td_greedy_path(g)):
+        trees = [td, rooted_at(td, hub), td_greedy_path(g)]
+        # the matching-cover path is as wide as the cover, so only narrow ones
+        cover = vertex_cover_from_matching(g, greedy_maximal_matching(g))
+        path = td_from_vertex_cover(g, cover)
+        if path.width <= REFERENCE_WIDTH_CAP:
+            trees.append(path)
+        for tree in trees:
             for placement in ("early", "late"):
                 self._assert_same(g, make_nice(g, tree, edge_placement=placement))
 
@@ -1266,6 +1232,23 @@ class TestWitness:
         witness = extract_witness(c4, nd, result)
         assert witness.size == 2
         assert is_minimal_eds(c4, witness)
+
+    def test_rows_are_kept_where_the_walk_cannot_derive_them(self):
+        # an introduce's rows follow from its child's, and so do a forget's
+        # unless its child's rows are a forget's; the root's are always kept
+        g = gen(GenSpec("gnp", 8, 0.3, 1))
+        nd = make_nice(g, td_min_fill(g), edge_placement="late")
+        result = run_dp(g, nd, keep_tables=True)
+        over_forget = []
+        for idx, kind in enumerate(nd.kind):
+            below = nd.children[idx][0] if nd.children[idx] else None
+            while below is not None and nd.kind[below] == INTRODUCE:
+                below = nd.children[below][0]
+            if kind == FORGET:
+                over_forget.append(nd.kind[below] == FORGET)
+            derived = kind == INTRODUCE or kind == FORGET and nd.kind[below] != FORGET
+            assert (result.rows[idx] is None) == (derived and idx != nd.root)
+        assert sorted(over_forget) == [False] * 5 + [True] * 3
 
     def test_requires_kept_tables(self, k2):
         nd = nice_for(k2)
