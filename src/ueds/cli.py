@@ -23,7 +23,7 @@ from .errors import FormatError, ResourceCapExceeded, UedsError
 from .generate import FAMILIES, GenSpec, gen
 from .graph import emit_graph, parse_graph
 from .kernel import kernelize
-from .oracle import DEFAULT_EDGE_LIMIT
+from .oracle import DEFAULT_EDGE_LIMIT, MASK_BITS
 from .pipeline import DEFAULT_WIDTH_CAP, choose_decomposition, gamma_prime, solve
 from .selfcheck import selfcheck
 
@@ -65,6 +65,10 @@ def _positive_int(text: str) -> int:
 _MAX_WIDTH_HELP = "the most vertices a bag may hold (width + 1)"
 
 
+def _witness_text(witness: list[tuple[int, int]]) -> str:
+    return " ".join(f"({u},{v})" for u, v in witness)
+
+
 def _add_limit(p: argparse.ArgumentParser, flag: str, default: int, help: str) -> None:
     p.add_argument(flag, type=_nonnegative_int, default=default, help=help)
 
@@ -103,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         p,
         "--oracle-limit",
         DEFAULT_EDGE_LIMIT,
-        "the most edges the oracle takes, never above 64; auto runs the DP above it",
+        f"the most edges the oracle takes, never above {MASK_BITS}; auto runs the "
+        "DP above it",
     )
     p.add_argument(
         "--td", default=None, help="run the DP over this PACE .td decomposition"
@@ -119,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("oracle", help="brute-force enumeration on a small instance")
     p.add_argument("graph")
     _add_limit(
-        p, "--limit", DEFAULT_EDGE_LIMIT, "the most edges it takes, never above 64"
+        p, "--limit", DEFAULT_EDGE_LIMIT, f"the most edges it takes, never above {MASK_BITS}"
     )
     p.add_argument("--json", action="store_true")
 
@@ -175,8 +180,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             )
         if report.witness is not None:
             where = " (on reduced instance)" if report.witness_on_reduced else ""
-            pairs = " ".join(f"({u},{v})" for u, v in report.witness)
-            print(f"witness{where}: {pairs}")
+            print(f"witness{where}: {_witness_text(report.witness)}")
         if args.verbose and report.kernel:
             for line in report.kernel.get("trace", []):
                 print(line)
@@ -188,12 +192,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
     g = _load(args.graph, parse_graph)
-    td = None
-    if args.td:
-        if args.method == "oracle":
-            print("error: --td needs --method dp or auto", file=sys.stderr)
-            return 2
-        td = _load(args.td, parse_td)
+    td = _load(args.td, parse_td) if args.td else None
     report = gamma_prime(
         g,
         method=args.method,
@@ -210,7 +209,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
         print(f"method: {report.method}")
         print(f"gamma_prime: {report.gamma_prime}")
         if report.witness is not None:
-            print("witness: " + " ".join(f"({u},{v})" for u, v in report.witness))
+            print(f"witness: {_witness_text(report.witness)}")
         if args.verbose and report.dp:
             for line in report.dp.get("diagnostics", []):
                 print(line)
@@ -251,7 +250,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:
         print(f"gamma_prime: {payload['gamma_prime']}")
         print(f"minimal solutions: {payload['count_minimal']}")
-        print("witness: " + " ".join(f"({u},{v})" for u, v in payload["witness"]))
+        print(f"witness: {_witness_text(payload['witness'])}")
     return 0
 
 

@@ -117,20 +117,25 @@ which is the one of largest alpha.  Rows equal in full are interchangeable,
 so the sort need not be stable, and no node records which child row
 produced which of its rows.
 
-Witness.  With keep_tables, run_dp keeps the rows of built tables, which
-are sorted and unique, and nothing else.  An introduce keeps none, because a
-row's place in it follows from its child: the block of v's color, then the
-child's order.  A forget keeps none unless its child's rows are a forget's
-too, because a row is in it exactly when the row has the best alpha of the
-child rows with its fields and one of the four satisfied codes in v's field
-(_best).  A forget over a forget keeps its rows, so that a probe costs at
-most four lookups, not four per forget of a chain.  The root's rows are
-always kept.  extract_witness walks down the plan from the accepting root
-row and at each node picks the row's first producer: of the child rows (or
-pairs) that the node turns into exactly this row, alpha included, the one
-it emits first.  An edge node emits by outcome, then child row; a forget in
-child order; a join by key, then left row, then right row.  It finds the
-producer by probing the child's rows with the row's few preimages:
+Witness.  With keep_tables, run_dp keeps for each node the rows its parent
+reads, wherever the walk cannot derive them, and nothing else; nothing is
+rebuilt.  A join's two children keep the tables the join read: a folded
+introduce its child's table, a built one its color blocks in child order,
+which are not sorted.  The walk pairs those whole and never probes them.
+Every other kept table is a built one, sorted and unique.  Elsewhere an
+introduce keeps none, because a row's place in it follows from its child:
+the block of v's color, then the child's order.  A forget keeps none unless
+its child's rows are a forget's too, because a row is in it exactly when
+the row has the best alpha of the child rows with its fields and one of the
+four satisfied codes in v's field (_best).  A forget over a forget keeps its
+rows, so that a probe costs at most four lookups, not four per forget of a
+chain.  The root's rows are always kept.  extract_witness walks down the
+plan from the accepting root row and at each node picks the row's first
+producer: of the child rows (or pairs) that the node turns into exactly
+this row, alpha included, the one it emits first.  An edge node emits by
+outcome, then child row; a forget in child order; a join by key, then left
+row, then right row.  It finds the producer by probing the child's rows
+with the row's few preimages:
 
 - an edge node: each rules object tabulates once, per branch, the at most
   two keys that map to each output code pair (_preimages): a certified r1
@@ -193,9 +198,10 @@ class DPResult:
     """Answer plus diagnostics of one dynamic-programming run.  node_stats
     gives every node's table size in the nice form; a folded introduce,
     which builds no table, reports its child's size times its live colors.
-    With keep_tables, rows holds each node's kept rows (None for an
-    introduce, built or folded, and for a forget whose child's rows are not
-    a forget's), plan the steps run_dp took, and root_row the index of the
+    With keep_tables, rows holds for each node the rows its parent reads:
+    the table a join read for each of its children, and otherwise None for
+    an introduce and for a forget whose child's rows are not a forget's.
+    plan holds the steps run_dp took, and root_row the index of the
     accepting root row, which the witness walk starts from."""
 
     gamma_prime: int
@@ -581,6 +587,11 @@ def _plan(g: Graph, nd: NiceDecomposition, alpha_bits: int) -> list[tuple]:
             if folded:
                 step = (_EDGE, c, su, 31, None, _fused_lookup(rules, capped[v], su, sv))
             elif su - sv == 5:
+                # adjacent fields, one shift and mask.  On the 5x200 grid's
+                # decision DP (2 vCPU) one A/B gave 2.82-2.93 s with this
+                # branch against 3.44-3.54 s without, a later one 2.96-3.56
+                # s against 3.03-3.88 s (9 process pairs); no benchmark
+                # workload shows it.  Measure again before deleting it
                 step = (_EDGE, c, sv, 1023, None, _edge_lookup(rules, su, sv))
             else:
                 step = (_EDGE, c, su - 5, 31 << 5, sv, _edge_lookup(rules, su, sv))
@@ -684,6 +695,8 @@ def run_dp(
         if keep_tables:
             derived = introduce or op == _FORGET and made_by[c] != _FORGET
             kept.append(None if derived else table)
+            if op == _JOIN:
+                kept[c], kept[step[2]] = tables[c], tables[step[2]]
         # every node has one parent, so a child is done once it is built
         for c in kids:
             tables[c] = None
@@ -804,10 +817,11 @@ def _join_producer(
 
 def _best(plan: list[tuple], kept: list, amask: int, c: int, fields: int) -> int | None:
     """amax - alpha of the row with these fields in the table that node c's
-    parent reads, or None when it has none.  An introduce, built or folded,
-    keeps no rows, so the probe looks through it to its child; a forget that
-    keeps none takes the best of its child's rows with one of the satisfied
-    codes in the forgotten field, as its dedupe did."""
+    parent reads, or None when it has none.  An introduce keeps no rows
+    unless a join reads them, which no probe does, so the probe looks
+    through it to its child; a forget that keeps none takes the best of its
+    child's rows with one of the satisfied codes in the forgotten field, as
+    its dedupe did."""
     while kept[c] is None:
         op, child, shift = plan[c][:3]
         if op == _FORGET:
@@ -835,28 +849,14 @@ def _present(plan: list[tuple], kept: list, amask: int, c: int, row: int) -> boo
     return _best(plan, kept, amask, c, row & ~amask) == row & amask
 
 
-def _rows_of(plan: list[tuple], kept: list, amask: int, c: int) -> np.ndarray:
-    """The table that node c's parent reads, in its order: the introduces
-    and forgets between it and the kept rows below are built again."""
-    built = []
-    while kept[c] is None:
-        built.append(plan[c])
-        c = plan[c][1]
-    rows = kept[c]
-    for op, _, shift, *rem in reversed(built):
-        if op == _INTRODUCE:
-            rows = _introduce(rows, shift, rem[0])
-        elif op == _FORGET:
-            rows = _forget(rows, shift, np.uint64(amask))
-    return rows
-
-
 def extract_witness(g: Graph, nd: NiceDecomposition, result: DPResult) -> EdgeSet:
     """Walk down the plan from the accepting root row, picking at each node
     the row's first producer (see the module docstring), and collect the
-    edges of included introduce-edge outcomes.  A folded introduce hands its
-    row down unchanged, as its parent read its child's table; a built one
-    clears its vertex's field.  Requires a run with keep_tables=True."""
+    edges of included introduce-edge outcomes.  A join pairs the two tables
+    it read, which its children keep; every other node probes kept rows.
+    A folded introduce hands its row down unchanged, as its parent read its
+    child's table; a built one clears its vertex's field.  Requires a run
+    with keep_tables=True."""
     if result.rows is None or result.plan is None:
         raise ValueError("witness extraction needs a run with keep_tables=True")
     plan, kept = result.plan, result.rows
@@ -879,8 +879,7 @@ def extract_witness(g: Graph, nd: NiceDecomposition, result: DPResult) -> EdgeSe
             present = partial(_present, plan, kept, amask, c)
             row = _forget_producer(row, step[2], present)
         elif op == _JOIN:
-            left = _rows_of(plan, kept, amask, c)
-            right = _rows_of(plan, kept, amask, step[2])
+            left, right = kept[c], kept[step[2]]
             lpos, rpos = _join_producer(row, left, right, *step[3:], np.uint64(amask))
             stack.append((step[2], int(right[rpos])))
             row = int(left[lpos])

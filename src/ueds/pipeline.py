@@ -21,7 +21,7 @@ from .decomposition import (
     td_min_fill,
 )
 from .dp import extract_witness, row_bag_limit, run_dp
-from .errors import WidthCapExceeded
+from .errors import UedsError, WidthCapExceeded
 from .graph import (
     EdgeSet,
     Graph,
@@ -244,13 +244,16 @@ def gamma_prime(
     method "oracle" enumerates (m <= oracle_limit and m <= 64), "dp" runs
     the dynamic program over the decomposition choose_decomposition picks,
     or over td when one is given, "auto" picks the oracle wherever it fits
-    (oracle.fits) and the DP otherwise (always the DP when td is given).
+    (oracle.fits) and the DP otherwise (always the DP when td is given; the
+    oracle method refuses a given td with UedsError).
     Both methods agree wherever both apply; the test suite enforces that.
     """
     if method not in ("auto", "dp", "oracle"):
         raise ValueError(f"unknown method {method!r}")
     if td is not None and method == "oracle":
-        raise ValueError("a given decomposition needs the DP method")
+        raise UedsError(
+            "a given decomposition (--td) needs the DP method (--method dp or auto)"
+        )
     if method == "auto":
         method = "oracle" if fits(g.m, oracle_limit) and td is None else "dp"
     report = SolveReport(instance=instance, stage=method, method=method)

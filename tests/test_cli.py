@@ -245,6 +245,10 @@ class TestDecompositionCommands:
         td_file = tmp_path / "p4.td"
         td_file.write_text(emit_td(td_from_vertex_cover(gen(GenSpec("path", 4)), [1, 2])))
         assert main(["gamma", path, "--td", str(td_file), "--method", "oracle"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a given decomposition (--td) needs the DP method "
+            "(--method dp or auto)\n"
+        )
 
     @pytest.mark.parametrize(
         "spec,oracle_checked",

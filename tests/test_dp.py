@@ -1233,12 +1233,34 @@ class TestWitness:
         assert witness.size == 2
         assert is_minimal_eds(c4, witness)
 
-    def test_rows_are_kept_where_the_walk_cannot_derive_them(self):
-        # an introduce's rows follow from its child's, and so do a forget's
-        # unless its child's rows are a forget's; the root's are always kept
+    @staticmethod
+    def _join_children(nd):
+        return [c for idx in range(len(nd.kind)) if nd.kind[idx] == JOIN
+                for c in nd.children[idx]]
+
+    def test_rows_are_kept_where_the_walk_cannot_derive_them(self, monkeypatch):
+        # a join's children keep the tables the join read, which a run
+        # without kept tables rebuilds here; elsewhere an introduce's rows
+        # follow from its child's, and so do a forget's unless its child's
+        # rows are a forget's; the root's are always kept
         g = gen(GenSpec("gnp", 8, 0.3, 1))
         nd = make_nice(g, td_min_fill(g), edge_placement="late")
         result = run_dp(g, nd, keep_tables=True)
+        read = []
+        join = ueds.dp._join
+
+        def recording_join(left, right, *masks):
+            read.extend((left, right))
+            return join(left, right, *masks)
+
+        monkeypatch.setattr(ueds.dp, "_join", recording_join)
+        run_dp(g, nd)
+        joined = self._join_children(nd)
+        assert len(read) == len(joined) == 4
+        for c, rows in zip(joined, read):
+            assert np.array_equal(result.rows[c], rows)
+        # a built introduce's color blocks are not sorted
+        assert any((rows[1:] < rows[:-1]).any() for rows in read)
         over_forget = []
         for idx, kind in enumerate(nd.kind):
             below = nd.children[idx][0] if nd.children[idx] else None
@@ -1246,9 +1268,45 @@ class TestWitness:
                 below = nd.children[below][0]
             if kind == FORGET:
                 over_forget.append(nd.kind[below] == FORGET)
+            if idx in joined:
+                continue
             derived = kind == INTRODUCE or kind == FORGET and nd.kind[below] != FORGET
-            assert (result.rows[idx] is None) == (derived and idx != nd.root)
+            rows = result.rows[idx]
+            assert (rows is None) == (derived and idx != nd.root)
+            if rows is not None:
+                assert (rows[1:] > rows[:-1]).all()
         assert sorted(over_forget) == [False] * 5 + [True] * 3
+
+    @pytest.mark.parametrize("form", ["min-fill-late", "forgets-below-a-join"])
+    def test_the_walk_rebuilds_no_table(self, monkeypatch, form):
+        if form == "min-fill-late":
+            g = gen(GenSpec("gnp", 8, 0.3, 1))
+            nd = make_nice(g, td_min_fill(g), edge_placement="late")
+            plan = ueds.dp._plan(g, nd, (g.n - 1).bit_length())
+            # a join reads a built introduce's table on its right side
+            assert any(plan[c][0] == ueds.dp._INTRODUCE for c in self._join_children(nd))
+        else:
+            # rooted at bag {2}, the join's children forget 1 and 3 over
+            # edge nodes: forgets whose rows no probe needs kept
+            g = gen(GenSpec("path", 5))
+            td = TreeDecomposition(
+                n=5,
+                bags=((2,), (1, 2), (2, 3), (0, 1), (3, 4)),
+                tree_edges=((0, 1), (0, 2), (1, 3), (2, 4)),
+            )
+            nd = make_nice(g, td)
+            joined = self._join_children(nd)
+            assert [nd.kind[c] for c in joined] == [FORGET, FORGET]
+            assert [nd.kind[nd.children[c][0]] for c in joined] == [INTRODUCE_EDGE] * 2
+        result = run_dp(g, nd, keep_tables=True)
+        want = extract_witness(g, nd, result)
+
+        def refuse(*args):
+            raise AssertionError("the witness walk built a table")
+
+        for name in ("_introduce", "_forget", "_apply", "_join", "_dedupe"):
+            monkeypatch.setattr(ueds.dp, name, refuse)
+        assert extract_witness(g, nd, result) == want
 
     def test_requires_kept_tables(self, k2):
         nd = nice_for(k2)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from ueds import decomposition
 from ueds.decomposition import TreeDecomposition, td_greedy_path
-from ueds.errors import WidthCapExceeded
+from ueds.errors import UedsError, WidthCapExceeded
 from ueds.generate import GenSpec, gen
 from ueds.graph import EdgeSet, Graph, is_minimal_eds, parse_graph
 from ueds.oracle import upper_eds_exact
@@ -158,6 +158,10 @@ class TestGamma:
     def test_witness_reported(self, c5):
         report = gamma_prime(c5, method="dp")
         assert report.witness is not None and len(report.witness) == 2
+
+    def test_a_given_decomposition_needs_the_dp(self, p4):
+        with pytest.raises(UedsError, match="needs the DP method"):
+            gamma_prime(p4, method="oracle", td=td_greedy_path(p4))
 
     def test_only_a_given_decomposition_is_validated(self, monkeypatch):
         # the pipeline's own decompositions are valid by construction
