@@ -97,7 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true", help="always produce a witness")
     _add_limit(p, "--max-width", DEFAULT_WIDTH_CAP, _MAX_WIDTH_HELP)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--verbose", action="store_true", help="print the kernel trace")
+    p.add_argument(
+        "--verbose", action="store_true",
+        help="print the kernel trace and per-node DP diagnostics",
+    )
 
     p = add("gamma", help="compute gamma'(G) exactly")
     p.add_argument("graph")
@@ -118,7 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("kernelize", help="reduce an instance or decide it")
     p.add_argument("graph")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument(
+        "-k", type=int, required=True, default=argparse.SUPPRESS,
+        help="target solution size",
+    )
     p.add_argument("--json", action="store_true")
 
     p = add("oracle", help="brute-force enumeration on a small instance")

@@ -66,11 +66,14 @@ satisfaction for forget, each a table over the 32 codes, built from the
 color rules and the pruning below and applied to every row with one gather.
 Every introduce-edge node is one lookup over a key read from each child row,
 with one row per outcome: whether a row with that key survives, and its
-increment.  It adds each outcome's increment to every child row, selects
-the surviving (outcome, child row) pairs by mask, outcome-major with the
-excluded branch first, and dedupes.  A plain edge node uv is the
-two-outcome case: its keys are the 1,024 code pairs code_u * 32 + code_v,
-and its outcomes the two branches.
+increment.  Each candidate (outcome, child row) takes its increment with
+one gather from the node's (outcomes, keys) table of increments and adds
+the child row; the surviving candidates are selected by mask,
+outcome-major with the excluded branch first, and deduped.  A plain edge
+node uv is the two-outcome case: its keys are the 1,024 code pairs
+code_u * 32 + code_v, its outcomes the two branches, and it builds its
+2 x 1,024 increments from the rules and the two shifts each time it runs,
+so a plan kept for the witness holds none.
 
 Folded introduces.  An introduce writes one copy of its child per live
 color, and most of those copies are read once by the node right above it,
@@ -98,10 +101,13 @@ when a bag vertex can no longer reach its target with the edges still to be
 introduced above the current node.  An r0 vertex needs one more edge than
 its incidence target: its certificate is an excluded edge to a black
 neighbor.  The lookups fold this check in, so a dead row is never gathered.
-A join prunes the same way, from the two sides' fields before it merges
-them: it drops a pair in which a purple or red vertex has one solution edge
-on each side, a green vertex is short of two with the edges left above the
-join, or a vertex r0 on both sides has too few edges left to be certified.
+A join prunes the same way before it merges a pair: it drops a pair in
+which a purple or red vertex has one solution edge on each side, a green
+vertex is short of two with the edges left above the join, or a vertex r0
+on both sides has too few edges left to be certified.  These tests run
+once per row, not once per pair: each row gets a signature word, a pair is
+dropped exactly when its two rows' signatures share a bit (_signatures),
+and only kept pairs are gathered and merged.
 A purple or red vertex with no edge left above the join must leave it at
 incidence exactly one, so its incidence bit goes into the left side's join
 key and the complement into the right side's, and the pairs 0/0 and 1/1 are
@@ -368,9 +374,10 @@ class _Lookup(NamedTuple):
     row: per outcome, whether a row with that key survives and its
     increment, and whether the outcome includes the edge.  Outcomes run
     excluded branch first, so the candidate rows come out in the order of
-    the nice form and dedupe keeps the same rows.  A plain lookup computes
-    its increments from the rules and shifts, a folded one keeps them; the
-    witness walk reads the rules and shifts of both."""
+    the nice form and dedupe keeps the same rows.  A folded lookup caches
+    its increments; a plain one builds them from its rules and shifts each
+    time it is applied, so no plan keeps them.  The witness walk reads the
+    rules and shifts of both."""
 
     ok: np.ndarray  # (outcomes, keys) bool
     took: np.ndarray  # (outcomes,) bool
@@ -379,14 +386,11 @@ class _Lookup(NamedTuple):
     su: int = 0
     sv: int = 0
 
-    def increments(self, key: np.ndarray | None = None) -> np.ndarray:
-        """The (outcomes, keys) increments, or those of each key in key."""
+    def increments(self) -> np.ndarray:
+        """The (outcomes, keys) increments."""
         if self.step is not None:
-            return self.step if key is None else self.step.take(key, axis=1)
-        du, dv = self.rules.du, self.rules.dv
-        if key is not None:
-            du, dv = du.take(key, axis=1), dv.take(key, axis=1)
-        return (du << self.su) + (dv << self.sv) - _ONE_MORE
+            return self.step
+        return (self.rules.du << self.su) + (self.rules.dv << self.sv) - _ONE_MORE
 
 
 # one more solution edge also lowers amax - alpha by one; uint64 wraps, and
@@ -420,13 +424,15 @@ def _apply(
     child: np.ndarray, key: np.ndarray, lookup: _Lookup, amask: np.uint64
 ) -> np.ndarray:
     """Every surviving (outcome, child row), outcome-major, plus the
-    outcome's increment for the row's key: added to every pair, then the
-    survivors selected by mask."""
-    # take keeps the (outcome, row) mask C-ordered, unlike ok[:, key]
-    ok = lookup.ok.take(key, axis=1)
-    out = lookup.increments(key)
+    outcome's increment for the row's key: one gather from the node's
+    (outcomes, keys) increments per candidate, added to the child rows,
+    then the survivors selected by mask."""
+    # take keeps the (outcome, row) arrays C-ordered, unlike step[:, key]
+    out = lookup.increments().take(key, axis=1)
     out += child
-    return _dedupe(out[ok], amask)
+    # rebinding frees the candidates before dedupe sorts the survivors
+    out = out[lookup.ok.take(key, axis=1)]
+    return _dedupe(out, amask)
 
 
 def _forget(child: np.ndarray, shift: int, amask: np.uint64) -> np.ndarray:
@@ -469,7 +475,7 @@ def _pairs(
     rem1: np.uint64,
     solo: np.uint64,
     amask: np.uint64,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair rows whose base colors agree on every shared slot (red flavors
     collapse for matching; the merged flavor is the maximum of the two),
     and keep the pairs that can still be accepted.  Incidences add with
@@ -485,18 +491,20 @@ def _pairs(
     (it needs an included edge and an excluded one to a black neighbor).
     A purple or red vertex at a rem0 slot must sum to exactly 1, which the
     key enforces: it holds the left incidence bit and the right complement,
-    so only the pairs 1/0 and 0/1 meet.  The keep mask is computed from the
-    two sides' fields, and only kept pairs are merged.
+    so only the pairs 1/0 and 0/1 meet.  The drop tests run once per row
+    (_signatures), and only kept pairs are gathered and merged.
 
-    Returns the merged rows, unsorted, and where they came from: pair p
-    meets left row li[p] and right row ri[p], and merged row j is pair
-    kept[j].  Pairs come out grouped by key ascending; within a key the
-    order is arbitrary.  Every field is handled at once through masks over
-    the bag fields: purple (1) and red (3) are the odd bases, and an
-    incidence sum (at most 4) fits the three low bits of a field without
-    carrying into the next one."""
-    lbase = _base(left, ones)
-    rbase = _base(right, ones)
+    Returns the merged rows, unsorted, and where they came from: merged
+    row j meets left row li[j] and right row ri[j].  Pairs come out grouped
+    by key ascending; within a key the order is arbitrary.  Every field is
+    handled at once through masks over the bag fields: purple (1) and red
+    (3) are the odd bases, and an incidence sum (at most 4) fits the three
+    low bits of a field without carrying into the next one."""
+    nl = len(left)
+    rows = np.concatenate((left, right))
+    base = _base(rows, ones)
+    sig = _signatures(rows, nl, ones, rem0, rem1)
+    lbase, rbase, lsig, rsig = base[:nl], base[nl:], sig[:nl], sig[nl:]
     lkey = _key(left, lbase, rem0)
     rkey = _key(~right, rbase, rem0)
     lorder = lkey.argsort()
@@ -509,26 +517,14 @@ def _pairs(
     li = np.repeat(lorder, run)
     starts = np.cumsum(run) - run
     ri = rorder[np.arange(len(li)) + np.repeat(lo - starts, run)]
+    kept = np.flatnonzero((lsig[li] & rsig[ri]) == 0)
+    li, ri = li[kept], ri[kept]
 
     lr = left[li]
     rr = right[ri]
     b = lbase[li]
     three = ones * np.uint64(3)
     y = ((lr >> 3) & three) + ((rr >> 3) & three)
-    # purple or red at incidence 1 on both sides
-    drop = b & (lr >> 3) & (rr >> 3) & ones
-    # green short of 2 with no edge or one edge left
-    green = (b >> 1) & ~b & ones
-    at_least_2 = ((y >> 1) | (y >> 2)) & ones
-    empty = ~(y | at_least_2)  # incidence sum 0
-    drop |= green & ((rem0 & ~at_least_2) | (rem1 & empty))
-    # r0 on both sides (base red, neither side r1) with no edge left, or
-    # with one edge left and no solution edge yet
-    r0 = b & (b >> 1) & ~((lr | rr) >> 2)
-    drop |= r0 & (rem0 | (rem1 & empty))
-    kept = np.flatnonzero(drop == 0)
-    lr, rr, b, y = lr[kept], rr[kept], b[kept], y[kept]
-
     red1 = ((lr | rr) >> 2) & ones
     over = ((y >> 2) | ((y >> 1) & y)) & ones  # incidence sum above 2
     y = (y & ~(over * np.uint64(7))) | (over << 1)
@@ -538,7 +534,36 @@ def _pairs(
     merged = (b + red1) | (y << 3) | comp
     if solo:
         merged |= (lr | rr) & solo
-    return merged, li, ri, kept
+    return merged, li, ri
+
+
+def _signatures(
+    rows: np.ndarray, nl: int, ones: np.uint64, rem0: np.uint64, rem1: np.uint64
+) -> np.ndarray:
+    """Each row's drop signature, the left side's nl rows first: _pairs
+    drops a pair exactly when its two rows' signatures share a bit.  In
+    each shared slot's field, bit 0 marks purple or red at incidence 1, so
+    that 1 + 1 meets.  Bits 1 and 2 mark green and r0, the colors with bit 1
+    set (r1 has it clear): a vertex green, or r0 on both sides, must reach
+    incidence 2 with the edges left, as in _alive.  At a rem1 slot bit 1
+    marks incidence 0 on both sides, so 0 + 0 meets.  At a rem0 slot the
+    sums 0 + 0, 0 + 1 and 1 + 0 are the pairs of {0} x {0, 1} (bit 1: left
+    at 0, right below 2) and of {0, 1} x {0} (bit 2: left below 2, right at
+    0); r0 + r0 at 1 + 1 meets in bit 0.  Without a rem0 or rem1 slot only
+    bit 0 is built."""
+    y = rows >> 3  # the incidence bits at bits 0 and 1 of each field
+    sig = (rows | rows >> 2) & y & ones  # purple, r0 and r1 have bit 0 or 2
+    tight = rem0 | rem1
+    if not tight:
+        return sig
+    # green or r0 below incidence 2, then at incidence 0, each copied to
+    # bits 1 and 2 (x 6) for the masks to pick from
+    low = (rows >> 1) & ~(y >> 1) & tight
+    zero = (low & ~y) * np.uint64(6)
+    low *= np.uint64(6)
+    sig[:nl] |= zero[:nl] & tight << 1 | low[:nl] & rem0 << 2
+    sig[nl:] |= zero[nl:] & (rem1 << 1 | rem0 << 2) | low[nl:] & rem0 << 1
+    return sig
 
 
 # the steps of a plan, one per node of the nice form
@@ -557,7 +582,7 @@ def _plan(g: Graph, nd: NiceDecomposition, alpha_bits: int) -> list[tuple]:
     one off each endpoint; a forget drops its vertex; a join adds the right
     side's counts less the degree, which both sides started from, to the
     left side's.  A plain edge's key puts the endpoint of the higher slot
-    first, so that adjacent fields are read with one shift and mask; the
+    first, so that keys ascend as the child rows do (_edge_producer); the
     rules are symmetric in u and v, so the rows come out the same, and a
     folded lookup takes x as v."""
     shift = [5 * s + alpha_bits for s in assign_slots(nd, g.n)]
@@ -586,13 +611,6 @@ def _plan(g: Graph, nd: NiceDecomposition, alpha_bits: int) -> list[tuple]:
             rules = _edge_rules(ru if ru < 2 else 2, rv if rv < 2 else 2)
             if folded:
                 step = (_EDGE, c, su, 31, None, _fused_lookup(rules, capped[v], su, sv))
-            elif su - sv == 5:
-                # adjacent fields, one shift and mask.  On the 5x200 grid's
-                # decision DP (2 vCPU) one A/B gave 2.82-2.93 s with this
-                # branch against 3.44-3.54 s without, a later one 2.96-3.56
-                # s against 3.03-3.88 s (9 process pairs); no benchmark
-                # workload shows it.  Measure again before deleting it
-                step = (_EDGE, c, sv, 1023, None, _edge_lookup(rules, su, sv))
             else:
                 step = (_EDGE, c, su - 5, 31 << 5, sv, _edge_lookup(rules, su, sv))
         elif k == FORGET:
@@ -806,8 +824,8 @@ def _join_producer(
     want = _base(np.uint64(row), ones)
     li = np.flatnonzero(_base(left, ones) == want)
     ri = np.flatnonzero(_base(right, ones) == want)
-    merged, pl, pr, kept = _pairs(left[li], right[ri], ones, rem0, rem1, solo, amask)
-    hit = kept[merged == np.uint64(row)]
+    merged, pl, pr = _pairs(left[li], right[ri], ones, rem0, rem1, solo, amask)
+    hit = merged == np.uint64(row)
     lpos, rpos = li[pl[hit]], ri[pr[hit]]
     if len(lpos) == 0:
         raise UedsError("a kept row has no producer in its child tables")

@@ -187,8 +187,8 @@ def _many_blue_yes(blue_count: int, k: int) -> DecidedYes:
     )
 
 
-_EMPTY_SET_YES = DecidedYes(
-    rule=0, hint="k <= 0: the empty edge set is a minimal solution of size >= k"
+_ANY_MATCHING_YES = DecidedYes(
+    rule=0, hint="k <= 0: any maximal matching is a minimal solution of size >= 0 >= k"
 )
 
 
@@ -263,7 +263,7 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
         return DecidedYes(rule=outcome.rule, hint=outcome.hint, trace=tuple(trace))
 
     if k <= 0:
-        return decided(_EMPTY_SET_YES)
+        return decided(_ANY_MATCHING_YES)
     # edge e's ends sit at 2e and 2e + 1 of ends, and other holds the end
     # across the edge from each
     ends, other = edges.ravel(), edges[:, ::-1].ravel()
@@ -325,7 +325,7 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
     line = _DELETE_VERTEX[1].format
     trace.extend(line(v + 1 - i, n - 1 - i, k) for i, v in enumerate(deleted))
     if len(isolated) and not delete_edges(edges[isolated].tolist(), 0):
-        return decided(_EMPTY_SET_YES)
+        return decided(_ANY_MATCHING_YES)
     twinned = (blue_count > 1).nonzero()[0]  # purple with several blues
     if len(twinned) or reds:  # rules 3 and 6 find a purple vertex's blues
         # sorted by host, then blue: each purple vertex's lowest blue comes first
@@ -343,7 +343,7 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
             delete_vertices(3, blues[start + 1 : start + count])
             blues_alive -= count - 1
             if lone and not delete_edges([pair], 1):
-                return decided(_EMPTY_SET_YES)
+                return decided(_ANY_MATCHING_YES)
     while True:
         if top_degree >= 2 * k:
             big_green = (green & (degree >= 2 * k)).nonzero()[0]
@@ -365,7 +365,7 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
         lone = ((red_count > 0) & (degree == blue_count + red_count)).nonzero()[0]
         lone_edges = np.sort(blue_at[host.searchsorted(lone)] >> 1)
         if not delete_edges(edges[lone_edges].tolist(), 1):
-            return decided(_EMPTY_SET_YES)
+            return decided(_ANY_MATCHING_YES)
     outcome = _size_bound_yes(n - len(deleted), k)
     if outcome is not None:
         return decided(outcome)

@@ -394,6 +394,64 @@ def forget_kept(child: Table, shift: np.uint64, amask: np.uint64) -> Table:
     return dedupe_kept(rows, {"back": np.flatnonzero(satisfied)}, amask)
 
 
+def pairs_reference(
+    left: np.ndarray,
+    right: np.ndarray,
+    ones: np.uint64,
+    rem0: np.uint64,
+    rem1: np.uint64,
+    solo: np.uint64,
+    amask: np.uint64,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ueds.dp._pairs with the drop rules tested per pair: every pair of
+    rows with equal join keys is gathered, its fields' incidences summed,
+    and each rule read off the pair's two fields, before the kept pairs are
+    merged.  Returns the merged rows and their left and right rows, with
+    the pairs in the same order as _pairs."""
+    lbase = dp._base(left, ones)
+    rbase = dp._base(right, ones)
+    lkey = dp._key(left, lbase, rem0)
+    rkey = dp._key(~right, rbase, rem0)
+    lorder = lkey.argsort()
+    rorder = rkey.argsort()
+    lk = lkey[lorder]
+    rk = rkey[rorder]
+    lo = np.searchsorted(rk, lk, "left")
+    run = np.searchsorted(rk, lk, "right") - lo
+    li = np.repeat(lorder, run)
+    starts = np.cumsum(run) - run
+    ri = rorder[np.arange(len(li)) + np.repeat(lo - starts, run)]
+
+    lr = left[li]
+    rr = right[ri]
+    b = lbase[li]
+    three = ones * np.uint64(3)
+    y = ((lr >> 3) & three) + ((rr >> 3) & three)
+    # purple or red at incidence 1 on both sides
+    drop = b & (lr >> 3) & (rr >> 3) & ones
+    # green short of 2 with no edge or one edge left
+    green = (b >> 1) & ~b & ones
+    at_least_2 = ((y >> 1) | (y >> 2)) & ones
+    empty = ~(y | at_least_2)  # incidence sum 0
+    drop |= green & ((rem0 & ~at_least_2) | (rem1 & empty))
+    # r0 on both sides (base red, neither side r1) with no edge left, or
+    # with one edge left and no solution edge yet
+    r0 = b & (b >> 1) & ~((lr | rr) >> 2)
+    drop |= r0 & (rem0 | (rem1 & empty))
+    kept = np.flatnonzero(drop == 0)
+    li, ri = li[kept], ri[kept]
+    lr, rr, b, y = lr[kept], rr[kept], b[kept], y[kept]
+
+    red1 = ((lr | rr) >> 2) & ones
+    over = ((y >> 2) | ((y >> 1) & y)) & ones  # incidence sum above 2
+    y = (y & ~(over * np.uint64(7))) | (over << 1)
+    comp = (lr & amask) + (rr & amask) - amask
+    merged = (b + red1) | (y << 3) | comp
+    if solo:
+        merged |= (lr | rr) & solo
+    return merged, li, ri
+
+
 def join_kept(
     left: Table,
     right: Table,
@@ -404,10 +462,9 @@ def join_kept(
     amask: np.uint64,
 ) -> Table:
     """ueds.dp._join, each row pointing at its first producer: the pairs of
-    ueds.dp._pairs in the order a join emits them, by key, then left row,
+    pairs_reference in the order a join emits them, by key, then left row,
     then right row."""
-    merged, li, ri, kept = dp._pairs(left.rows, right.rows, ones, rem0, rem1, solo, amask)
-    li, ri = li[kept], ri[kept]
+    merged, li, ri = pairs_reference(left.rows, right.rows, ones, rem0, rem1, solo, amask)
     key = dp._key(left.rows, dp._base(left.rows, ones), rem0)[li]
     order = np.lexsort((ri, li, key))
     extras = {"back": li[order], "back2": ri[order]}

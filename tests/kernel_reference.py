@@ -141,7 +141,7 @@ def kernelize_reference(g: Graph, k: int) -> KernelOutcome:
         if k <= 0:
             zero = DecidedYes(
                 rule=0,
-                hint="k <= 0: the empty edge set is a minimal solution of size >= k",
+                hint="k <= 0: any maximal matching is a minimal solution of size >= 0 >= k",
             )
             return _decided(zero, trace, g.n, k)
         applied = rule1_isolated_vertex(g, k) or rule2_isolated_edge(g, k)

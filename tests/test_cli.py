@@ -149,6 +149,27 @@ class TestOtherCommands:
         for default in defaults:
             assert f"(default: {default})" in out
 
+    @pytest.mark.parametrize("command,flag,text", [
+        ("solve", "--verbose", "print the kernel trace and per-node DP diagnostics"),
+        ("kernelize", "-k", "target solution size"),
+    ])
+    def test_help_says_what_the_flag_does(self, command, flag, text, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        # the required -k has no default to show
+        k_lines = [line for line in out.splitlines() if line.strip().startswith("-k")]
+        assert k_lines and all("(default" not in line for line in k_lines)
+        assert f"{flag} {text}" in " ".join(out.replace("-k K", "-k").split())
+
+    def test_solve_verbose_prints_the_kernel_trace_and_the_dp_lines(self, tmp_path, capsys):
+        # the kernel deletes a vertex of tree-20, and the DP answers k = 10
+        path = _write_graph(tmp_path, GenSpec("tree", 20, seed=1))
+        assert main(["solve", path, "-k", "10", "--verbose"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "rule=3 action=delete-vertex 19 n=19 k=10" in lines
+        assert "node=0 type=leaf tuples=1" in lines
+
     def test_max_width_caps_the_bag_size(self, p4_file, capsys):
         # P4's width-1 path has bags of two vertices
         assert main(["gamma", p4_file, "--method", "dp", "--max-width", "1"]) == 3

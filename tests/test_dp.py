@@ -57,6 +57,7 @@ from dp_reference import (
     introduce_kept,
     join_kept,
     packed_introduce_edge,
+    pairs_reference,
     reference_witness,
     remaining_above,
     run_eager,
@@ -468,6 +469,12 @@ class TestPackedJoin:
         rows = join_one_slot(RED0, yl, yr, rem=0, right_color=RED1)
         assert rows == [(RED1 | 1 << 3) << 3 | 7]
 
+    @pytest.mark.parametrize("yl,yr,rem,kept", [(0, 0, 1, True), (1, 1, 2, False)])
+    def test_r0_with_r1_needs_no_certificate(self, yl, yr, rem, kept):
+        # the r1 side saw the black neighbor, so only the incidences count
+        rows = join_one_slot(RED0, yl, yr, rem, alphas=(yl, yr), right_color=RED1)
+        assert rows == ([RED1 << 3 | 7] if kept else [])
+
     @pytest.mark.parametrize("yl,yr,rem,kept", [
         (0, 0, 1, False), (1, 0, 1, True), (0, 1, 1, True), (0, 0, 2, True),
     ])
@@ -481,8 +488,9 @@ class TestPackedJoin:
         assert join_one_slot(PURPLE, 0, 0, rem) == [PURPLE << 3 | 7]
 
     @pytest.mark.parametrize("yl,yr,rem,kept", [
-        (1, 0, 0, False), (1, 1, 0, True), (2, 0, 0, True),
-        (0, 0, 1, False), (1, 0, 1, True), (0, 0, 2, True),
+        (0, 0, 0, False), (0, 1, 0, False), (1, 0, 0, False),
+        (1, 1, 0, True), (0, 2, 0, True), (2, 0, 0, True),
+        (0, 0, 1, False), (0, 1, 1, True), (1, 0, 1, True), (0, 0, 2, True),
     ])
     def test_green_needs_two_with_the_edges_left(self, yl, yr, rem, kept):
         rows = join_one_slot(GREEN, yl, yr, rem)
@@ -514,6 +522,49 @@ CODES += [GREEN | y << 3 for y in (0, 1, 2)]
 
 
 @st.composite
+def join_sides(draw):
+    """Hypothesis strategy: two tables over four slots (n = 8, three alpha
+    bits) and the masks of a join between them, (ones, rem0, rem1, solo).
+    Each slot is shared with 0, 1 or 2+ edges left, one-sided on either
+    side, or empty.  Rows take their shared base colors from a small pool,
+    so that many pairs meet, and any code of that base; a one-sided field
+    takes any code on its side and is 0 on the other."""
+    kinds = draw(st.lists(
+        st.sampled_from(["rem0", "rem1", "rem2", "left", "right", "empty"]),
+        min_size=4, max_size=4,
+    ))
+    shared = [s for s, kind in enumerate(kinds) if kind.startswith("rem")]
+    bases = draw(st.lists(
+        st.tuples(*[st.sampled_from([BLACK, PURPLE, GREEN, RED0])] * len(shared)),
+        min_size=1, max_size=3,
+    ))
+
+    def side(name):
+        rows = {}
+        for _ in range(draw(st.integers(1, 12))):
+            base = draw(st.sampled_from(bases))
+            key = 0
+            for s, kind in enumerate(kinds):
+                if s in shared:
+                    b = base[shared.index(s)]
+                    code = draw(st.sampled_from(
+                        [c for c in CODES if (RED0 if c & 7 == RED1 else c & 7) == b]
+                    ))
+                else:
+                    code = draw(st.sampled_from(CODES)) if kind == name else 0
+                key |= code << 3 + 5 * s
+            rows.setdefault(key, key | 7 - draw(st.integers(0, 1)))
+        return np.array(list(rows.values()), dtype=np.uint64)
+
+    def bits(want):
+        return np.uint64(sum(1 << 3 + 5 * s for s, kind in enumerate(kinds) if kind in want))
+
+    solo = np.uint64(31) * bits(("left", "right"))
+    masks = bits(("rem0", "rem1", "rem2")), bits(("rem0",)), bits(("rem1",)), solo
+    return side("left"), side("right"), masks
+
+
+@st.composite
 def packed_tables(draw, fields):
     """Hypothesis strategy: a table over n = 8 (three alpha bits) with a
     field at every slot of `fields`, a code drawn from fields[slot], and
@@ -533,6 +584,23 @@ def packed_tables(draw, fields):
 
 AMASK8 = np.uint64(7)
 SHIFT8 = [np.uint64(3 + 5 * s) for s in range(3)]
+
+
+class TestPairs:
+    """_pairs, which tests the drop rules once per row, against
+    pairs_reference, which tests them once per pair."""
+
+    @given(join_sides())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_pair_tests(self, sides):
+        left, right, masks = sides
+
+        def triples(merged, li, ri):
+            return sorted(zip(li.tolist(), ri.tolist(), merged.tolist()))
+
+        got = ueds.dp._pairs(left, right, *masks, AMASK8)
+        want = pairs_reference(left, right, *masks, AMASK8)
+        assert triples(*got) == triples(*want)
 
 
 class TestFusedIntroduceEdge:
@@ -591,6 +659,21 @@ class TestFusedIntroduceEdge:
                 want = Table(want.rows, {**want.extras, "back": back})
                 got = ueds.dp._apply(child, key, lookup, AMASK8)
                 self._assert_same(got, want, kept, lookup, ueds.dp._live_colors(rem_x))
+
+    @pytest.mark.parametrize("rem_u,rem_v", list(itertools.product(range(3), repeat=2)))
+    def test_a_plain_lookup_builds_its_increments(self, rem_u, rem_v):
+        # u holds the higher slot, as _plan orders a plain edge's ends
+        rules = ueds.dp._edge_rules(rem_u, rem_v)
+        su, sv = int(SHIFT8[1]), int(SHIFT8[0])
+        lookup = ueds.dp._edge_lookup(rules, su, sv)
+        assert lookup.step is None
+        got = lookup.increments().tolist()
+        du, dv = rules.du.tolist(), rules.dv.tolist()
+        for branch in (0, 1):
+            assert len(got[branch]) == 1024
+            for key in range(1024):
+                want = (du[branch][key] << su) + (dv[branch][key] << sv) - branch
+                assert got[branch][key] == want % 2**64
 
     def test_the_lookup_follows_the_rules_object(self):
         # equal remaining counts and shifts, another rules object: the
@@ -1307,6 +1390,18 @@ class TestWitness:
         for name in ("_introduce", "_forget", "_apply", "_join", "_dedupe"):
             monkeypatch.setattr(ueds.dp, name, refuse)
         assert extract_witness(g, nd, result) == want
+
+    def test_a_kept_plan_holds_no_plain_increments(self):
+        # a plain edge builds its 2 x 1,024 increments when it is applied,
+        # so a plan kept for the walk does not grow by 16 KB per edge node
+        g = gen(GenSpec("gnp", 10, 0.4, 3))
+        nd = make_nice(g, td_min_fill(g))
+        plan = run_dp(g, nd, keep_tables=True).plan
+        edges = [step for step in plan if step[0] == ueds.dp._EDGE]
+        folded = [plan[step[1]][0] == ueds.dp._FOLDED for step in edges]
+        assert 0 < sum(folded) < len(edges)
+        for step, fold in zip(edges, folded):
+            assert (step[5].step is None) != fold
 
     def test_requires_kept_tables(self, k2):
         nd = nice_for(k2)
