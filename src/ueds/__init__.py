@@ -1,11 +1,12 @@
 """Exact solver toolkit for the upper edge dominating set problem: find a
 largest inclusion-minimal edge dominating set of a simple undirected graph.
 
-The toolkit combines a brute-force enumeration oracle for small instances, a
-polynomial-time kernelization that shrinks an instance to O(k^2) vertices or
-decides it outright, and an exact dynamic program over nice tree
-decompositions, built by min-fill elimination or as a greedy path, whichever
-is narrower.  Everything is deterministic for fixed inputs and seeds.
+The toolkit combines an enumeration oracle for small instances (a pruned
+branching search over the inclusion-minimal solutions), a polynomial-time
+kernelization that shrinks an instance to O(k^2) vertices or decides it
+outright, and an exact dynamic program over nice tree decompositions, built
+by min-fill elimination or as a greedy path, whichever is narrower.
+Everything is deterministic for fixed inputs and seeds.
 """
 
 from .errors import (

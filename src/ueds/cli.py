@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true")
 
-    p = add("oracle", help="brute-force enumeration on a small instance")
+    p = add("oracle", help="enumerate every minimal solution by pruned branching")
     p.add_argument("graph")
     _add_limit(
         p, "--limit", DEFAULT_EDGE_LIMIT, f"the most edges it takes, never above {MASK_BITS}"

@@ -8,20 +8,25 @@ branches on the first undominated edge: each member of its neighborhood is
 tried in turn, banning the previously tried members for the rest of that
 subtree.  Every minimal set is reached along exactly one branch.
 
-The branching is level-synchronous over numpy: the frontier is a pair of
-uint64 arrays (chosen edges, banned edges), and one step expands every row at
-once.  Each step first computes hits[f], the number of chosen edges in N[f],
-for every edge f of every row.  A row is dropped when some chosen edge e has
-no private edge, an f in N[e] with hits[f] == 1; this is one AND of N[e] with
-the row's mask of such f.  Hit counts only grow along a branch, so no dropped
-row has a minimal descendant (the critical-edge test of MMCS: Murakami & Uno,
-"Efficient algorithms for dualizing large-scale hypergraphs", 2014).  A
-surviving row's branch edge is its first edge with hits[f] == 0, and a row
-without one is a leaf: it dominates and each member has a private edge, so
-every leaf is a minimal set.  Steps take at most BLOCK_ROWS rows, and the
-children of a block are expanded before its siblings, so memory is bounded
-by the depth times the block's fan-out, not by the number of leaves.  Masks
-are uint64, so m is at most 64 whatever the limit.
+The branching is level-synchronous over numpy: a frontier row is four uint64
+words, and one step expands every row at once.  The words are the chosen
+edges (mask), the banned edges, the edges that some chosen edge dominates
+(dom: each f with a chosen edge in N[f]) and the edges that two or more
+chosen edges dominate (twice).  A child that adds edge x sets twice |= dom &
+N[x], then dom |= N[x], so no step recounts them.  The private edges of a
+row are dom & ~twice, and a chosen edge e is critical when N[e] meets them.
+A row is dropped when some chosen edge is not critical; this is one AND of
+N[e] with the private edges, for every edge e of every row.  Domination only
+grows along a branch, so no dropped row has a minimal descendant (the
+critical-edge test of MMCS: Murakami & Uno, "Efficient algorithms for
+dualizing large-scale hypergraphs", 2014, who keep uncov and crit along the
+branch in the same way).  A surviving row's branch edge is the lowest clear
+bit of dom, and a row without one is a leaf: it dominates and each member has
+a private edge, so every leaf is a minimal set.  Steps take at most
+BLOCK_ROWS rows, and the children of a block are expanded before its
+siblings, so memory is bounded by the depth times the block's fan-out, not
+by the number of leaves.  Masks are uint64, so m is at most 64 whatever the
+limit.
 
 The test suite checks the enumerator against two independent routes in
 ``tests/oracle_reference.py``: the pure-Python branching search it replaced,
@@ -48,7 +53,9 @@ __all__ = [
 
 DEFAULT_EDGE_LIMIT = 22
 MASK_BITS = 64  # edge sets are uint64 masks, whatever the limit
-BLOCK_ROWS = 1 << 13  # frontier rows expanded per step; bounds peak memory
+# Frontier rows expanded per step; bounds peak memory.  A row carries 32
+# bytes, and a step's (edge, row) temporaries peak near 9·m bytes per row.
+BLOCK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -82,41 +89,57 @@ def _minimal_masks(g: Graph, limit: int) -> np.ndarray:
         )
     one = np.uint64(1)
     edge_bit = one << np.arange(m, dtype=np.uint64)
+    full = edge_bit.sum()
     nbr = np.array(g.edge_neighborhood_masks, dtype=np.uint64)
     # Depth-first over blocks: a block's children go on top of the stack, so
     # the stack holds at most one pending run per level, however many leaves
-    # the enumeration has.  Per-row tests run over (edge, row) arrays: with
-    # the rows innermost, numpy broadcasts and reduces them several times
-    # faster than over (row, edge).
-    stack = [(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64))]
+    # the enumeration has.  A frontier is four arrays: mask, banned, dom and
+    # twice.
+    zero = np.zeros(1, dtype=np.uint64)
+    stack = [(zero, zero, zero, zero)]
     found: list[np.ndarray] = []
     while stack:
-        mask, banned = stack.pop()
-        if len(mask) > BLOCK_ROWS:
-            stack.append((mask[BLOCK_ROWS:], banned[BLOCK_ROWS:]))
-            mask, banned = mask[:BLOCK_ROWS], banned[:BLOCK_ROWS]
-        hits = np.bitwise_count(nbr[:, None] & mask)
-        # Keep the rows whose chosen edges all have a private edge.  The
-        # private edges of a row form a sum of disjoint bits.  (A float
+        frontier = stack.pop()
+        if len(frontier[0]) > BLOCK_ROWS:
+            stack.append(tuple(a[BLOCK_ROWS:] for a in frontier))
+            frontier = tuple(a[:BLOCK_ROWS] for a in frontier)
+        mask, banned, dom, twice = frontier
+        # Keep the rows whose chosen edges are all critical.  The test runs
+        # over (edge, row) arrays: with the rows innermost, numpy broadcasts
+        # and reduces them several times faster than over (row, edge).  The
+        # critical edges of a row form a sum of disjoint bits.  (A float
         # product with the closed-neighborhood matrix gives the same test,
         # but OpenBLAS spends a second core on it for no gain in wall time.)
-        private = ((hits == 1) * edge_bit[:, None]).sum(axis=0)
-        member = (edge_bit[:, None] & mask) != 0
-        keep = ~(member & ((nbr[:, None] & private) == 0)).any(axis=0)
-        undominated = hits[:, keep] == 0
-        mask, banned = mask[keep], banned[keep]
-        inner = undominated.any(axis=0)
-        found.append(mask[~inner])  # every leaf left is a minimal set
-        if not inner.any():
+        private = dom & ~twice
+        crit = (((nbr[:, None] & private) != 0) * edge_bit[:, None]).sum(axis=0)
+        keep = (mask & ~crit) == 0
+        undom = ~dom & full
+        found.append(mask[keep & (undom == 0)])  # every leaf left is a minimal set
+        inner = np.flatnonzero(keep & (undom != 0))
+        if not len(inner):
             continue
-        mask, banned = mask[inner], banned[inner]
+        mask, banned, dom, twice, undom = (
+            a[inner] for a in (mask, banned, dom, twice, undom)
+        )
         # Branch on the first undominated edge: its i-th untried neighbor
         # joins the set and the neighbors tried before it are banned.
-        cand = nbr[undominated[:, inner].argmax(axis=0)] & ~banned
+        first = np.bitwise_count((undom & -undom) - one)
+        cand = nbr[first] & ~banned
         bits, rows = np.nonzero((cand & edge_bit[:, None]) != 0)
         low = edge_bit[bits]
-        cand = cand[rows]
-        stack.append((mask[rows] | low, banned[rows] | (cand & (low - one))))
+        add = nbr[bits]
+        # Update the gathered children in place: a temporary per word would
+        # raise the step's peak memory.
+        mask, banned, dom, twice, cand = (
+            a[rows] for a in (mask, banned, dom, twice, cand)
+        )
+        mask |= low
+        low -= one
+        cand &= low
+        banned |= cand
+        twice |= dom & add
+        dom |= add
+        stack.append((mask, banned, dom, twice))
     return np.sort(np.concatenate(found))
 
 

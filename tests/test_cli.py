@@ -162,6 +162,13 @@ class TestOtherCommands:
         assert k_lines and all("(default" not in line for line in k_lines)
         assert f"{flag} {text}" in " ".join(out.replace("-k K", "-k").split())
 
+    def test_oracle_help_names_the_search(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "oracle enumerate every minimal solution by pruned branching" in out
+        assert "brute" not in out
+
     def test_solve_verbose_prints_the_kernel_trace_and_the_dp_lines(self, tmp_path, capsys):
         # the kernel deletes a vertex of tree-20, and the DP answers k = 10
         path = _write_graph(tmp_path, GenSpec("tree", 20, seed=1))

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -103,11 +104,25 @@ class TestEnumeration:
         monkeypatch.setattr(oracle, "BLOCK_ROWS", 3)
         assert _masks(g) == minimal_masks_reference(g)
 
+    @given(st.one_of(graphs(max_n=7), dense_graphs()))
+    @settings(max_examples=40, deadline=None)
+    def test_tiny_blocks_random_and_dense(self, g):
+        # a seam must split the four frontier words in step
+        with mock.patch.object(oracle, "BLOCK_ROWS", 3):
+            assert _masks(g) == minimal_masks_reference(g)
+
     def test_star_uses_the_top_mask_bit(self):
         g = gen(GenSpec("star", 65))
         assert _masks(g) == [1 << e for e in range(64)]
         r = upper_eds_exact(g, limit=64)
         assert (r.gamma_prime, r.count_minimal, r.witness.mask) == (1, 64, 1)
+
+    def test_branches_on_the_top_mask_bit(self):
+        # K1,63 plus a disjoint edge: every branch ends on edge 63
+        g = Graph(66, [(0, v) for v in range(1, 64)] + [(64, 65)])
+        r = upper_eds_exact(g, limit=64)
+        assert (r.gamma_prime, r.count_minimal, r.witness.mask) == (2, 63, 0x8000000000000001)
+        assert _masks(g) == [1 << 63 | 1 << e for e in range(63)]
 
     def test_more_than_64_edges_is_refused_at_any_limit(self):
         with pytest.raises(InstanceTooLarge, match="64-bit"):
