@@ -36,9 +36,17 @@ surviving vertex changes color afterwards (the argument is in its
 docstring).  It then fires the rules in phases and builds a Graph once, at
 the end; it reads neither ``Graph.edges`` nor ``Graph.adj``, so neither the
 input nor the reduced graph builds them.  The rules fire in the same order,
-and the trace reads line for line the same, as in that chain.  The trace
-lines and the hints of rules 4, 5 and 7 come from the helpers here, which
-the spec imports.
+and the trace reads line for line the same, as in that chain.
+
+``kernelize`` writes no trace line while it runs.  It logs what each rule
+did: the vertices of each rule 1, 3 and 6 batch with the k of the moment,
+the ends of each rule 2 edge, and the decision's rule.  The outcome keeps
+that log as its ``trace`` field, and the first read of the field (directly,
+through ``summary()``, ``==``, ``hash`` or ``repr``) replays it into lines
+and caches them, so a caller who never reads the trace never pays for it.
+The trace lines and the hints of rules 4, 5 and 7 come from the helpers
+here, which the spec imports; the spec builds its outcomes with the lines
+themselves.
 """
 
 from __future__ import annotations
@@ -118,13 +126,29 @@ def color_vertices(g: Graph) -> VertexColoring:
     return VertexColoring(tuple(colors))
 
 
+class _Trace:
+    """The ``trace`` field of an outcome: a tuple of lines, or the _Log that
+    kernelize leaves there, which is replaced by its lines on first read."""
+
+    def __get__(self, outcome: Any, owner: type | None = None) -> tuple[str, ...]:
+        if outcome is None:
+            return ()  # the field's default
+        trace = outcome.__dict__["trace"]
+        if isinstance(trace, _Log):
+            trace = outcome.__dict__["trace"] = trace.lines()
+        return trace
+
+    def __set__(self, outcome: Any, trace: tuple[str, ...]) -> None:
+        outcome.__dict__["trace"] = trace
+
+
 @dataclass(frozen=True)
 class Reduced:
     """An equivalent smaller instance, with the trace that produced it."""
 
     graph: Graph
     k: int
-    trace: tuple[str, ...] = ()
+    trace: tuple[str, ...] = _Trace()
 
     def summary(self) -> dict[str, Any]:
         """The report fields of this outcome, without the graph itself."""
@@ -147,7 +171,7 @@ class DecidedYes:
 
     rule: int
     hint: str
-    trace: tuple[str, ...] = ()
+    trace: tuple[str, ...] = _Trace()
 
     def summary(self) -> dict[str, Any]:
         """The report fields of this outcome."""
@@ -166,13 +190,57 @@ KernelOutcome = Reduced | DecidedYes
 _DEGREE_IS = np.eye(3, dtype=bool)
 
 _LINE = "rule={} action={} n={} k={}"
-# the lines kernelize writes most, with their numbers still to fill in
+# the lines a trace holds most, with their numbers still to fill in
 _DELETE_VERTEX = {r: _LINE.format(r, "delete-vertex {}", "{}", "{}") for r in (1, 3, 6)}
 _DELETE_EDGE = _LINE.format(2, "delete-edge ({},{})", "{}", "{}")
 
 
 def _line(rule: int, action: str, n: int, k: int) -> str:
     return _LINE.format(rule, action, n, k)
+
+
+class _Log(list):
+    """What kernelize did on a graph of n vertices, as (rule, items, k)
+    entries in order: a batch of vertices in ascending order for rules 1, 3
+    and 6, with the k they leave at; a batch of edges as [u, v] pairs for
+    rule 2, with the k before the first; no items for a decision (rules 0,
+    4, 5 and 7)."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def lines(self) -> tuple[str, ...]:
+        """The trace lines, each vertex named by its rank among the survivors
+        of its moment: one bisect into the ascending deleted ids each."""
+        n, lines = self.n, []
+        deleted: list[int] = []  # ascending
+        for rule, items, k in self:
+            if rule == 2:
+                line = _DELETE_EDGE.format
+                for u, v in items:
+                    a = u + 1 - bisect_left(deleted, u)
+                    b = v + 1 - bisect_left(deleted, v)
+                    insort(deleted, u)
+                    insort(deleted, v)
+                    k -= 1
+                    lines.append(line(a, b, n - len(deleted), k))
+            elif rule in _DELETE_VERTEX:
+                # rule 1 deletes one vertex at a time, so the i batch
+                # vertices before v lie below it; rules 3 and 6 name each
+                # vertex by its label from before the batch
+                line = _DELETE_VERTEX[rule].format
+                one_at_a_time = rule == 1
+                n_now = n - len(deleted)
+                for i, v in enumerate(items):
+                    label = v + 1 - bisect_left(deleted, v) - one_at_a_time * i
+                    lines.append(line(label, n_now - 1 - i, k))
+                for v in items:
+                    insort(deleted, v)
+            else:
+                lines.append(_line(rule, "decide-yes", n - len(deleted), k))
+        return tuple(lines)
 
 
 def _big_green_yes(label: int, degree: int, k: int) -> DecidedYes:
@@ -210,10 +278,12 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
 
     Each trace line names a vertex by its 1-based label in the graph of that
     moment, which numbers the surviving vertices in their original order:
-    its rank among them.  The outcome and trace equal those of applying the
-    rules one at a time and computing the coloring anew after each, as the
-    spec in tests/kernel_reference.py does; the reduced graph is g itself
-    when no vertex was deleted.
+    its rank among them.  kernelize appends the deleted vertices to a plain
+    list and logs each rule's batch; the labels and lines are worked out
+    from that log the first time the outcome's trace is read.  The outcome
+    and trace equal those of applying the rules one at a time and computing
+    the coloring anew after each, as the spec in tests/kernel_reference.py
+    does; the reduced graph is g itself when no vertex was deleted.
 
     That holds with one coloring, the one the graph has when rules 1 and 2
     are first exhausted, because no surviving vertex changes color
@@ -255,12 +325,12 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
     no degree reaches 2k.
     """
     n, edges = g.n, g.edge_array
-    trace: list[str] = []
-    deleted: list[int] = []  # ascending
+    log = _Log(n)
+    deleted: list[int] = []  # in the order of deletion
 
     def decided(outcome: DecidedYes) -> DecidedYes:
-        trace.append(_line(outcome.rule, "decide-yes", n - len(deleted), k))
-        return DecidedYes(rule=outcome.rule, hint=outcome.hint, trace=tuple(trace))
+        log.append((outcome.rule, (), k))
+        return DecidedYes(rule=outcome.rule, hint=outcome.hint, trace=log)
 
     if k <= 0:
         return decided(_ANY_MATCHING_YES)
@@ -294,36 +364,23 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
     blues_alive = len(blue)
 
     def delete_edges(pairs: list[list[int]], blue_ends: int) -> bool:
-        """Rule 2 on each edge in turn, each with blue_ends blue endpoints;
-        False once k reaches 0."""
+        """Rule 2 on each edge in turn, each with blue_ends blue endpoints,
+        until k reaches 0; False then."""
         nonlocal k, blues_alive
-        for u, v in pairs:
-            a = u + 1 - bisect_left(deleted, u)
-            b = v + 1 - bisect_left(deleted, v)
-            insort(deleted, u)
-            insort(deleted, v)
-            blues_alive -= blue_ends
-            k -= 1
-            trace.append(_DELETE_EDGE.format(a, b, n - len(deleted), k))
-            if k <= 0:
-                return False
-        return True
+        pairs = pairs[:k]
+        log.append((2, pairs, k))
+        for pair in pairs:
+            deleted.extend(pair)
+        blues_alive -= blue_ends * len(pairs)
+        k -= len(pairs)
+        return k > 0
 
     def delete_vertices(rule: int, doomed: list[int]) -> None:
-        """Delete the vertices, given in ascending order, with one trace line
-        each that names the vertex by its label from before the batch."""
-        line = _DELETE_VERTEX[rule].format
-        n_now = n - len(deleted)
-        for i, v in enumerate(doomed, start=1):
-            # the i - 1 vertices of the batch deleted so far lie below v
-            trace.append(line(v + i - bisect_left(deleted, v), n_now - i, k))
-            insort(deleted, v)
+        """Delete the vertices, given in ascending order."""
+        log.append((rule, doomed, k))
+        deleted.extend(doomed)
 
-    # rule 1 takes the isolated vertices one at a time, in ascending order,
-    # so the i-th of them has i deleted vertices below it
-    deleted.extend(_DEGREE_IS[0][capped].nonzero()[0].tolist())
-    line = _DELETE_VERTEX[1].format
-    trace.extend(line(v + 1 - i, n - 1 - i, k) for i, v in enumerate(deleted))
+    delete_vertices(1, _DEGREE_IS[0][capped].nonzero()[0].tolist())
     if len(isolated) and not delete_edges(edges[isolated].tolist(), 0):
         return decided(_ANY_MATCHING_YES)
     twinned = (blue_count > 1).nonzero()[0]  # purple with several blues
@@ -349,7 +406,7 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
             big_green = (green & (degree >= 2 * k)).nonzero()[0]
             if len(big_green):
                 v = int(big_green[0])
-                label = v + 1 - bisect_left(deleted, v)
+                label = v + 1 - sum(d < v for d in deleted)
                 return decided(_big_green_yes(label, int(degree[v]), k))
         if blues_alive >= k:
             return decided(_many_blue_yes(blues_alive, k))
@@ -370,7 +427,7 @@ def kernelize(g: Graph, k: int) -> KernelOutcome:
     if outcome is not None:
         return decided(outcome)
     if not deleted:
-        return Reduced(graph=g, k=k, trace=tuple(trace))
+        return Reduced(graph=g, k=k, trace=log)
     member = np.ones(n, dtype=bool)
     member[deleted] = False
-    return Reduced(graph=_induced(g, member), k=k, trace=tuple(trace))
+    return Reduced(graph=_induced(g, member), k=k, trace=log)

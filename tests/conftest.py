@@ -3,11 +3,32 @@
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from ueds.generate import GenSpec
 from ueds.graph import Graph
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def pool_specs(workload: str) -> list[tuple[int, GenSpec, str]]:
+    """(stratum, GenSpec, recorded hash) of each graph of a benchmark pool,
+    from the expected-answers file perfbench keeps for the workload."""
+    data = json.loads((ROOT / "perfbench" / "expected" / f"{workload}.json").read_text())
+    out = []
+    for inst in data["instances"]:
+        s = data["strata"][inst["stratum"]]
+        n = s["n"]
+        if s["m"] is not None:
+            p = s["m"] / (n * (n - 1) / 2)
+        else:
+            p = None if s["degree"] is None else s["degree"] / (n - 1)
+        out.append((inst["stratum"], GenSpec(s["family"], n, p, inst["seed"]), inst["sha"]))
+    return out
 
 
 def graph_from_pairs(n: int, pairs: list[tuple[int, int]]) -> Graph:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from ueds.cli import main
 from ueds.errors import InstanceTooLarge, ResourceCapExceeded, WidthCapExceeded
 from ueds.generate import GenSpec, gen
-from ueds.graph import EdgeSet, emit_graph, is_minimal_eds
+from ueds.graph import EdgeSet, emit_graph, greedy_maximal_matching, is_minimal_eds
 from ueds.decomposition import (
     TreeDecomposition,
     emit_td,
@@ -197,6 +198,43 @@ def _write_graph(tmp_path, spec):
     path = tmp_path / f"{spec.instance_id}.gr"
     path.write_text(emit_graph(gen(spec)))
     return str(path)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    """sha256 of whole outputs with long kernel traces, so the bytes the CLI
+    prints stay the same however the kernel builds its trace."""
+
+    @pytest.mark.parametrize(
+        "spec, halve, sha",
+        [
+            (GenSpec("tree", 1000, None, 7), True, "6d29f226cce70611a85e5fdfec2ebf8ca0c4ca0260d6ec1abdf75fd9afe9b094"),
+            (GenSpec("tree", 1000, None, 7), False, "a0a93aeddaeac81593ef9cf08505fc126e1a5ca7de8301487798c12be479943d"),
+            (GenSpec("gnp", 1000, 2 / 999, 1), True, "683485839d516e828f4bfc7e3815fb7aecb4c81687796dffc4db312df80ed361"),
+            (GenSpec("gnp", 1000, 2 / 999, 1), False, "7526105df9f745d398a85fc6454630a2e6b3d92493717bc862e85c9b8f9217d4"),
+        ],
+        ids=["tree-decided", "tree-reduced", "gnp-decided", "gnp-reduced"],
+    )
+    def test_kernelize_json(self, tmp_path, capsys, spec, halve, sha):
+        # k = half the matching decides by rule 5; one above it reduces
+        m = greedy_maximal_matching(gen(spec)).size
+        k = m // 2 if halve else m + 1
+        assert main(["kernelize", _write_graph(tmp_path, spec), "-k", str(k), "--json"]) == 0
+        assert _sha(capsys.readouterr().out) == sha
+
+    def test_solve_json_verbose_on_a_reduced_instance(self, tmp_path, capsys):
+        spec = GenSpec("gnp", 80, 1.5 / 79, 1)
+        k = greedy_maximal_matching(gen(spec)).size + 1
+        main(["solve", _write_graph(tmp_path, spec), "-k", str(k), "--json", "--verbose"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stage"] == "dp" and payload["reduced_k"] is not None
+        del payload["timings_ms"]  # the only field that varies between runs
+        assert _sha(json.dumps(payload, sort_keys=True, indent=2)) == (
+            "9c579ec9bec59291ff52164570b3d3b1e0de95c74c1f4cc4fff6969e625ed0ac"
+        )
 
 
 class TestDecompositionCommands:

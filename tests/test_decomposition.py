@@ -1,6 +1,3 @@
-import json
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,14 +30,12 @@ from ueds.generate import GenSpec, gen
 from ueds.graph import Graph, greedy_maximal_matching, vertex_cover_from_matching
 from ueds.pipeline import choose_decomposition
 
-from conftest import graphs, minimum_vertex_cover
+from conftest import graphs, minimum_vertex_cover, pool_specs
 from decomposition_reference import (
     greedy_path_reference,
     min_fill_reference,
     validate_td_reference,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestFromCover:
@@ -170,21 +165,12 @@ def spider(legs: int, length: int) -> Graph:
 def pool_graphs(workload: str, per_stratum: int) -> list[Graph]:
     """The first graphs of each stratum of a benchmark pool, regenerated from
     the GenSpecs its expected-answers file records."""
-    data = json.loads((ROOT / "perfbench" / "expected" / f"{workload}.json").read_text())
-    strata = data["strata"]
-    taken = [0] * len(strata)
+    taken: dict[int, int] = {}
     out = []
-    for inst in data["instances"]:
-        s = strata[inst["stratum"]]
-        if taken[inst["stratum"]] == per_stratum:
-            continue
-        taken[inst["stratum"]] += 1
-        n = s["n"]
-        if s["m"] is not None:
-            p = s["m"] / (n * (n - 1) / 2)
-        else:
-            p = None if s["degree"] is None else s["degree"] / (n - 1)
-        out.append(gen(GenSpec(s["family"], n, p, inst["seed"])))
+    for stratum, spec, _ in pool_specs(workload):
+        taken[stratum] = taken.get(stratum, 0) + 1
+        if taken[stratum] <= per_stratum:
+            out.append(gen(spec))
     return out
 
 

@@ -1,8 +1,12 @@
+import hashlib
+
 import pytest
 
 from ueds.errors import GenSpecError
-from ueds.generate import GenSpec, SplitMix64, gen
+from ueds.generate import GenSpec, SplitMix64, _draws, gen
 from ueds.graph import emit_graph
+
+from conftest import pool_specs
 
 
 class TestSplitMix64:
@@ -22,6 +26,45 @@ class TestSplitMix64:
 
     def test_seed_wraps_to_64_bits(self):
         assert SplitMix64(2**64 + 5).next_u64() == SplitMix64(5).next_u64()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, -1, 2**64 + 1])
+    def test_array_stream_is_the_generator_stream(self, seed):
+        rng = SplitMix64(seed)
+        stream = [rng.next_u64() for _ in range(300)]
+        assert _draws(seed, 0, 300).tolist() == stream
+        assert _draws(seed, 123, 45).tolist() == stream[123:168]
+
+
+def _sha(spec: GenSpec) -> str:
+    return hashlib.sha256(emit_graph(gen(spec)).encode()).hexdigest()
+
+
+class TestPinnedText:
+    """sha256 of the emitted text, recorded with SplitMix64.next_u64 drawing
+    one value at a time, so a spec means the same graph in every version."""
+
+    @pytest.mark.parametrize(
+        "spec, sha",
+        [
+            (GenSpec("gnp", 30, 0.0, 5), "92fb6a4688373d7c94ce8163ec38787bb1b692429073191944df548149d1c607"),
+            (GenSpec("gnp", 30, 0.5, 5), "493fcb5759762138ad5cc07b60f5995a28c9a1a78caba5ae188c38dcea188c3d"),
+            (GenSpec("gnp", 30, 1.0, 5), "f2bf5155ec99230477fcad9db49eb939725200a8ba85f0b2b2783a5db2a6e8c7"),
+            (GenSpec("tree", 1), "0176fcd625059b20798cfd1050bf9f8d53ec5bf696ab68924dfee5792e485f8e"),
+            (GenSpec("tree", 2), "ca4556a847b98616ae74a20e89fcb97c09237262a54773e4688924b772eb9019"),
+            (GenSpec("tree", 1000, None, 3), "accc6b87a3047e54a47fe68a3c49b65f542878b883750b6b416798ac81415516"),
+            (GenSpec("gnp", 1000, 2 / 999, 1), "a6eb259ce03f146a4791e77b59d875f731b8e655a141c18768e1b347b9e0bc63"),
+        ],
+        ids=lambda x: x.instance_id if isinstance(x, GenSpec) else "",
+    )
+    def test_spec_text(self, spec, sha):
+        assert _sha(spec) == sha
+
+    @pytest.mark.parametrize("workload", ["gamma-auto", "solve-decide", "kernelize-sparse"])
+    def test_benchmark_pools(self, workload):
+        """Every graph of the benchmark's pools, regenerated, against the
+        hash its expected-answers file records."""
+        for _, spec, sha in pool_specs(workload):
+            assert _sha(spec)[:16] == sha, spec
 
 
 class TestFamilies:

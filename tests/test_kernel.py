@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings
 
+from ueds import kernel
 from ueds.errors import IsolatedVertexPresent
 from ueds.generate import GenSpec, gen
 from ueds.graph import Graph, emit_graph, greedy_maximal_matching, parse_graph
@@ -402,6 +404,50 @@ class TestLazyAdjacency:
         assert isinstance(out, Reduced) and out.graph.n < g.n
         assert out.graph.adj == Graph(out.graph.n, list(out.graph.edges)).adj
         assert "adj" in out.graph.__dict__ and "adj" not in g.__dict__
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """A counter of the trace lines formatted from the kernel's templates."""
+    count = [0]
+
+    class Counting(str):
+        def format(self, *args):
+            count[0] += 1
+            return super().format(*args)
+
+    monkeypatch.setattr(kernel, "_LINE", Counting(kernel._LINE))
+    monkeypatch.setattr(kernel, "_DELETE_EDGE", Counting(kernel._DELETE_EDGE))
+    monkeypatch.setattr(
+        kernel, "_DELETE_VERTEX", {r: Counting(t) for r, t in kernel._DELETE_VERTEX.items()}
+    )
+    return count
+
+
+class TestTraceOnRead:
+    """kernelize logs what each rule did and formats no line; the first read
+    of the trace formats every line, and later reads reuse them."""
+
+    @pytest.mark.parametrize("shrink", [1, 2], ids=["reduced", "decided"])
+    def test_no_line_until_read(self, formatted, shrink):
+        g = gen(GenSpec("tree", 3000, None, 11))
+        out = kernelize(g, (greedy_maximal_matching(g).size + 1) // shrink)
+        assert isinstance(out, Reduced if shrink == 1 else DecidedYes)
+        assert formatted[0] == 0
+        lines = out.trace
+        assert len(lines) > 100 and formatted[0] == len(lines)
+        assert out.summary()["trace"] == list(lines)
+        assert out.trace is lines and formatted[0] == len(lines)
+
+    def test_outcomes_compare_their_lines(self):
+        g = gen(GenSpec("tree", 300, None, 4))
+        k = greedy_maximal_matching(g).size + 1
+        out = kernelize(g, k)
+        assert out == kernelize(g, k) and hash(out) == hash(kernelize(g, k))
+        given_lines = Reduced(graph=out.graph, k=out.k, trace=tuple(out.trace))
+        assert given_lines == out and hash(given_lines) == hash(out)
+        assert dataclasses.replace(out, trace=out.trace[:-1]) != out
+        assert repr(kernelize(g, k)) == repr(out)
 
 
 def _assert_rule_order(trace):
